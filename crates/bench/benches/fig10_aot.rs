@@ -16,7 +16,10 @@ fn bench_aot(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
 
     for (label, config) in [
-        ("jit_lambda", EngineConfig::jit(BackendKind::Lambda, false)),
+        (
+            "jit_lambda",
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+        ),
         (
             "macro_facts_rules_online",
             EngineConfig::ahead_of_time(true, true),

@@ -39,7 +39,7 @@ fn bench_andersen(c: &mut Criterion) {
             workload
                 .measure(
                     Formulation::Unoptimized,
-                    EngineConfig::jit(BackendKind::Lambda, false),
+                    EngineConfig::eager_jit(BackendKind::Lambda, false),
                 )
                 .unwrap()
         });
@@ -49,7 +49,7 @@ fn bench_andersen(c: &mut Criterion) {
             workload
                 .measure(
                     Formulation::Unoptimized,
-                    EngineConfig::jit(BackendKind::IrGen, false),
+                    EngineConfig::eager_jit(BackendKind::IrGen, false),
                 )
                 .unwrap()
         });

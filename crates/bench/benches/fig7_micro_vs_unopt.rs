@@ -29,12 +29,12 @@ fn bench_fibonacci(c: &mut Criterion) {
         (
             "jit_lambda_blocking_on_unoptimized",
             Formulation::Unoptimized,
-            EngineConfig::jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
         ),
         (
             "jit_bytecode_blocking_on_unoptimized",
             Formulation::Unoptimized,
-            EngineConfig::jit(BackendKind::Bytecode, false),
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
         ),
     ] {
         group.bench_function(label, |b| {

@@ -19,11 +19,11 @@ fn bench_csda(c: &mut Criterion) {
         ("interpreted_hand_optimized", EngineConfig::interpreted()),
         (
             "jit_irgen_on_hand_optimized",
-            EngineConfig::jit(BackendKind::IrGen, false),
+            EngineConfig::eager_jit(BackendKind::IrGen, false),
         ),
         (
             "jit_lambda_blocking_on_hand_optimized",
-            EngineConfig::jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
         ),
     ] {
         group.bench_function(label, |b| {

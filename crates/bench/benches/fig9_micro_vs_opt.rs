@@ -20,15 +20,15 @@ fn bench_ackermann(c: &mut Criterion) {
         ("interpreted_hand_optimized", EngineConfig::interpreted()),
         (
             "jit_lambda_blocking_on_hand_optimized",
-            EngineConfig::jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
         ),
         (
             "jit_quotes_blocking_on_hand_optimized",
-            EngineConfig::jit(BackendKind::Quotes, false),
+            EngineConfig::eager_jit(BackendKind::Quotes, false),
         ),
         (
             "jit_quotes_async_on_hand_optimized",
-            EngineConfig::jit(BackendKind::Quotes, true),
+            EngineConfig::eager_jit(BackendKind::Quotes, true),
         ),
     ] {
         group.bench_function(label, |b| {

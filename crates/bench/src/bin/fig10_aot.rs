@@ -24,7 +24,10 @@ use carac_bench::{figure_micro_workloads, fmt_speedup, measure, speedup, FigureR
 fn main() {
     let workloads = figure_micro_workloads();
     let configs: Vec<(&str, EngineConfig)> = vec![
-        ("JIT-lambda", EngineConfig::jit(BackendKind::Lambda, false)),
+        (
+            "JIT-lambda",
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+        ),
         (
             "Macro Facts+Rules (online)",
             EngineConfig::ahead_of_time(true, true),

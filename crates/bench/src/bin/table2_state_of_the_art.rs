@@ -83,7 +83,7 @@ fn main() {
         let (count, time) = carac_bench::measure(
             workload,
             Formulation::HandOptimized,
-            EngineConfig::jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
             2,
         );
         row.push(fmt_secs(time));

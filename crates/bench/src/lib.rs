@@ -203,31 +203,32 @@ pub fn parallel_scaling_table(
 }
 
 /// The six JIT configurations of Figures 6–9, in the paper's legend order,
-/// plus their labels.
+/// plus their labels — under the paper's compile-at-first-visit policy
+/// (`EngineConfig::eager_jit`), not the engine's default tiering.
 pub fn jit_configs() -> Vec<(String, EngineConfig)> {
     let mut configs = vec![(
         "JIT IRGenerator".to_string(),
-        EngineConfig::jit(BackendKind::IrGen, false),
+        EngineConfig::eager_jit(BackendKind::IrGen, false),
     )];
     configs.push((
         "JIT Lambda Blocking".to_string(),
-        EngineConfig::jit(BackendKind::Lambda, false),
+        EngineConfig::eager_jit(BackendKind::Lambda, false),
     ));
     configs.push((
         "JIT Bytecode Async".to_string(),
-        EngineConfig::jit(BackendKind::Bytecode, true),
+        EngineConfig::eager_jit(BackendKind::Bytecode, true),
     ));
     configs.push((
         "JIT Bytecode Blocking".to_string(),
-        EngineConfig::jit(BackendKind::Bytecode, false),
+        EngineConfig::eager_jit(BackendKind::Bytecode, false),
     ));
     configs.push((
         "JIT Quotes Async".to_string(),
-        EngineConfig::jit(BackendKind::Quotes, true),
+        EngineConfig::eager_jit(BackendKind::Quotes, true),
     ));
     configs.push((
         "JIT Quotes Blocking".to_string(),
-        EngineConfig::jit(BackendKind::Quotes, false),
+        EngineConfig::eager_jit(BackendKind::Quotes, false),
     ));
     configs
 }

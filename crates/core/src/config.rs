@@ -162,6 +162,18 @@ impl EngineConfig {
         }
     }
 
+    /// [`EngineConfig::jit`] under the paper's policy: every node is
+    /// optimized and compiled at its first visit (`tier_up_work: 0`) instead
+    /// of once it has done enough work to repay the compilation.  For
+    /// redrawing the paper's figures, and for tests that must push inputs
+    /// far below the default threshold through a backend's compiled code.
+    pub fn eager_jit(backend: BackendKind, async_compile: bool) -> Self {
+        EngineConfig::jit_with(JitConfig {
+            tier_up_work: 0,
+            ..JitConfig::labelled(backend, async_compile)
+        })
+    }
+
     /// A JIT configuration with full control over the JIT knobs.
     pub fn jit_with(config: JitConfig) -> Self {
         EngineConfig {

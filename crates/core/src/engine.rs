@@ -747,10 +747,11 @@ mod tests {
         let configs = vec![
             EngineConfig::interpreted(),
             EngineConfig::interpreted_unindexed(),
-            EngineConfig::jit(BackendKind::Lambda, false),
-            EngineConfig::jit(BackendKind::Lambda, true),
-            EngineConfig::jit(BackendKind::Bytecode, false),
-            EngineConfig::jit(BackendKind::IrGen, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, true),
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
+            EngineConfig::eager_jit(BackendKind::IrGen, false),
+            EngineConfig::default(),
             EngineConfig::ahead_of_time(true, true),
             EngineConfig::ahead_of_time(true, false),
             EngineConfig::ahead_of_time(false, true),
@@ -789,8 +790,8 @@ mod tests {
         // three representative ones.
         for config in [
             EngineConfig::interpreted(),
-            EngineConfig::jit(BackendKind::Lambda, false),
-            EngineConfig::jit(BackendKind::Bytecode, false), // VM → interpreter fallback
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Bytecode, false), // VM → interpreter fallback
         ] {
             let mut engine = Carac::new(tc()).with_config(config);
             assert!(!engine.is_live());
@@ -934,9 +935,9 @@ mod tests {
         assert_eq!(reference.len(), 3); // 2 reaches 3, 1, 2
         for config in [
             EngineConfig::interpreted_unindexed(),
-            EngineConfig::jit(BackendKind::Lambda, false),
-            EngineConfig::jit(BackendKind::Bytecode, false),
-            EngineConfig::jit(BackendKind::IrGen, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
+            EngineConfig::eager_jit(BackendKind::IrGen, false),
             EngineConfig::ahead_of_time(true, true),
             EngineConfig::interpreted().with_parallelism(2),
             EngineConfig::interpreted().with_parallelism(8),
@@ -990,8 +991,8 @@ mod tests {
         let program = defective_tc();
         for config in [
             EngineConfig::interpreted(),
-            EngineConfig::jit(BackendKind::Lambda, false),
-            EngineConfig::jit(BackendKind::Bytecode, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
             EngineConfig::interpreted().with_parallelism(4),
         ] {
             let label = config.label();

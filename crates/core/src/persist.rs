@@ -64,10 +64,16 @@ impl Carac {
     /// leaves any previous checkpoint at `path` intact.
     pub fn checkpoint(&mut self, path: impl AsRef<Path>) -> Result<(), CaracError> {
         self.run_live()?;
-        let journal_seq = self
-            .journal
-            .as_ref()
-            .map_or(0, |journal| journal.next_seq().saturating_sub(1));
+        let journal_seq = match &self.journal {
+            // The watermark tells a later recovery to skip these records, so
+            // they must be on disk before it is: a journal reopened by
+            // `recover` was not synced there.
+            Some(journal) => {
+                journal.sync()?;
+                journal.next_seq().saturating_sub(1)
+            }
+            None => 0,
+        };
         let live = self.live.as_ref().expect("run_live just succeeded");
         let token = live.ctx.stats.tracer.begin(Phase::Checkpoint, 0);
         let result = write_snapshot(

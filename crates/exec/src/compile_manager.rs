@@ -8,6 +8,11 @@
 //! point and all state lives in the storage layer, the hand-over needs no
 //! stack surgery — the engine simply starts using the artifact on its next
 //! visit to the node.
+//!
+//! Blocking compilations run on the caller's thread.  The compiler thread
+//! and its channel are created by the first asynchronous request, so an
+//! engine that only ever compiles blocking (or never compiles) spawns and
+//! joins nothing.
 
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
@@ -40,13 +45,27 @@ pub struct CompileResult {
     pub event: CompileEvent,
 }
 
-/// Handle to the background compiler thread plus the blocking entry point.
+type ResultMap = Arc<Mutex<FxHashMap<NodeId, Result<CompileResult, ExecError>>>>;
+
+/// The background compiler thread's lifecycle.  It is created by the first
+/// [`CompilationManager::request`]: blocking compilations run on the
+/// caller's thread and never need it.
+enum Worker {
+    NotStarted,
+    Running {
+        tx: Sender<CompileRequest>,
+        handle: JoinHandle<()>,
+    },
+    ShutDown,
+}
+
+/// The blocking compile entry point plus a handle to the (lazily started)
+/// background compiler thread.
 pub struct CompilationManager {
-    tx: Option<Sender<CompileRequest>>,
-    results: Arc<Mutex<FxHashMap<NodeId, Result<CompileResult, ExecError>>>>,
+    worker: Worker,
+    results: ResultMap,
     pending: FxHashSet<NodeId>,
     completed_compilations: usize,
-    worker: Option<JoinHandle<()>>,
 }
 
 impl std::fmt::Debug for CompilationManager {
@@ -54,6 +73,7 @@ impl std::fmt::Debug for CompilationManager {
         f.debug_struct("CompilationManager")
             .field("pending", &self.pending.len())
             .field("completed", &self.completed_compilations)
+            .field("worker_started", &self.worker_started())
             .finish()
     }
 }
@@ -64,58 +84,93 @@ impl Default for CompilationManager {
     }
 }
 
+/// The compiler thread's loop: compile each request, publish the result.
+fn compile_requests(rx: &Receiver<CompileRequest>, results: &ResultMap) {
+    while let Ok(request) = rx.recv() {
+        // A backend compile error is shipped back as a result so the engine
+        // degrades with a typed error at the next poll instead of hanging
+        // on a forever-pending node.
+        let result = compile_artifact(
+            &request.subtree,
+            request.backend,
+            request.mode,
+            &request.staging,
+            request.warm,
+        )
+        .map(|(artifact, duration)| CompileResult {
+            artifact,
+            event: CompileEvent {
+                node: request.node_id,
+                kind: request.kind,
+                backend: request.backend.tag(),
+                full: request.mode == CompileMode::Full,
+                warm: request.warm,
+                duration,
+            },
+        });
+        match results.lock() {
+            Ok(mut map) => {
+                map.insert(request.node_id, result);
+            }
+            // The map is poisoned: some thread panicked while holding the
+            // lock.  The worker cannot report an error itself, so it exits;
+            // every subsequent poll on the engine side surfaces the typed
+            // manager-failure error instead of panicking here.
+            Err(_) => break,
+        }
+    }
+}
+
 impl CompilationManager {
-    /// Creates a manager with its background compiler thread.
+    /// Creates a manager.  No thread is spawned until the first
+    /// asynchronous [`request`](Self::request).
     pub fn new() -> Self {
-        let (tx, rx): (Sender<CompileRequest>, Receiver<CompileRequest>) = channel();
-        let results: Arc<Mutex<FxHashMap<NodeId, Result<CompileResult, ExecError>>>> =
-            Arc::new(Mutex::new(FxHashMap::default()));
-        let worker_results = Arc::clone(&results);
-        let worker = std::thread::Builder::new()
-            .name("carac-compiler".to_string())
-            .spawn(move || {
-                while let Ok(request) = rx.recv() {
-                    // A backend compile error is shipped back as a result so
-                    // the engine degrades with a typed error at the next
-                    // poll instead of hanging on a forever-pending node.
-                    let result = compile_artifact(
-                        &request.subtree,
-                        request.backend,
-                        request.mode,
-                        &request.staging,
-                        request.warm,
-                    )
-                    .map(|(artifact, duration)| CompileResult {
-                        artifact,
-                        event: CompileEvent {
-                            node: request.node_id,
-                            kind: request.kind,
-                            backend: request.backend.tag(),
-                            full: request.mode == CompileMode::Full,
-                            warm: request.warm,
-                            duration,
-                        },
-                    });
-                    match worker_results.lock() {
-                        Ok(mut map) => {
-                            map.insert(request.node_id, result);
-                        }
-                        // The map is poisoned: some thread panicked while
-                        // holding the lock.  The worker cannot report an
-                        // error itself, so it exits; every subsequent poll
-                        // on the engine side surfaces the typed
-                        // manager-failure error instead of panicking here.
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("failed to spawn the compiler thread");
         CompilationManager {
-            tx: Some(tx),
-            results,
+            worker: Worker::NotStarted,
+            results: Arc::new(Mutex::new(FxHashMap::default())),
             pending: FxHashSet::default(),
             completed_compilations: 0,
-            worker: Some(worker),
+        }
+    }
+
+    /// Whether the background compiler thread exists (it is started by the
+    /// first [`request`](Self::request) and stopped by
+    /// [`shutdown`](Self::shutdown)).
+    pub fn worker_started(&self) -> bool {
+        matches!(self.worker, Worker::Running { .. })
+    }
+
+    /// The channel to the compiler thread, starting the thread on first use.
+    fn sender(&mut self) -> Result<&Sender<CompileRequest>, ExecError> {
+        if let Worker::NotStarted = self.worker {
+            let (tx, rx) = channel();
+            let results = Arc::clone(&self.results);
+            let handle = std::thread::Builder::new()
+                .name("carac-compiler".to_string())
+                .spawn(move || compile_requests(&rx, &results))
+                .map_err(|err| {
+                    ExecError::Compilation(format!("failed to spawn the compiler thread: {err}"))
+                })?;
+            self.worker = Worker::Running { tx, handle };
+        }
+        match &self.worker {
+            Worker::Running { tx, .. } => Ok(tx),
+            Worker::NotStarted | Worker::ShutDown => {
+                Err(ExecError::Compilation("compiler thread shut down".into()))
+            }
+        }
+    }
+
+    /// Stops the compiler thread (if it was ever started) after it drains
+    /// the requests already queued.  Later requests fail with a typed
+    /// error; blocking compilation keeps working.
+    pub fn shutdown(&mut self) {
+        if let Worker::Running { tx, handle } =
+            std::mem::replace(&mut self.worker, Worker::ShutDown)
+        {
+            // Closing the channel lets the worker drain and exit.
+            drop(tx);
+            let _ = handle.join();
         }
     }
 
@@ -175,20 +230,17 @@ impl CompilationManager {
             return Ok(());
         }
         let warm = self.is_warm();
-        let tx = self
-            .tx
-            .as_ref()
-            .ok_or_else(|| ExecError::Compilation("compiler thread shut down".into()))?;
-        tx.send(CompileRequest {
-            node_id,
-            kind,
-            subtree,
-            backend,
-            mode,
-            staging,
-            warm,
-        })
-        .map_err(|_| ExecError::Compilation("compiler thread disconnected".into()))?;
+        self.sender()?
+            .send(CompileRequest {
+                node_id,
+                kind,
+                subtree,
+                backend,
+                mode,
+                staging,
+                warm,
+            })
+            .map_err(|_| ExecError::Compilation("compiler thread disconnected".into()))?;
         self.pending.insert(node_id);
         Ok(())
     }
@@ -243,11 +295,7 @@ impl CompilationManager {
 
 impl Drop for CompilationManager {
     fn drop(&mut self) {
-        // Closing the channel lets the worker drain and exit.
-        self.tx = None;
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
+        self.shutdown();
     }
 }
 
@@ -319,6 +367,68 @@ mod tests {
         assert!(matches!(result.artifact, Artifact::Vm(_)));
         assert!(!manager.is_pending(plan.id));
         assert_eq!(manager.completed(), 1);
+    }
+
+    #[test]
+    fn worker_starts_with_the_first_request_only() {
+        let mut manager = CompilationManager::new();
+        let plan = plan();
+        manager
+            .compile_blocking(
+                plan.id,
+                plan.kind(),
+                &plan,
+                BackendKind::Bytecode,
+                CompileMode::Full,
+                &StagingCostModel::free(),
+            )
+            .unwrap();
+        assert!(
+            !manager.worker_started(),
+            "blocking compiles need no thread"
+        );
+        manager
+            .request(
+                plan.id,
+                plan.kind(),
+                plan.clone(),
+                BackendKind::Bytecode,
+                CompileMode::Full,
+                StagingCostModel::free(),
+            )
+            .unwrap();
+        assert!(manager.worker_started());
+    }
+
+    #[test]
+    fn request_after_shutdown_is_a_typed_error() {
+        let mut manager = CompilationManager::new();
+        let plan = plan();
+        manager.shutdown();
+        let err = manager
+            .request(
+                plan.id,
+                plan.kind(),
+                plan.clone(),
+                BackendKind::Lambda,
+                CompileMode::Full,
+                StagingCostModel::free(),
+            )
+            .unwrap_err();
+        assert!(matches!(err, ExecError::Compilation(_)), "got {err:?}");
+        assert!(!manager.is_pending(plan.id));
+        assert!(!manager.worker_started());
+        // Blocking compilation is unaffected.
+        manager
+            .compile_blocking(
+                plan.id,
+                plan.kind(),
+                &plan,
+                BackendKind::Lambda,
+                CompileMode::Full,
+                &StagingCostModel::free(),
+            )
+            .unwrap();
     }
 
     #[test]

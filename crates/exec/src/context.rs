@@ -4,7 +4,7 @@
 use carac_datalog::Program;
 use carac_optimizer::OptimizeContext;
 use carac_storage::hasher::{FxHashMap, FxHashSet};
-use carac_storage::{DbKind, RelId, StorageManager, Tuple};
+use carac_storage::{DbKind, RelId, StatsSnapshot, StorageManager, Tuple};
 
 use crate::error::ExecError;
 use crate::stats::RunStats;
@@ -133,17 +133,37 @@ impl ExecContext {
         Ok(self.storage.insert_fact(rel, tuple)?)
     }
 
-    /// Builds the optimizer's view of the current state, including the
-    /// composite indexes built for this program and the worker budget the
-    /// pipeline estimator should account for.
-    pub fn optimize_context(&self) -> OptimizeContext {
+    /// The optimizer's view of everything that stays fixed while the program
+    /// runs — which relations are intensional, the indexes built for it, the
+    /// worker budget, magic predicates, interval hints — with empty
+    /// statistics.  The JIT builds it once per run and attaches a fresh
+    /// [`ExecContext::live_stats`] each time a node (re)optimizes.
+    pub fn optimize_frame(&self) -> OptimizeContext {
+        OptimizeContext::new(
+            StatsSnapshot::default(),
+            self.is_idb.clone(),
+            self.indexed.clone(),
+        )
+        .with_composites(self.composite_indexed.iter().cloned().collect())
+        .with_parallelism(self.parallelism)
+        .with_magic(self.magic_rels.clone())
+        .with_intervals(self.interval_hints.clone())
+    }
+
+    /// The live cardinalities of every database, stamped with the current
+    /// iteration.
+    pub fn live_stats(&self) -> StatsSnapshot {
         let mut snapshot = self.storage.stats();
         snapshot.iteration = self.iteration;
-        OptimizeContext::new(snapshot, self.is_idb.clone(), self.indexed.clone())
-            .with_composites(self.composite_indexed.iter().cloned().collect())
-            .with_parallelism(self.parallelism)
-            .with_magic(self.magic_rels.clone())
-            .with_intervals(self.interval_hints.clone())
+        snapshot
+    }
+
+    /// Builds the optimizer's view of the current state:
+    /// [`ExecContext::optimize_frame`] plus [`ExecContext::live_stats`].
+    pub fn optimize_context(&self) -> OptimizeContext {
+        let mut oc = self.optimize_frame();
+        oc.stats = self.live_stats();
+        oc
     }
 
     /// Number of tuples currently derived for `rel`.

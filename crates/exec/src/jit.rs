@@ -1,13 +1,20 @@
 //! The just-in-time optimizing execution engine (paper §V-B).
 //!
 //! The JIT drives execution by interpreting the IROp tree from the root.
-//! Whenever it reaches a node whose kind matches the configured
-//! *compilation granularity* it may (re)optimize the join orders in that
-//! subtree using the live cardinalities, compile the subtree with the
-//! configured backend — blocking or on the compiler thread — and from then
-//! on execute the compiled artifact instead of interpreting, until the
-//! *freshness test* decides the cardinality landscape has shifted enough
-//! that the artifact should be thrown away (deoptimization) and rebuilt.
+//! Every node whose kind matches the configured *compilation granularity*
+//! carries a tier state.  It starts **cold**: the node is interpreted and
+//! the engine only adds up the work it can see the node doing — the rows
+//! its rules read, the tuples it emitted.  Once that total reaches
+//! [`JitConfig::tier_up_work`] the node **tiers up** at its next visit: the
+//! join orders of its subtree are re-optimized against the live
+//! cardinalities, the subtree is compiled with the configured backend —
+//! blocking or on the compiler thread — and from then on the node is
+//! **hot**: it executes the compiled artifact until the *freshness test*
+//! decides the cardinality landscape has shifted enough that the artifact
+//! should be thrown away (deoptimization) and rebuilt.
+//! A node that already reads enough rows on its first visit is therefore
+//! optimized before its first join; a node that never does enough work to
+//! repay a compilation never pays for one.
 //!
 //! Because all state lives in the storage layer, every node boundary is a
 //! safe point: switching from interpretation to a compiled artifact (or
@@ -17,15 +24,13 @@ use std::time::Instant;
 
 use carac_datalog::RuleId;
 use carac_ir::{IRNode, IROp, NodeId, OpKind};
-use carac_optimizer::{
-    optimize_plan, FreshnessTest, OptimizeContext, OptimizerConfig, ReorderAlgorithm,
-};
+use carac_optimizer::{drifted, optimize_plan, OptimizeContext, OptimizerConfig, ReorderAlgorithm};
 use carac_storage::hasher::FxHashMap;
-use carac_storage::{DbKind, RelId};
+use carac_storage::{DbKind, RelId, StorageManager};
 use carac_vm::{Machine, MarkKind};
 
 use crate::backends::{verify_artifact, Artifact, BackendKind, CompileMode, StagingCostModel};
-use crate::compile_manager::CompilationManager;
+use crate::compile_manager::{CompilationManager, CompileResult};
 use crate::context::ExecContext;
 use crate::error::ExecError;
 use crate::interpreter::interpret;
@@ -33,22 +38,59 @@ use crate::kernel::{execute_interpreted_with, SpecializedQuery};
 use crate::stats::{CompileEvent, RunStats};
 use crate::telemetry::trace::Phase;
 
+/// Default for [`JitConfig::tier_up_work`]: the work (rows read plus tuples
+/// emitted) a node must have been seen doing before it is optimized and
+/// compiled.
+///
+/// It is the break-even of one specialization against what the specialized
+/// code saves, from `bench_core` numbers (`bench_core/README.md`, seed
+/// table; the counts are in the CHANGES.md entry of this policy):
+///
+/// * cost — on `small_programs` the compile-at-every-visit JIT spent
+///   85.0 ms of iteration self time (live-statistics snapshot, subtree
+///   clone, reorder) against the interpreter's 25.2 ms, plus 8.6 ms in the
+///   backends, over 13.9 k compilations: ≈ 5 µs per specialization;
+/// * saving — on `cspa` `exec.ns_per_emitted_tuple.interp −
+///   .jit_lambda` is 84 − 60 ns in the same run (20 ns in the seed table):
+///   ≈ 20 ns per tuple.
+///
+/// 5 µs / 20 ns = 250 tuples, rounded to a power of two.  The workloads
+/// whose nodes were worth compiling (`cspa`, `csda`, `tc_live`) read
+/// hundreds to thousands of rows on their first visit and so still tier up
+/// before their first join.
+pub const TIER_UP_WORK: u64 = 256;
+
+/// What a `Compile` mark says about the tier transition behind it.
+#[derive(Debug, Clone, Copy)]
+struct Transition {
+    /// Work observed on the node when the compilation was decided: the
+    /// running total of a cold node, the rows read at this visit for a
+    /// re-specialization.
+    work_seen: u64,
+    /// First install (`true`) or re-specialization after drift (`false`).
+    tier_up: bool,
+}
+
 /// Pushes a compile event onto the bounded ring and mirrors it as a
 /// zero-width `Compile` span (the real duration travels in `duration_ns`:
 /// background compilations overlap interpretation, so their wall-clock
 /// interval cannot nest on the coordinator timeline).
-fn note_compile(stats: &mut RunStats, event: CompileEvent) {
+fn note_compile(stats: &mut RunStats, event: CompileEvent, transition: Transition) {
     stats.tracer.record_complete(
         Phase::Compile,
         event.node.0,
-        &[("duration_ns", event.duration.as_nanos() as u64)],
+        &[
+            ("duration_ns", event.duration.as_nanos() as u64),
+            ("work_seen", transition.work_seen),
+            ("tier_up", u64::from(transition.tier_up)),
+        ],
     );
     stats.push_compile_event(event);
 }
 
 /// Records the optimizer's delta-cardinality estimate for every rule in the
 /// (just reordered) subtree, so profiles can report observed-vs-estimated
-/// drift — the input signal for a profile-guided tiered JIT.
+/// drift.
 fn record_delta_estimates(subtree: &IRNode, oc: &OptimizeContext, stats: &mut RunStats) {
     subtree.visit(&mut |n| {
         if let IROp::Spj { query } = &n.op {
@@ -83,6 +125,13 @@ pub struct JitConfig {
     pub optimizer: OptimizerConfig,
     /// Modeled staging cost for the `Quotes` backend.
     pub staging: StagingCostModel,
+    /// Work (rows read plus tuples emitted, summed over its visits) a node
+    /// must have been seen doing before it is optimized and compiled; below
+    /// it the node is interpreted.  Defaults to [`TIER_UP_WORK`].  `0`
+    /// compiles every node at its first visit — the paper's policy, which
+    /// the figure binaries redraw and the differential suites use to force
+    /// tiny programs through every backend.
+    pub tier_up_work: u64,
 }
 
 impl Default for JitConfig {
@@ -96,6 +145,7 @@ impl Default for JitConfig {
             reorder_algorithm: ReorderAlgorithm::Greedy,
             optimizer: OptimizerConfig::default(),
             staging: StagingCostModel::default(),
+            tier_up_work: TIER_UP_WORK,
         }
     }
 }
@@ -112,15 +162,100 @@ impl JitConfig {
     }
 }
 
-/// The JIT engine: owns the plan, the compiled-artifact cache, the freshness
-/// state and the background compiler.
+/// Where a node at the compilation granularity stands.
+#[derive(Debug)]
+enum Tier {
+    /// Interpreted.  `work_seen` is the running total of rows read and
+    /// tuples emitted over the node's visits so far.
+    Cold { work_seen: u64 },
+    /// An asynchronous compilation is in flight; interpreted until the
+    /// artifact is picked up at a safe point.
+    Pending(Transition),
+    /// Runs `artifact`, which was specialized when the cardinality
+    /// `landscape` was `baseline`.
+    Hot {
+        artifact: Artifact,
+        baseline: Vec<usize>,
+    },
+}
+
+/// Per-node JIT state.
+#[derive(Debug)]
+struct NodeState {
+    /// The `(relation, database)` pairs the node's rules scan, collected on
+    /// the first visit.  Their cardinalities are the work the node can be
+    /// seen reading.
+    reads: Vec<(RelId, DbKind)>,
+    tier: Tier,
+}
+
+impl NodeState {
+    fn cold(node: &IRNode) -> Self {
+        let mut reads = Vec::new();
+        let mut read = |rel, db| {
+            if !reads.contains(&(rel, db)) {
+                reads.push((rel, db));
+            }
+        };
+        node.visit(&mut |n| match &n.op {
+            IROp::Spj { query } => {
+                for atom in query.atoms.iter().chain(&query.negated) {
+                    read(atom.rel, atom.db);
+                }
+            }
+            IROp::Aggregate { spec } => read(spec.input, DbKind::Derived),
+            _ => {}
+        });
+        NodeState {
+            reads,
+            tier: Tier::Cold { work_seen: 0 },
+        }
+    }
+}
+
+/// Current cardinality of every pair in `reads`, in order.
+fn cardinalities<'a>(
+    reads: &'a [(RelId, DbKind)],
+    storage: &'a StorageManager,
+) -> impl Iterator<Item = usize> + 'a {
+    reads
+        .iter()
+        .map(|&(rel, db)| storage.db(db).cardinality(rel))
+}
+
+/// What the freshness test compares: the derived and delta-known
+/// cardinality of every relation of the program, in relation order — not
+/// only of the relations the node reads.  Narrowing it re-specializes less
+/// often (`csda`: 24 times instead of 40) but was measured slower there
+/// (`run_s.jit_*` +7 %, 10 of 10 pairs): the hand-over between the two
+/// orders of its recursive join lies inside the 20 % band, and the
+/// re-optimizations triggered by unrelated growth happen to catch it.
+fn landscape(storage: &StorageManager) -> impl Iterator<Item = usize> + '_ {
+    (0..storage.relation_count()).flat_map(move |i| {
+        let rel = RelId(i as u32);
+        [DbKind::Derived, DbKind::DeltaKnown].map(|db| storage.db(db).cardinality(rel))
+    })
+}
+
+/// The JIT engine: owns the plan and, per node at the compilation
+/// granularity, its tier state; plus the (lazily started) background
+/// compiler.
 #[derive(Debug)]
 pub struct JitEngine {
     plan: IRNode,
+    tiers: Tiers,
+}
+
+/// Everything of the engine that execution mutates, kept apart from the
+/// plan so a run borrows the plan instead of cloning it.
+#[derive(Debug)]
+struct Tiers {
     config: JitConfig,
     manager: CompilationManager,
-    artifacts: FxHashMap<NodeId, Artifact>,
-    freshness: FxHashMap<NodeId, FreshnessTest>,
+    nodes: FxHashMap<NodeId, NodeState>,
+    /// The optimizer's view of the run minus live statistics, built at the
+    /// first (re)optimization of a run and reused by the later ones.
+    frame: Option<OptimizeContext>,
 }
 
 impl JitEngine {
@@ -128,10 +263,12 @@ impl JitEngine {
     pub fn new(plan: IRNode, config: JitConfig) -> Self {
         JitEngine {
             plan,
-            config,
-            manager: CompilationManager::new(),
-            artifacts: FxHashMap::default(),
-            freshness: FxHashMap::default(),
+            tiers: Tiers {
+                config,
+                manager: CompilationManager::new(),
+                nodes: FxHashMap::default(),
+                frame: None,
+            },
         }
     }
 
@@ -142,211 +279,27 @@ impl JitEngine {
 
     /// The configuration.
     pub fn config(&self) -> &JitConfig {
-        &self.config
+        &self.tiers.config
     }
 
-    /// Number of compiled artifacts currently cached.
+    /// Number of compiled artifacts currently installed (hot nodes).
     pub fn cached_artifacts(&self) -> usize {
-        self.artifacts.len()
+        self.tiers
+            .nodes
+            .values()
+            .filter(|state| matches!(state.tier, Tier::Hot { .. }))
+            .count()
     }
 
-    /// Runs the plan to completion against `ctx`.
+    /// Runs the plan to completion against `ctx`.  Hot nodes stay hot across
+    /// runs of the same engine (subject to the freshness test).
     pub fn run(&mut self, ctx: &mut ExecContext) -> Result<(), ExecError> {
-        let plan = self.plan.clone();
         let started = Instant::now();
-        self.exec_node(&plan, ctx)?;
+        // The frame describes `ctx`, which may differ from run to run.
+        self.tiers.frame = None;
+        self.tiers.exec_node(&self.plan, ctx)?;
         ctx.stats.total_time += started.elapsed();
         Ok(())
-    }
-
-    fn exec_node(&mut self, node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
-        if node.kind() == self.config.granularity {
-            return self.exec_compilable(node, ctx);
-        }
-        match &node.op {
-            IROp::Program { children }
-            | IROp::Sequence { children }
-            | IROp::UnionAllRules { children, .. }
-            | IROp::UnionRule { children, .. } => {
-                for child in children {
-                    self.exec_node(child, ctx)?;
-                }
-                Ok(())
-            }
-            IROp::Stratum { children, .. } => {
-                let stratum = ctx.stats.strata_entered as u32;
-                ctx.stats.strata_entered += 1;
-                ctx.stats.current_stratum = stratum;
-                let token = ctx.stats.tracer.begin(Phase::Stratum, stratum);
-                let result: Result<(), ExecError> = (|| {
-                    for child in children {
-                        self.exec_node(child, ctx)?;
-                    }
-                    Ok(())
-                })();
-                ctx.stats.tracer.end(token, &[]);
-                result
-            }
-            IROp::SwapClear { relations } => {
-                ctx.storage.swap_and_clear(relations)?;
-                Ok(())
-            }
-            IROp::DoWhile { relations, body } => {
-                loop {
-                    let token = ctx
-                        .stats
-                        .tracer
-                        .begin(Phase::Iteration, ctx.iteration as u32);
-                    let result = self.exec_node(body, ctx);
-                    ctx.stats
-                        .tracer
-                        .end(token, &[("emitted", ctx.stats.tuples_emitted)]);
-                    result?;
-                    ctx.iteration += 1;
-                    ctx.stats.iterations += 1;
-                    if ctx.storage.deltas_empty(relations)? {
-                        break;
-                    }
-                }
-                Ok(())
-            }
-            IROp::Spj { query } => {
-                // Below the compilation granularity: plain interpretation.
-                execute_interpreted_with(query, &mut ctx.storage, &mut ctx.stats, ctx.parallelism)?;
-                Ok(())
-            }
-            IROp::Aggregate { spec } => {
-                crate::kernel::execute_aggregate(spec, &mut ctx.storage, &mut ctx.stats)
-            }
-        }
-    }
-
-    /// Handles a node at the compilation granularity: freshness check,
-    /// artifact reuse, (re)optimization, compilation, fallback.
-    fn exec_compilable(&mut self, node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
-        let oc = ctx.optimize_context();
-        let freshness = self.freshness.entry(node.id).or_default();
-        let stale = freshness.is_stale(&oc.stats, &self.config.optimizer);
-
-        if self.artifacts.contains_key(&node.id) {
-            if !stale {
-                return self.run_cached(node, ctx);
-            }
-            // Deoptimize: the cardinality landscape shifted too much since
-            // this artifact was generated.
-            self.artifacts.remove(&node.id);
-            ctx.stats.deopts += 1;
-        }
-
-        // An asynchronous compilation may already be in flight.
-        if self.manager.is_pending(node.id) {
-            if let Some(result) = self.manager.poll(node.id) {
-                let result = result?;
-                verify_artifact(
-                    self.config.backend,
-                    self.config.mode,
-                    &result.artifact,
-                    &ctx.arities,
-                    ctx.verify,
-                )?;
-                note_compile(&mut ctx.stats, result.event);
-                self.artifacts.insert(node.id, result.artifact);
-                self.freshness
-                    .entry(node.id)
-                    .or_default()
-                    .record(oc.stats.clone());
-                return self.run_cached(node, ctx);
-            }
-            ctx.stats.interpreted_fallbacks += 1;
-            return self.interpret_with_polling(node, ctx);
-        }
-
-        // (Re)optimize the subtree against the live statistics.
-        let reorder_started = Instant::now();
-        let mut subtree = node.clone();
-        if self.config.enable_reorder {
-            let changed = optimize_plan(
-                &mut subtree,
-                &oc,
-                &self.config.optimizer,
-                self.config.reorder_algorithm,
-            );
-            ctx.stats.reorders += changed as u64;
-            record_delta_estimates(&subtree, &oc, &mut ctx.stats);
-        }
-        let reorder_time = reorder_started.elapsed();
-        self.freshness
-            .entry(node.id)
-            .or_default()
-            .record(oc.stats.clone());
-
-        if self.config.backend == BackendKind::IrGen {
-            // The IRGenerator target needs no separate compilation phase:
-            // the reordered IR is the artifact and the interpreter runs it.
-            note_compile(
-                &mut ctx.stats,
-                CompileEvent {
-                    node: node.id,
-                    kind: node.kind(),
-                    backend: BackendKind::IrGen.tag(),
-                    full: true,
-                    warm: true,
-                    duration: reorder_time,
-                },
-            );
-            let artifact = Artifact::Ir(subtree);
-            verify_artifact(
-                self.config.backend,
-                self.config.mode,
-                &artifact,
-                &ctx.arities,
-                ctx.verify,
-            )?;
-            self.artifacts.insert(node.id, artifact);
-            return self.run_cached(node, ctx);
-        }
-
-        if self.config.async_compile {
-            self.manager.request(
-                node.id,
-                node.kind(),
-                subtree,
-                self.config.backend,
-                self.config.mode,
-                self.config.staging,
-            )?;
-            ctx.stats.interpreted_fallbacks += 1;
-            return self.interpret_with_polling(node, ctx);
-        }
-
-        let result = self.manager.compile_blocking(
-            node.id,
-            node.kind(),
-            &subtree,
-            self.config.backend,
-            self.config.mode,
-            &self.config.staging,
-        )?;
-        verify_artifact(
-            self.config.backend,
-            self.config.mode,
-            &result.artifact,
-            &ctx.arities,
-            ctx.verify,
-        )?;
-        note_compile(&mut ctx.stats, result.event);
-        self.artifacts.insert(node.id, result.artifact);
-        self.run_cached(node, ctx)
-    }
-
-    /// Executes the cached artifact for `node`.
-    fn run_cached(&mut self, node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
-        let artifact = self
-            .artifacts
-            .get(&node.id)
-            .ok_or_else(|| ExecError::Internal("artifact vanished".into()))?;
-        ctx.stats.compiled_executions += 1;
-        Self::run_artifact(artifact, node, ctx)
     }
 
     /// Executes `artifact` in place of interpreting `node`.
@@ -529,42 +482,256 @@ impl JitEngine {
             }
         }
     }
+}
 
-    /// Interprets `node` while an asynchronous compilation is in flight,
-    /// polling at child boundaries (the safe points) so the artifact can be
-    /// picked up as soon as it is ready.  When it becomes ready mid-node the
-    /// whole artifact is executed; re-deriving tuples the interpreter already
-    /// produced is harmless under set semantics.
-    fn interpret_with_polling(
+impl Tiers {
+    fn exec_node(&mut self, node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
+        if node.kind() == self.config.granularity {
+            return self.exec_compilable(node, ctx);
+        }
+        match &node.op {
+            IROp::Program { children }
+            | IROp::Sequence { children }
+            | IROp::UnionAllRules { children, .. }
+            | IROp::UnionRule { children, .. } => {
+                for child in children {
+                    self.exec_node(child, ctx)?;
+                }
+                Ok(())
+            }
+            IROp::Stratum { children, .. } => {
+                let stratum = ctx.stats.strata_entered as u32;
+                ctx.stats.strata_entered += 1;
+                ctx.stats.current_stratum = stratum;
+                let token = ctx.stats.tracer.begin(Phase::Stratum, stratum);
+                let result: Result<(), ExecError> = (|| {
+                    for child in children {
+                        self.exec_node(child, ctx)?;
+                    }
+                    Ok(())
+                })();
+                ctx.stats.tracer.end(token, &[]);
+                result
+            }
+            IROp::SwapClear { relations } => {
+                ctx.storage.swap_and_clear(relations)?;
+                Ok(())
+            }
+            IROp::DoWhile { relations, body } => {
+                loop {
+                    let token = ctx
+                        .stats
+                        .tracer
+                        .begin(Phase::Iteration, ctx.iteration as u32);
+                    let result = self.exec_node(body, ctx);
+                    ctx.stats
+                        .tracer
+                        .end(token, &[("emitted", ctx.stats.tuples_emitted)]);
+                    result?;
+                    ctx.iteration += 1;
+                    ctx.stats.iterations += 1;
+                    if ctx.storage.deltas_empty(relations)? {
+                        break;
+                    }
+                }
+                Ok(())
+            }
+            IROp::Spj { query } => {
+                // Below the compilation granularity: plain interpretation.
+                execute_interpreted_with(query, &mut ctx.storage, &mut ctx.stats, ctx.parallelism)?;
+                Ok(())
+            }
+            IROp::Aggregate { spec } => {
+                crate::kernel::execute_aggregate(spec, &mut ctx.storage, &mut ctx.stats)
+            }
+        }
+    }
+
+    /// Handles a node at the compilation granularity according to its tier:
+    /// cold nodes are interpreted until they have done enough work, hot
+    /// nodes run their artifact while it is fresh, and the transitions
+    /// between the two (re)optimize and compile.
+    fn exec_compilable(&mut self, node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
+        let state = self
+            .nodes
+            .entry(node.id)
+            .or_insert_with(|| NodeState::cold(node));
+        let transition = match &mut state.tier {
+            Tier::Cold { work_seen } => {
+                *work_seen += cardinalities(&state.reads, &ctx.storage).sum::<usize>() as u64;
+                if *work_seen < self.config.tier_up_work {
+                    ctx.stats.interpreted_fallbacks += 1;
+                    let emitted_before = ctx.stats.tuples_emitted;
+                    interpret(node, ctx)?;
+                    *work_seen += ctx.stats.tuples_emitted - emitted_before;
+                    return Ok(());
+                }
+                Transition {
+                    work_seen: *work_seen,
+                    tier_up: true,
+                }
+            }
+            Tier::Pending(transition) => {
+                let transition = *transition;
+                return self.run_pending(node, transition, ctx);
+            }
+            Tier::Hot { artifact, baseline } => {
+                if !drifted(baseline, landscape(&ctx.storage), &self.config.optimizer) {
+                    ctx.stats.compiled_executions += 1;
+                    return JitEngine::run_artifact(artifact, node, ctx);
+                }
+                // Deoptimize: the cardinalities this artifact was
+                // specialized against shifted too much.
+                ctx.stats.deopts += 1;
+                Transition {
+                    work_seen: cardinalities(&state.reads, &ctx.storage).sum::<usize>() as u64,
+                    tier_up: false,
+                }
+            }
+        };
+        // Cold (and any stale artifact dropped) until `install` succeeds.
+        state.tier = Tier::Cold {
+            work_seen: transition.work_seen,
+        };
+        self.specialize(node, transition, ctx)
+    }
+
+    /// (Re)optimizes the subtree of `node` against the live statistics and
+    /// compiles it — the only place a subtree is cloned and the optimizer's
+    /// full view of the run is assembled.
+    fn specialize(
         &mut self,
         node: &IRNode,
+        transition: Transition,
         ctx: &mut ExecContext,
     ) -> Result<(), ExecError> {
-        let children = node.children();
-        if children.is_empty() {
-            return interpret(node, ctx);
+        let reorder_started = Instant::now();
+        let mut subtree = node.clone();
+        if self.config.enable_reorder {
+            let oc = self.frame.get_or_insert_with(|| ctx.optimize_frame());
+            oc.stats = ctx.live_stats();
+            let changed = optimize_plan(
+                &mut subtree,
+                oc,
+                &self.config.optimizer,
+                self.config.reorder_algorithm,
+            );
+            ctx.stats.reorders += changed as u64;
+            record_delta_estimates(&subtree, oc, &mut ctx.stats);
         }
-        for child in children {
+
+        if self.config.backend == BackendKind::IrGen {
+            // The IRGenerator target needs no separate compilation phase:
+            // the reordered IR is the artifact and the interpreter runs it.
+            let result = CompileResult {
+                artifact: Artifact::Ir(subtree),
+                event: CompileEvent {
+                    node: node.id,
+                    kind: node.kind(),
+                    backend: BackendKind::IrGen.tag(),
+                    full: true,
+                    warm: true,
+                    duration: reorder_started.elapsed(),
+                },
+            };
+            return self.install(node, result, transition, ctx);
+        }
+
+        if self.config.async_compile {
+            self.manager.request(
+                node.id,
+                node.kind(),
+                subtree,
+                self.config.backend,
+                self.config.mode,
+                self.config.staging,
+            )?;
+            self.set_tier(node.id, Tier::Pending(transition));
+            return self.run_pending(node, transition, ctx);
+        }
+
+        let result = self.manager.compile_blocking(
+            node.id,
+            node.kind(),
+            &subtree,
+            self.config.backend,
+            self.config.mode,
+            &self.config.staging,
+        )?;
+        self.install(node, result, transition, ctx)
+    }
+
+    /// Verifies a finished compilation, makes `node` hot with it and runs
+    /// it.  On a verification failure the node stays cold at its threshold,
+    /// so a later visit compiles again.
+    fn install(
+        &mut self,
+        node: &IRNode,
+        result: CompileResult,
+        transition: Transition,
+        ctx: &mut ExecContext,
+    ) -> Result<(), ExecError> {
+        verify_artifact(
+            self.config.backend,
+            self.config.mode,
+            &result.artifact,
+            &ctx.arities,
+            ctx.verify,
+        )?;
+        note_compile(&mut ctx.stats, result.event, transition);
+        let state = self
+            .nodes
+            .get_mut(&node.id)
+            .ok_or_else(|| ExecError::Internal("compiled a node that was never visited".into()))?;
+        let baseline = landscape(&ctx.storage).collect();
+        ctx.stats.compiled_executions += 1;
+        let ran = JitEngine::run_artifact(&result.artifact, node, ctx);
+        state.tier = Tier::Hot {
+            artifact: result.artifact,
+            baseline,
+        };
+        ran
+    }
+
+    /// Interprets `node` while its asynchronous compilation is in flight,
+    /// polling before the node and between its children (the safe points)
+    /// so the artifact is picked up as soon as it is ready.  When it becomes
+    /// ready mid-node the whole artifact is executed; re-deriving tuples the
+    /// interpreter already produced is harmless under set semantics.
+    fn run_pending(
+        &mut self,
+        node: &IRNode,
+        transition: Transition,
+        ctx: &mut ExecContext,
+    ) -> Result<(), ExecError> {
+        let mut steps = node.children();
+        if steps.is_empty() {
+            steps.push(node);
+        }
+        for (i, step) in steps.into_iter().enumerate() {
             if let Some(result) = self.manager.poll(node.id) {
-                let result = result?;
-                verify_artifact(
-                    self.config.backend,
-                    self.config.mode,
-                    &result.artifact,
-                    &ctx.arities,
-                    ctx.verify,
-                )?;
-                note_compile(&mut ctx.stats, result.event);
-                self.artifacts.insert(node.id, result.artifact);
-                self.freshness
-                    .entry(node.id)
-                    .or_default()
-                    .record(ctx.storage.stats());
-                return self.run_cached(node, ctx);
+                // Cold again until `install` succeeds, so a failed
+                // compilation is retried instead of awaited forever.
+                self.set_tier(
+                    node.id,
+                    Tier::Cold {
+                        work_seen: transition.work_seen,
+                    },
+                );
+                return self.install(node, result?, transition, ctx);
             }
-            interpret(child, ctx)?;
+            if i == 0 {
+                ctx.stats.interpreted_fallbacks += 1;
+            }
+            interpret(step, ctx)?;
         }
         Ok(())
+    }
+
+    fn set_tier(&mut self, id: NodeId, tier: Tier) {
+        if let Some(state) = self.nodes.get_mut(&id) {
+            state.tier = tier;
+        }
     }
 }
 
@@ -585,6 +752,15 @@ mod tests {
         .unwrap()
     }
 
+    /// Compile at first visit: what the tests of the compile machinery
+    /// itself need on five-edge graphs.
+    fn eager() -> JitConfig {
+        JitConfig {
+            tier_up_work: 0,
+            ..JitConfig::default()
+        }
+    }
+
     fn run_with(config: JitConfig, program: &Program) -> ExecContext {
         let plan = generate_plan(program, EvalStrategy::SemiNaive);
         let mut engine = JitEngine::new(plan, config);
@@ -601,7 +777,7 @@ mod tests {
             let ctx = run_with(
                 JitConfig {
                     enable_reorder: false,
-                    ..JitConfig::default()
+                    ..eager()
                 },
                 &program,
             );
@@ -614,7 +790,7 @@ mod tests {
                     backend,
                     async_compile,
                     staging: StagingCostModel::free(),
-                    ..JitConfig::default()
+                    ..eager()
                 };
                 let ctx = run_with(config, &program);
                 assert_eq!(
@@ -635,7 +811,7 @@ mod tests {
             JitConfig {
                 backend: BackendKind::Lambda,
                 async_compile: false,
-                ..JitConfig::default()
+                ..eager()
             },
         );
         let mut ctx = ExecContext::prepare(&program, true).unwrap();
@@ -657,7 +833,7 @@ mod tests {
                 per_node: Duration::ZERO,
                 snippet_factor: 1.0,
             },
-            ..JitConfig::default()
+            ..eager()
         };
         let ctx = run_with(config, &program);
         let path = program.relation_by_name("Path").unwrap();
@@ -673,7 +849,7 @@ mod tests {
             backend: BackendKind::Quotes,
             mode: CompileMode::Snippet,
             staging: StagingCostModel::free(),
-            ..JitConfig::default()
+            ..eager()
         };
         let ctx = run_with(config, &program);
         let path = program.relation_by_name("Path").unwrap();
@@ -691,7 +867,7 @@ mod tests {
         .unwrap();
         let config = JitConfig {
             backend: BackendKind::IrGen,
-            ..JitConfig::default()
+            ..eager()
         };
         let ctx = run_with(config, &program);
         assert!(ctx.stats.reorders > 0, "the 3-way join should be reordered");
@@ -714,7 +890,7 @@ mod tests {
         let config = JitConfig {
             granularity: OpKind::Spj,
             staging: StagingCostModel::free(),
-            ..JitConfig::default()
+            ..eager()
         };
         let ctx = run_with(config, &program);
         let path = program.relation_by_name("Path").unwrap();
@@ -728,7 +904,7 @@ mod tests {
         let config = JitConfig {
             granularity: OpKind::Program,
             staging: StagingCostModel::free(),
-            ..JitConfig::default()
+            ..eager()
         };
         let plan = generate_plan(&program, EvalStrategy::SemiNaive);
         let mut engine = JitEngine::new(plan, config);
@@ -752,7 +928,7 @@ mod tests {
                     ..OptimizerConfig::default()
                 },
                 staging: StagingCostModel::free(),
-                ..JitConfig::default()
+                ..eager()
             },
         );
         let mut ctx = ExecContext::prepare(&program, true).unwrap();
@@ -769,5 +945,169 @@ mod tests {
             .unwrap();
         engine.run(&mut ctx2).unwrap();
         assert!(ctx2.stats.deopts >= 1);
+    }
+
+    /// Compile marks of a traced run: `(node, work_seen, tier_up)`.
+    fn compile_marks(ctx: &ExecContext) -> Vec<(u32, u64, u64)> {
+        let counter = |event: &crate::telemetry::TraceEvent, name: &str| {
+            let found = event.counters.iter().find(|(key, _)| *key == name);
+            found
+                .unwrap_or_else(|| panic!("compile mark without `{name}`"))
+                .1
+        };
+        ctx.stats
+            .tracer
+            .events()
+            .iter()
+            .filter(|e| e.phase == Phase::Compile && e.kind == crate::telemetry::EventKind::End)
+            .map(|e| (e.detail, counter(e, "work_seen"), counter(e, "tier_up")))
+            .collect()
+    }
+
+    /// A chain `0 → 1 → … → n`.
+    fn chain_program(edges: u32) -> Program {
+        let mut source = String::from(
+            "Path(x, y) :- Edge(x, y).\n\
+             Path(x, y) :- Edge(x, z), Path(z, y).\n",
+        );
+        for i in 0..edges {
+            source.push_str(&format!("Edge({i}, {}). ", i + 1));
+        }
+        parse(&source).unwrap()
+    }
+
+    #[test]
+    fn a_program_below_the_threshold_is_never_compiled() {
+        let program = tc_program();
+        let plan = generate_plan(&program, EvalStrategy::SemiNaive);
+        let mut engine = JitEngine::new(plan, JitConfig::default());
+        let mut ctx = ExecContext::prepare(&program, true).unwrap();
+        engine.run(&mut ctx).unwrap();
+        let path = program.relation_by_name("Path").unwrap();
+        assert_eq!(ctx.derived_count(path), 25);
+        assert_eq!(ctx.stats.compilations(), 0);
+        assert_eq!(ctx.stats.reorders, 0);
+        assert_eq!(ctx.stats.compiled_executions, 0);
+        assert!(ctx.stats.interpreted_fallbacks > 0);
+        assert_eq!(engine.cached_artifacts(), 0);
+    }
+
+    #[test]
+    fn blocking_runs_never_start_the_compiler_thread() {
+        let program = tc_program();
+        for backend in BackendKind::ALL {
+            let plan = generate_plan(&program, EvalStrategy::SemiNaive);
+            let mut engine = JitEngine::new(
+                plan,
+                JitConfig {
+                    backend,
+                    staging: StagingCostModel::free(),
+                    ..eager()
+                },
+            );
+            let mut ctx = ExecContext::prepare(&program, true).unwrap();
+            engine.run(&mut ctx).unwrap();
+            assert!(ctx.stats.compilations() > 0);
+            assert!(
+                !engine.tiers.manager.worker_started(),
+                "{backend:?} blocking compiled on a thread"
+            );
+        }
+        let plan = generate_plan(&program, EvalStrategy::SemiNaive);
+        let mut engine = JitEngine::new(
+            plan,
+            JitConfig {
+                async_compile: true,
+                ..eager()
+            },
+        );
+        let mut ctx = ExecContext::prepare(&program, true).unwrap();
+        engine.run(&mut ctx).unwrap();
+        assert!(engine.tiers.manager.worker_started());
+    }
+
+    #[test]
+    fn a_node_that_reads_enough_rows_compiles_on_its_first_visit() {
+        // Every node reads the 300 `Assign` rows (or relations copied from
+        // them) on its first visit, so the default policy and
+        // compile-at-first-visit make the same decisions.
+        let mut source = String::from(
+            "VAlias(v1, v2) :- VaFlow(v0, v2), VaFlow(v3, v1), MAlias(v3, v0).\n\
+             VaFlow(x, y) :- Assign(x, y).\n\
+             MAlias(x, y) :- Assign(y, x).\n",
+        );
+        for i in 0..300u32 {
+            source.push_str(&format!("Assign({}, {}). ", i % 40, i / 3));
+        }
+        let program = parse(&source).unwrap();
+        let adaptive = run_with(JitConfig::default(), &program);
+        let eager = run_with(eager(), &program);
+        assert_eq!(adaptive.stats.interpreted_fallbacks, 0);
+        assert!(adaptive.stats.reorders > 0, "the 3-way join is reordered");
+        assert_eq!(adaptive.stats.reorders, eager.stats.reorders);
+        assert_eq!(adaptive.stats.compilations(), eager.stats.compilations());
+        assert_eq!(adaptive.stats.tuples_emitted, eager.stats.tuples_emitted);
+        let valias = program.relation_by_name("VAlias").unwrap();
+        assert_eq!(adaptive.derived_count(valias), eager.derived_count(valias));
+    }
+
+    #[test]
+    fn a_growing_node_tiers_up_once_at_an_iteration_boundary() {
+        let program = chain_program(40);
+        let plan = generate_plan(&program, EvalStrategy::SemiNaive);
+        let mut engine = JitEngine::new(plan, JitConfig::default());
+        let mut ctx = ExecContext::prepare(&program, true).unwrap();
+        ctx.stats.tracer = crate::telemetry::Tracer::new(crate::telemetry::TraceConfig::default());
+        engine.run(&mut ctx).unwrap();
+        let path = program.relation_by_name("Path").unwrap();
+        assert_eq!(ctx.derived_count(path), 40 * 41 / 2);
+
+        // The initial pass (40 rows read, once) stays cold; the loop body
+        // is interpreted for its first iterations, then compiled.
+        let marks = compile_marks(&ctx);
+        let tier_ups: Vec<_> = marks.iter().filter(|m| m.2 == 1).collect();
+        assert_eq!(tier_ups.len(), 1, "marks: {marks:?}");
+        let (hot_node, work_seen, _) = *tier_ups[0];
+        assert!(work_seen >= TIER_UP_WORK);
+        assert!(
+            ctx.stats.interpreted_fallbacks >= 3,
+            "the loop body ran interpreted before it tiered up"
+        );
+        // Every later compilation is a re-specialization of that node after
+        // a deoptimization.
+        assert!(marks.iter().all(|m| m.0 == hot_node));
+        assert_eq!(marks.len() as u64, 1 + ctx.stats.deopts);
+        assert_eq!(ctx.stats.compilations() as u64, 1 + ctx.stats.deopts);
+        assert_eq!(
+            ctx.stats.compiled_executions + ctx.stats.interpreted_fallbacks,
+            // One visit of the initial pass plus one per iteration.
+            1 + ctx.stats.iterations
+        );
+    }
+
+    #[test]
+    fn hot_nodes_stay_hot_across_runs_of_one_engine() {
+        let program = chain_program(300);
+        let plan = generate_plan(&program, EvalStrategy::SemiNaive);
+        let mut engine = JitEngine::new(plan, JitConfig::default());
+        let mut first = ExecContext::prepare(&program, true).unwrap();
+        engine.run(&mut first).unwrap();
+        assert_eq!(first.stats.interpreted_fallbacks, 0);
+        let hot = engine.cached_artifacts();
+        assert_eq!(hot, 2, "initial pass and loop body");
+
+        // The same inputs again.  The artifacts were last specialized for
+        // the end of the first run, so the nodes re-specialize — but they
+        // are never interpreted and nothing is a first install.
+        let mut second = ExecContext::prepare(&program, true).unwrap();
+        second.stats.tracer =
+            crate::telemetry::Tracer::new(crate::telemetry::TraceConfig::default());
+        engine.run(&mut second).unwrap();
+        assert_eq!(second.stats.interpreted_fallbacks, 0);
+        assert_eq!(engine.cached_artifacts(), hot);
+        assert!(compile_marks(&second).iter().all(|m| m.2 == 0));
+        assert_eq!(second.stats.compilations() as u64, second.stats.deopts);
+        let path = program.relation_by_name("Path").unwrap();
+        assert_eq!(second.derived_count(path), first.derived_count(path));
     }
 }

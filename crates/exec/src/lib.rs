@@ -7,13 +7,14 @@
 //!
 //! The engine executes the IROp plans produced by `carac-ir`.  In pure
 //! interpretation mode ([`interpreter::interpret`]) the tree is walked
-//! directly.  In JIT mode ([`JitEngine`]) execution starts interpreted and,
-//! at the configured granularity, subtrees are re-optimized against live
-//! cardinalities and compiled with one of the [`backends`]; compilation can
-//! happen synchronously or on a background thread while interpretation
-//! continues, and compiled artifacts are discarded again (deoptimization)
-//! when the freshness test detects that the cardinality landscape has
-//! drifted.
+//! directly.  In JIT mode ([`JitEngine`]) every subtree at the configured
+//! granularity starts interpreted and tiers up once it has been seen doing
+//! enough work ([`JitConfig::tier_up_work`]): it is re-optimized against
+//! live cardinalities and compiled with one of the [`backends`] —
+//! synchronously on the caller's thread, or on a background thread (started
+//! by the first such request) while interpretation continues.  Compiled
+//! artifacts are discarded again (deoptimization) when the freshness test
+//! detects that the cardinalities they were specialized for have drifted.
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +38,7 @@ pub use compile_manager::CompilationManager;
 pub use context::ExecContext;
 pub use error::ExecError;
 pub use incremental::{Incremental, UpdateBatch, UpdateOp, UpdateReport};
-pub use jit::{JitConfig, JitEngine};
+pub use jit::{JitConfig, JitEngine, TIER_UP_WORK};
 pub use kernel::SpecializedQuery;
 pub use parallel::parallel_map;
 pub use stats::{BackendTag, CompileEvent, RunStats, UpdateStats};

@@ -1,99 +1,66 @@
 //! The freshness test (paper §V-B.2).
 //!
 //! Recompiling a subtree has a cost; it only pays off when the cardinality
-//! landscape has actually shifted since the last compilation.  Before firing
-//! a higher-overhead compilation target the JIT therefore checks whether the
+//! landscape has actually shifted since the last compilation.  Before
+//! re-specializing a compiled node the JIT therefore checks whether the
 //! relative change of any relation's cardinality exceeds a tunable
-//! threshold.  The test is deliberately cheap — two snapshots and one pass —
-//! so it can run at every safe point.
-
-use carac_storage::StatsSnapshot;
+//! threshold.  The test is deliberately cheap — one pass over two slices of
+//! cardinalities, no snapshot — so it can run at every safe point.
 
 use crate::config::OptimizerConfig;
 
-/// Tracks the snapshot used for the last (re)optimization and decides when
-/// re-optimizing is worthwhile.
-#[derive(Debug, Clone, Default)]
-pub struct FreshnessTest {
-    last: Option<StatsSnapshot>,
-}
-
-impl FreshnessTest {
-    /// Creates a test with no baseline; the first call to
-    /// [`FreshnessTest::is_stale`] always reports `true`.
-    pub fn new() -> Self {
-        FreshnessTest::default()
-    }
-
-    /// Whether the optimizer should re-run, given the current statistics.
-    ///
-    /// Returns `true` when no baseline exists yet or when the maximum
-    /// relative cardinality change since the baseline exceeds
-    /// `config.freshness_threshold`.
-    pub fn is_stale(&self, current: &StatsSnapshot, config: &OptimizerConfig) -> bool {
-        match &self.last {
-            None => true,
-            Some(last) => last.max_relative_change(current) > config.freshness_threshold,
-        }
-    }
-
-    /// Records that an optimization was performed against `snapshot`.
-    pub fn record(&mut self, snapshot: StatsSnapshot) {
-        self.last = Some(snapshot);
-    }
-
-    /// Clears the baseline (used on deoptimization).
-    pub fn reset(&mut self) {
-        self.last = None;
-    }
-
-    /// The snapshot of the last optimization, if any.
-    pub fn last(&self) -> Option<&StatsSnapshot> {
-        self.last.as_ref()
-    }
+/// Whether any cardinality moved, relative to its value in `baseline`, by
+/// more than `config.freshness_threshold`.
+///
+/// `baseline` holds the cardinalities an artifact was specialized against
+/// and `current` the same relations' cardinalities now, in the same order.
+/// A relation growing from zero counts its new cardinality as the change
+/// (the "infinite" relative growth is capped), so a single new fact in an
+/// empty relation still registers.
+pub fn drifted(
+    baseline: &[usize],
+    current: impl IntoIterator<Item = usize>,
+    config: &OptimizerConfig,
+) -> bool {
+    baseline.iter().zip(current).any(|(&old, new)| {
+        let (old, new) = (old as f64, new as f64);
+        let change = if old == 0.0 {
+            new
+        } else {
+            ((new - old) / old).abs()
+        };
+        change > config.freshness_threshold
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carac_storage::RelationStats;
 
-    fn snap(derived: usize) -> StatsSnapshot {
-        StatsSnapshot::from_stats(
-            vec![RelationStats {
-                derived,
-                ..Default::default()
-            }],
-            0,
-        )
-    }
-
-    #[test]
-    fn first_check_is_always_stale() {
-        let test = FreshnessTest::new();
-        assert!(test.is_stale(&snap(0), &OptimizerConfig::default()));
+    fn config(freshness_threshold: f64) -> OptimizerConfig {
+        OptimizerConfig {
+            freshness_threshold,
+            ..OptimizerConfig::default()
+        }
     }
 
     #[test]
     fn small_changes_are_fresh_large_changes_are_stale() {
-        let config = OptimizerConfig {
-            freshness_threshold: 0.5,
-            ..OptimizerConfig::default()
-        };
-        let mut test = FreshnessTest::new();
-        test.record(snap(100));
-        assert!(!test.is_stale(&snap(120), &config)); // +20% < 50%
-        assert!(test.is_stale(&snap(200), &config)); // +100% > 50%
+        let config = config(0.5);
+        assert!(!drifted(&[100, 10], [120, 10], &config)); // +20% < 50%
+        assert!(drifted(&[100, 10], [200, 10], &config)); // +100% > 50%
+        assert!(drifted(&[100, 10], [100, 4], &config)); // -60% > 50%
     }
 
     #[test]
-    fn reset_forces_reoptimization() {
-        let config = OptimizerConfig::default();
-        let mut test = FreshnessTest::new();
-        test.record(snap(100));
-        assert!(!test.is_stale(&snap(100), &config));
-        test.reset();
-        assert!(test.is_stale(&snap(100), &config));
-        assert!(test.last().is_none());
+    fn growth_from_zero_counts_new_tuples() {
+        assert!(drifted(&[0], [3], &config(0.2)));
+        assert!(!drifted(&[0], [0], &config(0.2)));
+    }
+
+    #[test]
+    fn identical_cardinalities_never_drift() {
+        assert!(!drifted(&[5, 5, 5], [5, 5, 5], &config(0.0)));
+        assert!(!drifted(&[], [], &config(0.0)));
     }
 }

@@ -32,6 +32,6 @@ pub use context::OptimizeContext;
 pub use cost::{
     atom_score_with_constraints, constraint_factor, constraint_factor_refined, parallel_speedup,
 };
-pub use freshness::FreshnessTest;
+pub use freshness::drifted;
 pub use plan_rewrite::{optimize_plan, optimize_subtree};
 pub use reorder::{greedy_order, reorder_query, sort_order, ReorderAlgorithm};

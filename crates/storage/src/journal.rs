@@ -85,10 +85,19 @@ impl JournalWriter {
     /// truncated to `clean_len` (dropping any torn tail the reader
     /// identified) and the next record will carry `next_seq`.  The caller
     /// derives both from [`read_journal`].
+    ///
+    /// A journal that already ends at `clean_len` is neither written nor
+    /// synced: recovery of an untorn journal does no blocking I/O here.  Its
+    /// records may then still sit in the page cache (a process that died
+    /// between an append's write and its fsync leaves a valid, unsynced
+    /// record); the next [`JournalWriter::append`] syncs them with its own,
+    /// and whoever needs them durable sooner calls [`JournalWriter::sync`].
     pub fn open_at(path: &Path, clean_len: u64, next_seq: u64) -> Result<Self, PersistError> {
         let file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(clean_len)?;
-        file.sync_all()?;
+        if file.metadata()?.len() != clean_len {
+            file.set_len(clean_len)?;
+            file.sync_all()?;
+        }
         Ok(JournalWriter {
             file,
             len: clean_len,
@@ -125,6 +134,14 @@ impl JournalWriter {
         self.file.sync_data()?;
         self.len = len;
         self.next_seq = next_seq;
+        Ok(())
+    }
+
+    /// Syncs the journal's contents to disk.  Appends do this themselves;
+    /// this is for a journal reopened by [`JournalWriter::open_at`], before
+    /// something durable (a checkpoint's watermark) refers to its records.
+    pub fn sync(&self) -> Result<(), PersistError> {
+        self.file.sync_data()?;
         Ok(())
     }
 
@@ -452,6 +469,24 @@ mod tests {
         assert_eq!(reread.records.len(), 2);
         assert_eq!(reread.records[1].payload, b"two-again");
         assert_eq!(reread.records[1].seq, 2);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_at_leaves_an_untorn_journal_untouched() {
+        let path = temp_path("untouched");
+        write_records(&path, &[b"one", b"two"]);
+        let contents = read_journal(&path).unwrap();
+        assert!(!contents.torn_tail);
+        let modified = || std::fs::metadata(&path).unwrap().modified().unwrap();
+        let before = modified();
+        // Longer than the file system's clock tick, so a write would show.
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        let mut w = JournalWriter::open_at(&path, contents.clean_len, contents.next_seq()).unwrap();
+        assert_eq!(modified(), before, "nothing to cut, nothing written");
+        w.sync().unwrap();
+        assert_eq!(w.append(b"three").unwrap(), 3);
+        assert_eq!(read_journal(&path).unwrap().records.len(), 3);
         std::fs::remove_file(&path).ok();
     }
 

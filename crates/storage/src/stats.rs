@@ -3,8 +3,8 @@
 //! The adaptive optimizer never estimates cardinalities across iterations:
 //! it reads the *actual* cardinalities of the derived and delta databases at
 //! the moment the optimization is applied (paper §IV).  A [`StatsSnapshot`]
-//! is that read — a cheap, immutable capture of per-relation sizes that can
-//! be compared against a previous snapshot by the freshness test.
+//! is that read — an immutable capture of per-relation sizes and per-index
+//! distinct counts, taken whenever a plan subtree is (re)optimized.
 
 use crate::database::{DbKind, StorageManager};
 use crate::schema::RelId;
@@ -43,8 +43,7 @@ pub struct StatsSnapshot {
     /// constant fallback factor.  Empty for snapshots built from raw stats.
     derived_index_distinct: Vec<Vec<(usize, usize)>>,
     /// Iteration counter supplied by the execution engine (0 before the
-    /// first iteration).  Stored here so freshness decisions can reason
-    /// about how stale a snapshot is.
+    /// first iteration).
     pub iteration: u64,
 }
 
@@ -130,32 +129,6 @@ impl StatsSnapshot {
     pub fn is_empty(&self) -> bool {
         self.per_relation.is_empty()
     }
-
-    /// Maximum relative change of any relation's derived or delta-known
-    /// cardinality between `self` (older) and `newer`.
-    ///
-    /// The result is in `[0, +inf)`; `0` means nothing changed.  Relations
-    /// growing from zero count as a change of `1.0` per new tuple bucket
-    /// (i.e. "infinite" growth is capped to the new cardinality) so a single
-    /// new fact in an empty relation still registers.
-    pub fn max_relative_change(&self, newer: &StatsSnapshot) -> f64 {
-        let mut max_change: f64 = 0.0;
-        let n = self.len().max(newer.len());
-        for i in 0..n {
-            let rel = RelId(i as u32);
-            let old = self.relation(rel);
-            let new = newer.relation(rel);
-            for db in [DbKind::Derived, DbKind::DeltaKnown] {
-                let o = old.for_db(db) as f64;
-                let nw = new.for_db(db) as f64;
-                let change = if o == 0.0 { nw } else { ((nw - o) / o).abs() };
-                if change > max_change {
-                    max_change = change;
-                }
-            }
-        }
-        max_change
-    }
 }
 
 #[cfg(test)]
@@ -201,53 +174,5 @@ mod tests {
         assert_eq!(snap.index_distinct(edge, 1), 6);
         // Unindexed / unknown columns read as unobserved.
         assert_eq!(snap.index_distinct(edge, 2), 0);
-    }
-
-    #[test]
-    fn relative_change_detects_growth() {
-        let old = StatsSnapshot::from_stats(
-            vec![RelationStats {
-                derived: 100,
-                delta_known: 10,
-                ..Default::default()
-            }],
-            1,
-        );
-        let new = StatsSnapshot::from_stats(
-            vec![RelationStats {
-                derived: 150,
-                delta_known: 10,
-                ..Default::default()
-            }],
-            2,
-        );
-        let change = old.max_relative_change(&new);
-        assert!((change - 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn relative_change_from_zero_counts_new_tuples() {
-        let old = StatsSnapshot::from_stats(vec![RelationStats::default()], 0);
-        let new = StatsSnapshot::from_stats(
-            vec![RelationStats {
-                derived: 3,
-                ..Default::default()
-            }],
-            1,
-        );
-        assert!(old.max_relative_change(&new) >= 3.0);
-    }
-
-    #[test]
-    fn identical_snapshots_have_zero_change() {
-        let snap = StatsSnapshot::from_stats(
-            vec![RelationStats {
-                derived: 5,
-                delta_known: 5,
-                delta_new: 5,
-            }],
-            3,
-        );
-        assert_eq!(snap.max_relative_change(&snap.clone()), 0.0);
     }
 }

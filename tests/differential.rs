@@ -4,6 +4,11 @@
 //! invariants of the query, and — the parallel-evaluation contract — serial
 //! and sharded-parallel runs must be bit-identical.
 //!
+//! The inputs are far below the JIT's default tier-up threshold, so the
+//! per-backend columns compile at first visit (`EngineConfig::eager_jit`) —
+//! every program really executes the backend's artifact — and the default
+//! adaptive policy (`EngineConfig::default()`) is a column of its own.
+//!
 //! The seed repository drove these properties through `proptest`; the
 //! offline build replaces the random strategies with seeded generators from
 //! `carac-analysis`, which explore the same input space reproducibly.
@@ -78,9 +83,10 @@ fn transitive_closure_matches_reference() {
         let configs = [
             EngineConfig::interpreted(),
             EngineConfig::interpreted_unindexed(),
-            EngineConfig::jit(BackendKind::Lambda, false),
-            EngineConfig::jit(BackendKind::Bytecode, false),
-            EngineConfig::jit(BackendKind::IrGen, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
+            EngineConfig::eager_jit(BackendKind::IrGen, false),
+            EngineConfig::default(),
             EngineConfig::ahead_of_time(true, true),
         ];
         for config in configs {
@@ -128,8 +134,9 @@ fn negation_partitions_the_domain() {
         let program = b.build().unwrap();
         for config in [
             EngineConfig::interpreted(),
-            EngineConfig::jit(BackendKind::Lambda, false),
-            EngineConfig::jit(BackendKind::Bytecode, true),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Bytecode, true),
+            EngineConfig::default(),
         ] {
             let result = Carac::new(program.clone())
                 .with_config(config)
@@ -165,7 +172,7 @@ fn same_generation_interpreter_equals_vm() {
             .run()
             .unwrap();
         let vm = Carac::new(program)
-            .with_config(EngineConfig::jit(BackendKind::Bytecode, false))
+            .with_config(EngineConfig::eager_jit(BackendKind::Bytecode, false))
             .run()
             .unwrap();
         let mut a = interp.tuples("Sg").unwrap();
@@ -192,7 +199,7 @@ fn parallel_transitive_closure_is_deterministic() {
     for threads in [1usize, 2, 8] {
         for config in [
             EngineConfig::interpreted().with_parallelism(threads),
-            EngineConfig::jit(BackendKind::Lambda, false).with_parallelism(threads),
+            EngineConfig::eager_jit(BackendKind::Lambda, false).with_parallelism(threads),
         ] {
             let label = config.label();
             let result = Carac::new(program.clone())
@@ -256,15 +263,17 @@ fn parallel_program_analysis_is_deterministic() {
 
 /// The engine configurations every constraint/aggregate differential case
 /// must agree across: the interpreter (indexed and unindexed), the
-/// specialized (lambda) kernel, the bytecode VM, IR regeneration and the
+/// specialized (lambda) kernel, the bytecode VM and IR regeneration (each
+/// compiling at first visit), the default adaptive tiering policy and the
 /// ahead-of-time pipeline.
 fn semantic_configs() -> Vec<EngineConfig> {
     vec![
         EngineConfig::interpreted(),
         EngineConfig::interpreted_unindexed(),
-        EngineConfig::jit(BackendKind::Lambda, false),
-        EngineConfig::jit(BackendKind::Bytecode, false),
-        EngineConfig::jit(BackendKind::IrGen, false),
+        EngineConfig::eager_jit(BackendKind::Lambda, false),
+        EngineConfig::eager_jit(BackendKind::Bytecode, false),
+        EngineConfig::eager_jit(BackendKind::IrGen, false),
+        EngineConfig::default(),
         EngineConfig::ahead_of_time(true, true),
     ]
 }
@@ -342,7 +351,7 @@ fn shortest_path_min_aggregate_agrees_across_engines() {
             for threads in [1usize, 2, 8] {
                 for base in [
                     EngineConfig::interpreted(),
-                    EngineConfig::jit(BackendKind::Lambda, false),
+                    EngineConfig::eager_jit(BackendKind::Lambda, false),
                 ] {
                     let config = base.with_parallelism(threads);
                     let label = config.label();
@@ -509,12 +518,13 @@ fn flat_pool_engines_agree_on_figure_workloads() {
         let engines = vec![
             (
                 "specialized (lambda)",
-                EngineConfig::jit(BackendKind::Lambda, false),
+                EngineConfig::eager_jit(BackendKind::Lambda, false),
             ),
             (
                 "bytecode vm",
-                EngineConfig::jit(BackendKind::Bytecode, false),
+                EngineConfig::eager_jit(BackendKind::Bytecode, false),
             ),
+            ("adaptive (default policy)", EngineConfig::default()),
             (
                 "interpreted unindexed",
                 EngineConfig::interpreted_unindexed(),
@@ -538,7 +548,7 @@ fn flat_pool_engines_agree_on_figure_workloads() {
                 ("interpreted", EngineConfig::interpreted()),
                 (
                     "specialized (lambda)",
-                    EngineConfig::jit(BackendKind::Lambda, false),
+                    EngineConfig::eager_jit(BackendKind::Lambda, false),
                 ),
             ] {
                 let result = workload
@@ -665,7 +675,7 @@ fn incremental_tc_matches_scratch_across_kernels_and_threads() {
             for threads in [1usize, 2, 8] {
                 for kernel in [
                     EngineConfig::interpreted(),
-                    EngineConfig::jit(BackendKind::Lambda, false),
+                    EngineConfig::eager_jit(BackendKind::Lambda, false),
                 ] {
                     assert_stream_matches_scratch(
                         &tc_program,
@@ -742,7 +752,7 @@ fn incremental_cspa_rules_match_scratch() {
         for (shape, stream) in stream_shapes(&base, 10, seed + 50) {
             for kernel in [
                 EngineConfig::interpreted(),
-                EngineConfig::jit(BackendKind::Lambda, false),
+                EngineConfig::eager_jit(BackendKind::Lambda, false),
             ] {
                 assert_stream_matches_scratch(
                     &cspa_rules,
@@ -858,7 +868,7 @@ fn incremental_aggregates_match_scratch() {
             for threads in [1usize, 2, 8] {
                 for kernel in [
                     EngineConfig::interpreted(),
-                    EngineConfig::jit(BackendKind::Lambda, false),
+                    EngineConfig::eager_jit(BackendKind::Lambda, false),
                 ] {
                     assert_stream_matches_scratch(
                         &sp,
@@ -919,7 +929,7 @@ fn incremental_negation_matches_scratch() {
         for (shape, stream) in stream_shapes(&base, 10, seed + 300) {
             for kernel in [
                 EngineConfig::interpreted(),
-                EngineConfig::jit(BackendKind::Lambda, false),
+                EngineConfig::eager_jit(BackendKind::Lambda, false),
             ] {
                 assert_stream_matches_scratch(
                     &reach,
@@ -993,7 +1003,7 @@ fn incremental_deletes_match_scratch_on_csda() {
     for (shape, stream) in stream_shapes(&base, 60, 0xBEEF) {
         for kernel in [
             EngineConfig::interpreted(),
-            EngineConfig::jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
         ] {
             assert_stream_matches_scratch(
                 &csda_rules,
@@ -1061,7 +1071,7 @@ fn incremental_mixed_batch_publishes_deletion_phase_discoveries() {
     );
     for kernel in [
         EngineConfig::interpreted(),
-        EngineConfig::jit(BackendKind::Lambda, false),
+        EngineConfig::eager_jit(BackendKind::Lambda, false),
     ] {
         assert_stream_matches_scratch(
             &sp,

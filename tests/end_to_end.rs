@@ -27,9 +27,11 @@ fn all_configs() -> Vec<EngineConfig> {
         BackendKind::Quotes,
     ] {
         for async_compile in [false, true] {
-            configs.push(EngineConfig::jit(backend, async_compile));
+            configs.push(EngineConfig::eager_jit(backend, async_compile));
         }
     }
+    // The default: the same JIT under the adaptive tier-up policy.
+    configs.push(EngineConfig::default());
     configs
 }
 
@@ -84,7 +86,7 @@ fn baselines_agree_with_carac() {
     let workload = csda(80, 9);
     let program = workload.program(Formulation::HandOptimized).clone();
     let carac_count = Carac::new(program.clone())
-        .with_config(EngineConfig::jit(BackendKind::Lambda, false))
+        .with_config(EngineConfig::eager_jit(BackendKind::Lambda, false))
         .run()
         .unwrap()
         .count(workload.output_relation)
@@ -128,7 +130,7 @@ fn parsed_and_builder_programs_compose_across_crates() {
     )
     .unwrap();
     let mut engine =
-        Carac::new(program).with_config(EngineConfig::jit(BackendKind::Bytecode, false));
+        Carac::new(program).with_config(EngineConfig::eager_jit(BackendKind::Bytecode, false));
     engine.add_fact_ints("Parent", &[7, 8]).unwrap();
     let result = engine.run().unwrap();
     assert!(result
@@ -159,7 +161,29 @@ fn unoptimized_and_optimized_formulations_share_schema() {
 }
 
 #[test]
+fn tiny_programs_are_interpreted_until_asked_otherwise() {
+    let source = "Path(x, y) :- Edge(x, y).\n\
+         Path(x, y) :- Edge(x, z), Path(z, y).\n\
+         Edge(1, 2). Edge(2, 3). Edge(3, 4). Edge(4, 5). Edge(5, 1).";
+    // The default policy never sees enough work to pay for a compilation.
+    let adaptive = Carac::new(parse(source).unwrap()).run().unwrap();
+    assert_eq!(adaptive.count("Path").unwrap(), 25);
+    assert_eq!(adaptive.stats().compilations(), 0);
+    assert_eq!(adaptive.stats().reorders, 0);
+    assert_eq!(adaptive.stats().compiled_executions, 0);
+    // `tier_up_work: 0` compiles every node at its first visit.
+    let eager = Carac::new(parse(source).unwrap())
+        .with_config(EngineConfig::eager_jit(BackendKind::Lambda, false))
+        .run()
+        .unwrap();
+    assert_eq!(eager.count("Path").unwrap(), 25);
+    assert!(eager.stats().compilations() > 0);
+    assert_eq!(eager.stats().interpreted_fallbacks, 0);
+}
+
+#[test]
 fn stats_expose_the_adaptivity_machinery() {
+    // Default policy: `cspa(32)` crosses the tier-up threshold on its own.
     let workload = cspa(32, 5);
     let result = workload
         .run(

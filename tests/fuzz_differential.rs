@@ -6,8 +6,8 @@
 //!
 //! * **engine agreement** — byte-identical fact sets for every IDB relation
 //!   (hidden aggregation inputs included) across the interpreter, the
-//!   specialized (lambda) kernels and the bytecode VM, each at 1, 2 and 8
-//!   threads;
+//!   specialized (lambda) kernels, the bytecode VM and the default adaptive
+//!   tiering policy, each at 1, 2 and 8 threads;
 //! * **incremental agreement** — after every update batch, the live
 //!   incrementally-maintained session matches a from-scratch evaluation of
 //!   the updated EDB;
@@ -40,14 +40,15 @@ fn seed_count() -> u64 {
 }
 
 /// The engine matrix of the differential sweep: three execution paths
-/// (interpreter, specialized lambda kernels, bytecode VM) at three thread
-/// counts each.
+/// (interpreter, specialized lambda kernels, bytecode VM) plus the default
+/// adaptive tiering policy, at three thread counts each.
 fn config_matrix() -> Vec<EngineConfig> {
     let mut configs = Vec::new();
     for base in [
         EngineConfig::interpreted(),
-        EngineConfig::jit(BackendKind::Lambda, false),
-        EngineConfig::jit(BackendKind::Bytecode, false),
+        EngineConfig::eager_jit(BackendKind::Lambda, false),
+        EngineConfig::eager_jit(BackendKind::Bytecode, false),
+        EngineConfig::default(),
     ] {
         for threads in [1, 2, 8] {
             configs.push(base.with_parallelism(threads));
@@ -182,7 +183,7 @@ fn fuzzed_update_streams_match_from_scratch() {
         // kernel sampled (it shares most of the maintenance machinery).
         let mut kernels = vec![EngineConfig::interpreted()];
         if seed % 5 == 0 {
-            kernels.push(EngineConfig::jit(BackendKind::Lambda, false));
+            kernels.push(EngineConfig::eager_jit(BackendKind::Lambda, false));
         }
         for config in kernels {
             let label = config.label();

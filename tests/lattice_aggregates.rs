@@ -89,9 +89,10 @@ fn configs() -> Vec<EngineConfig> {
     let mut configs = Vec::new();
     for base in [
         EngineConfig::interpreted(),
-        EngineConfig::jit(BackendKind::Lambda, false),
-        EngineConfig::jit(BackendKind::Bytecode, false),
-        EngineConfig::jit(BackendKind::IrGen, false),
+        EngineConfig::eager_jit(BackendKind::Lambda, false),
+        EngineConfig::eager_jit(BackendKind::Bytecode, false),
+        EngineConfig::eager_jit(BackendKind::IrGen, false),
+        EngineConfig::default(),
     ] {
         for threads in [1, 2, 8] {
             configs.push(base.with_parallelism(threads));
@@ -246,8 +247,8 @@ fn lattice_apply_update_matches_from_scratch() {
     let source = single_rule_source(ROADS, D);
     for config in [
         EngineConfig::interpreted(),
-        EngineConfig::jit(BackendKind::Lambda, false),
-        EngineConfig::jit(BackendKind::Bytecode, false),
+        EngineConfig::eager_jit(BackendKind::Lambda, false),
+        EngineConfig::eager_jit(BackendKind::Bytecode, false),
     ] {
         let label = config.label();
         let mut engine = Carac::new(parse(&source).unwrap()).with_config(config);

@@ -34,8 +34,8 @@ fn engine_grid() -> Vec<(String, EngineConfig)> {
     for threads in [1usize, 2, 8] {
         for base in [
             EngineConfig::interpreted(),
-            EngineConfig::jit(BackendKind::Lambda, false),
-            EngineConfig::jit(BackendKind::Bytecode, false),
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
         ] {
             let config = base.with_parallelism(threads);
             grid.push((format!("{} x{threads}", config.label()), config));
@@ -47,8 +47,9 @@ fn engine_grid() -> Vec<(String, EngineConfig)> {
     ));
     grid.push((
         "JIT IRGenerator".into(),
-        EngineConfig::jit(BackendKind::IrGen, false),
+        EngineConfig::eager_jit(BackendKind::IrGen, false),
     ));
+    grid.push(("JIT adaptive (default)".into(), EngineConfig::default()));
     grid.push((
         "Macro Facts+Rules (online)".into(),
         EngineConfig::ahead_of_time(true, true),
@@ -62,11 +63,11 @@ fn engine_grid_small() -> Vec<(String, EngineConfig)> {
         ("Interpreted".into(), EngineConfig::interpreted()),
         (
             "JIT Lambda x2".into(),
-            EngineConfig::jit(BackendKind::Lambda, false).with_parallelism(2),
+            EngineConfig::eager_jit(BackendKind::Lambda, false).with_parallelism(2),
         ),
         (
             "JIT Bytecode".into(),
-            EngineConfig::jit(BackendKind::Bytecode, false),
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
         ),
     ]
 }

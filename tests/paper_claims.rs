@@ -150,6 +150,9 @@ fn snippet_and_async_claims() {
             per_node: std::time::Duration::from_micros(500),
             snippet_factor: 0.4,
         },
+        // Request the compilations at first visit, so the fallbacks counted
+        // below are visits that overlapped an in-flight compilation.
+        tier_up_work: 0,
         ..JitConfig::default()
     });
     let reference = workload

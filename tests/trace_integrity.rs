@@ -57,14 +57,24 @@ fn agg_source() -> String {
     src
 }
 
-/// The engine matrix the ISSUE names: interpreter, specialized kernels
-/// (Lambda), bytecode VM — each single-threaded and fork-join.
+/// The engine matrix: interpreter, specialized kernels (Lambda) and bytecode
+/// VM — compiling at first visit, or these small programs would never reach
+/// the backend whose spans are under test — and the default adaptive policy
+/// (which interprets their nodes until they have done enough work); each
+/// single-threaded and fork-join.
 fn engine_matrix() -> Vec<(String, EngineConfig)> {
     let mut configs = Vec::new();
     for (name, base) in [
         ("interpreted", EngineConfig::interpreted()),
-        ("specialized", EngineConfig::jit(BackendKind::Lambda, false)),
-        ("bytecode", EngineConfig::jit(BackendKind::Bytecode, false)),
+        (
+            "specialized",
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+        ),
+        (
+            "bytecode",
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
+        ),
+        ("adaptive", EngineConfig::default()),
     ] {
         for threads in [1usize, 2, 8] {
             configs.push((format!("{name} x{threads}"), base.with_parallelism(threads)));
@@ -199,7 +209,10 @@ fn aggregate_spans_and_profiles_are_recorded() {
     // interpreter and the specialized kernels also record aggregate spans.
     for (name, config) in [
         ("interpreted", EngineConfig::interpreted()),
-        ("specialized", EngineConfig::jit(BackendKind::Lambda, false)),
+        (
+            "specialized",
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+        ),
     ] {
         let program = parse(&agg_source()).expect("program parses");
         let result = Carac::new(program)
@@ -244,22 +257,104 @@ fn traced_and_untraced_runs_are_bit_identical() {
                 got, expected,
                 "{name}: tracing changed the {relation} answers"
             );
+            let counters = |stats: &carac::RunStats| {
+                (
+                    stats.subqueries,
+                    stats.tuples_emitted,
+                    stats.tuples_inserted,
+                    stats.iterations,
+                    stats.compilations(),
+                    stats.reorders,
+                    stats.deopts,
+                    stats.compiled_executions,
+                    stats.interpreted_fallbacks,
+                )
+            };
             assert_eq!(
-                (
-                    plain.stats().subqueries,
-                    plain.stats().tuples_emitted,
-                    plain.stats().tuples_inserted,
-                    plain.stats().iterations,
-                ),
-                (
-                    traced.stats().subqueries,
-                    traced.stats().tuples_emitted,
-                    traced.stats().tuples_inserted,
-                    traced.stats().iterations,
-                ),
-                "{name}: tracing changed the evaluation counters"
+                counters(plain.stats()),
+                counters(traced.stats()),
+                "{name}: tracing changed the evaluation or tiering counters"
             );
         }
+    }
+}
+
+/// The tier transitions of the default policy are visible on the existing
+/// `Compile` marks and reconcile exactly with `RunStats`: one mark per
+/// compilation, `tier_up = 1` on a node's first install (with the work that
+/// made it hot), `tier_up = 0` on every re-specialization after a
+/// deoptimization, and every other visit counted as compiled or
+/// interpreted.
+#[test]
+fn compile_marks_carry_tier_transitions_that_reconcile_with_the_counters() {
+    // A 60-edge chain: the loop body reads ~120 rows per iteration, so it
+    // runs interpreted first and crosses the threshold at an iteration
+    // boundary.
+    let mut source = String::from(
+        "Path(x, y) :- Edge(x, y).\n\
+         Path(x, y) :- Path(x, z), Edge(z, y).\n",
+    );
+    for i in 0..60u32 {
+        source.push_str(&format!("Edge({i}, {}). ", i + 1));
+    }
+    for (name, config) in [
+        ("adaptive lambda", EngineConfig::default()),
+        (
+            "adaptive bytecode",
+            EngineConfig::jit(BackendKind::Bytecode, false),
+        ),
+    ] {
+        let program = parse(&source).expect("program parses");
+        let plain = Carac::new(program.clone())
+            .with_config(config)
+            .run()
+            .expect("untraced run");
+        let traced = Carac::new(program)
+            .with_config(config.with_tracing(TraceConfig::default()))
+            .run()
+            .expect("traced run");
+        let mut expected = plain.rows("Path").expect("relation exists");
+        let mut got = traced.rows("Path").expect("relation exists");
+        expected.sort();
+        got.sort();
+        assert_eq!(got, expected, "{name}: tracing changed the answers");
+        assert_eq!(got.len(), 60 * 61 / 2);
+
+        let stats = traced.stats();
+        check_well_formed(name, &stats.tracer.events());
+        check_reconciles(name, stats);
+        let counter = |event: &TraceEvent, key: &str| {
+            let found = event.counters.iter().find(|(k, _)| *k == key);
+            found
+                .unwrap_or_else(|| panic!("{name}: compile mark without `{key}`"))
+                .1
+        };
+        let marks: Vec<_> = stats
+            .tracer
+            .events()
+            .into_iter()
+            .filter(|e| e.phase == Phase::Compile && e.kind == EventKind::End)
+            .collect();
+        assert_eq!(marks.len(), stats.compilations(), "{name}");
+        let tier_ups = marks.iter().filter(|m| counter(m, "tier_up") == 1).count();
+        assert_eq!(tier_ups, 1, "{name}: only the loop body becomes hot");
+        assert_eq!(
+            (marks.len() - tier_ups) as u64,
+            stats.deopts,
+            "{name}: every other compilation follows a deoptimization"
+        );
+        for mark in &marks {
+            assert!(counter(mark, "work_seen") > 0, "{name}");
+        }
+        assert!(stats.interpreted_fallbacks > 0, "{name}: cold visits count");
+        assert_eq!(
+            (stats.compiled_executions, stats.interpreted_fallbacks),
+            (
+                plain.stats().compiled_executions,
+                plain.stats().interpreted_fallbacks
+            ),
+            "{name}: tracing changed the tiering decisions"
+        );
     }
 }
 

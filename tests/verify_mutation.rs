@@ -313,10 +313,14 @@ fn engine_paths_verify_clean_with_verification_forced_on() {
     // verifier when `with_verify(true)` is set, and nothing is rejected.
     let workload = carac_analysis::cspa(4, 1);
     let program = workload.program(carac_analysis::Formulation::HandOptimized);
+    // `cspa(4)` is far below the default tier-up threshold: pinned to
+    // compile-at-first-visit the install paths run; the default adaptive
+    // policy is one more column.
     for config in [
-        EngineConfig::jit(BackendKind::Bytecode, false),
-        EngineConfig::jit(BackendKind::Bytecode, true),
-        EngineConfig::jit(BackendKind::IrGen, false),
+        EngineConfig::eager_jit(BackendKind::Bytecode, false),
+        EngineConfig::eager_jit(BackendKind::Bytecode, true),
+        EngineConfig::eager_jit(BackendKind::IrGen, false),
+        EngineConfig::default(),
         EngineConfig::ahead_of_time(true, true),
     ] {
         let label = config.label();

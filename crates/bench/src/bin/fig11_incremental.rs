@@ -2,12 +2,12 @@
 //!
 //! Streams edge insert/retract batches into a live engine session
 //! (`Carac::apply_update`: counted semi-naive for non-recursive strata,
-//! delete/re-derive for recursive ones) and compares the total maintenance
+//! the witness check for recursive ones) and compares the total maintenance
 //! time against re-evaluating every post-batch database from scratch.  Two
 //! workloads:
 //!
-//! * **transitive closure** — one recursive stratum, the pure DRed +
-//!   insert-propagation path, driven with single-edge deltas (the
+//! * **transitive closure** — one recursive stratum, the pure witness-check
+//!   and insert-propagation path, driven with single-edge deltas (the
 //!   latency-critical streaming shape),
 //! * **shortest path** — bounded reachability (recursive) feeding a `min`
 //!   aggregate (stratum recompute) and a `<`-constrained selection, with
@@ -201,11 +201,10 @@ fn main() {
     let scale = macro_scale();
     // Sparse random digraphs (≈1.5 arcs per node): the closure is still tens
     // of thousands of facts at macro scale, but reach sets — and therefore
-    // deletion cones — stay bounded, which is the regime delete/re-derive
-    // is designed for.  (On near-complete SCCs a single deletion's
-    // over-delete cone approaches the whole closure and DRed degenerates to
-    // scratch cost; that known worst case is documented in
-    // ARCHITECTURE.md.)  `FIG11_NODES` / `FIG11_EDGES` override the shape.
+    // deletion cones — stay bounded.  (Inside a giant SCC a deletion's cone
+    // approaches the whole closure; the witness check keeps most of it in
+    // place, see "Incremental maintenance" in ARCHITECTURE.md.)
+    // `FIG11_NODES` / `FIG11_EDGES` override the shape.
     let tc_nodes: u32 = std::env::var("FIG11_NODES")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -322,7 +321,7 @@ fn main() {
 
     report.note("(scratch = sum of full re-evaluations after every batch; incremental = the live");
     report.note(" session's apply_update total; fact sets are asserted identical on every row.");
-    report.note(" ShortestPath mixed batches pay the DRed deletion cone across the depth-indexed");
+    report.note(" ShortestPath mixed batches pay the deletion phase across the depth-indexed");
     report.note(" Reach relation plus a per-batch aggregate-stratum recompute, so deletions there");
     report
         .note(" approach scratch cost by design; the insert-only stream shows the growth shape.)");

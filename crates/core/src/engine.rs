@@ -61,8 +61,9 @@ pub(crate) struct LiveSession {
 /// On top of the one-shot [`Carac::run`], the engine supports a **live
 /// session**: evaluate once, then keep the fixpoint current under streams
 /// of EDB insertions *and* deletions with [`Carac::apply_update`] — counted
-/// semi-naive maintenance for non-recursive strata, delete/re-derive (DRed)
-/// for recursive ones, no full recomputation:
+/// semi-naive maintenance for non-recursive strata, the epoch-ordered
+/// witness check (retract only what lost its well-founded support) for
+/// recursive ones, no full recomputation:
 ///
 /// ```
 /// use carac::{Carac, EngineConfig, UpdateBatch};
@@ -617,7 +618,7 @@ impl Carac {
 
     /// Applies a batch of EDB insertions and retractions to the live
     /// session, maintaining every derived stratum incrementally (counted
-    /// semi-naive for non-recursive strata, delete/re-derive for recursive
+    /// semi-naive for non-recursive strata, the witness check for recursive
     /// ones).  Opens the live session first if none exists.  The resulting
     /// fact sets are identical to re-evaluating the updated EDB from
     /// scratch.
@@ -647,14 +648,20 @@ impl Carac {
             .tracer
             .begin(Phase::UpdateBatch, batch.ops().len() as u32);
         let outcome = live.incremental.apply(&mut live.ctx, &batch);
-        let counters = match &outcome {
-            Ok(report) => [
-                ("edb_inserted", report.stats.edb_inserted),
-                ("edb_retracted", report.stats.edb_retracted),
+        let stats = outcome
+            .as_ref()
+            .map_or_else(|_| Default::default(), |r| r.stats);
+        live.ctx.stats.tracer.end(
+            token,
+            &[
+                ("edb_inserted", stats.edb_inserted),
+                ("edb_retracted", stats.edb_retracted),
+                ("candidates_checked", stats.candidates_checked),
+                ("support_survivors", stats.support_survivors),
+                ("overdeleted", stats.overdeleted),
+                ("rederived", stats.rederived),
             ],
-            Err(_) => [("edb_inserted", 0), ("edb_retracted", 0)],
-        };
-        live.ctx.stats.tracer.end(token, &counters);
+        );
         match outcome {
             Ok(report) => Ok(report),
             Err(err) => {

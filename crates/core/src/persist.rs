@@ -55,11 +55,11 @@ impl Carac {
     /// Writes an atomic on-disk checkpoint of the live session to `path`
     /// (evaluating the program first if no session is open).
     ///
-    /// The snapshot carries every relation's derived rows, support counts
-    /// and generation counter, the symbol dictionary, and — when a journal
-    /// is attached — the sequence number of the last journaled batch, so a
-    /// later [`Carac::recover`] replays only the records the checkpoint does
-    /// not already reflect.  The write is crash-safe: a sibling temp file is
+    /// The snapshot carries every relation's derived rows, support counts,
+    /// epochs and generation counter, the symbol dictionary, and — when a
+    /// journal is attached — the sequence number of the last journaled
+    /// batch, so a later [`Carac::recover`] replays only the records the
+    /// checkpoint does not already reflect.  The write is crash-safe: a sibling temp file is
     /// written, fsync'd and renamed over `path`, so a crash mid-checkpoint
     /// leaves any previous checkpoint at `path` intact.
     pub fn checkpoint(&mut self, path: impl AsRef<Path>) -> Result<(), CaracError> {
@@ -92,9 +92,9 @@ impl Carac {
 
     /// Restores a live session from a checkpoint written by
     /// [`Carac::checkpoint`] for the *same program*, without re-deriving
-    /// anything: rows, support counts and generation counters come straight
-    /// from the snapshot, so the session resumes [`Carac::apply_update`]
-    /// with full incremental-maintenance fidelity.
+    /// anything: rows, support counts, epochs and generation counters come
+    /// straight from the snapshot, so the session resumes
+    /// [`Carac::apply_update`] with full incremental-maintenance fidelity.
     ///
     /// The snapshot's catalog (relation names, arities, EDB flags) and
     /// symbol dictionary are validated against the program; any mismatch —
@@ -199,7 +199,8 @@ impl Carac {
     /// Builds a fresh live session from `snapshot`: validates the symbol
     /// dictionary and catalog against the program, prepares a context
     /// skeleton (relations, indexes) and overwrites its derived database
-    /// with the snapshot's rows, support counts and generation counters.
+    /// with the snapshot's rows, support counts, epochs and generation
+    /// counters.
     /// Replaces any current session; detaches any current journal.
     fn install_snapshot(&mut self, snapshot: &Snapshot) -> Result<(), CaracError> {
         snapshot.validate_symbols(self.program().symbols())?;

@@ -1,4 +1,5 @@
-//! Incremental view maintenance: counted semi-naive + delete/re-derive.
+//! Incremental view maintenance: insert propagation, and deletion that
+//! retracts only what lost its well-founded support.
 //!
 //! A completed evaluation leaves the storage manager holding the full
 //! fixpoint.  This module maintains that fixpoint under batched EDB
@@ -11,21 +12,45 @@
 //!   swap-and-clear boundary as normal semi-naive evaluation.  Updates run
 //!   through the same allocation-free join probes and the same sharded
 //!   fork-join pool as full evaluation, so they parallelize identically.
+//! * **Deletion in recursive strata: the witness check** — every row of the
+//!   derived database carries an *epoch*
+//!   ([`Relation::epoch_of`](carac_storage::Relation::epoch_of)): the
+//!   iteration boundary that appended it.  Semi-naive evaluation appends a
+//!   fact after every fact its first derivation read, so every live fact of
+//!   the stratum has a derivation whose same-stratum body facts all carry a
+//!   strictly smaller epoch — and keeps one as long as the maintenance
+//!   below only ever appends at fresh epochs.  Frontier rounds enumerate,
+//!   with the delta variants against the *old* database, the heads that lost
+//!   a derivation; a head is **condemned only if it has no derivation whose
+//!   body facts are all un-condemned, not retracted by this batch, and — for
+//!   atoms of the stratum itself — of strictly smaller epoch than the
+//!   head**.  A head that passes keeps its place and stops the propagation;
+//!   only condemned facts enter the next frontier (re-flagging every head
+//!   that could have leaned on them, which is then checked again against the
+//!   larger condemned set).  Condemned facts are retracted, rescued by one
+//!   head-driven re-derivation step where a derivation outside the order
+//!   remains, and the rescues are propagated like insertions.
+//!
+//!   Why this is sound: a survivor's witness lies strictly lower in a
+//!   well-founded order (epochs only decrease along it, and a condemned
+//!   body fact re-flags the heads using it), so no group of facts can keep
+//!   each other alive in a cycle — which is exactly what un-ordered
+//!   "does another derivation exist" checks get wrong.  Rows of *equal*
+//!   epoch (a saturated counter, a state loaded without its run table) never
+//!   vouch for each other: such facts are condemned and take the
+//!   retract-and-rescue route, i.e. the phase degrades to classic
+//!   delete/re-derive, never to a wrong answer.  From-scratch evaluation is
+//!   the oracle the differential suites compare every batch against.
 //! * **Counted deletion (non-recursive strata)** — every derived row
 //!   carries a support count (derivations recorded by
 //!   `StorageManager::insert_derived_row`).  Lost derivations are
-//!   enumerated by joining the deletion frontier against the pre-deletion
+//!   enumerated by joining the input retractions against the pre-deletion
 //!   database and decrement the counts; rows whose count stays positive
 //!   survive without any re-derivation work (the fast path), rows hitting
 //!   zero are retracted and re-checked by an exact head-driven recount.
 //!   Decrements may over-count derivations touching several deleted facts,
 //!   so counts are a *conservative* fast path: a positive count proves
 //!   survival, a zero count only triggers the exact recount.
-//! * **Delete/re-derive, DRed (recursive strata)** — the deletion cone is
-//!   over-approximated by a frontier fixpoint over the delta variants, the
-//!   cone is retracted wholesale, and facts with remaining derivations are
-//!   rescued by a deleted-set-driven re-derivation join followed by normal
-//!   insert propagation restricted to the stratum.
 //! * **Stratum recompute (aggregates, negation)** — strata whose rules
 //!   aggregate a changed input or negate a changed relation are recomputed
 //!   wholesale from the (already final) lower strata by re-running their
@@ -46,14 +71,15 @@ use std::time::Instant;
 use carac_datalog::{HeadBinding, Program, Rule, Term};
 use carac_ir::{generate_plan, ConjunctiveQuery, EvalStrategy, IRNode, IROp, QueryAtom};
 use carac_storage::hasher::FxHashMap;
-use carac_storage::{DbKind, DeltaSign, RelId, Relation, RelationSchema, Tuple, Value};
+use carac_storage::pool::row_hash;
+use carac_storage::{DbKind, DeltaSign, RelId, Relation, RelationSchema, RowId, Tuple, Value};
 
 use crate::backends::{compile_closure, ClosureFn, UpdateKernel};
 use crate::context::ExecContext;
 use crate::error::ExecError;
 use crate::interpreter::interpret;
 use crate::kernel::{collect_interpreted_rows, SpecializedQuery};
-use crate::stats::{RunStats, UpdateStats};
+use crate::stats::UpdateStats;
 
 /// One signed fact of an update batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -213,6 +239,35 @@ pub struct UpdateReport {
     pub total_time: std::time::Duration,
 }
 
+/// Rows of one width in a single row-major buffer — what a maintenance
+/// query emits (one row per derivation, duplicates preserved), and how a
+/// phase remembers rows without an allocation apiece.
+struct FlatRows {
+    width: usize,
+    len: usize,
+    values: Vec<Value>,
+}
+
+impl FlatRows {
+    fn with_capacity(width: usize, rows: usize) -> FlatRows {
+        FlatRows {
+            width,
+            len: 0,
+            values: Vec::with_capacity(width * rows),
+        }
+    }
+
+    fn push(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.width);
+        self.values.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    fn rows(&self) -> impl Iterator<Item = &[Value]> + '_ {
+        (0..self.len).map(|i| &self.values[i * self.width..(i + 1) * self.width])
+    }
+}
+
 /// One delta-variant (or driver) query with its optionally pre-compiled
 /// specialized kernel — the execution unit of every maintenance phase.
 struct QueryExec {
@@ -232,37 +287,60 @@ impl QueryExec {
         }
     }
 
-    fn head_arity(&self) -> usize {
-        self.query.head_bindings.len()
-    }
-
-    /// Collect-mode execution: emitted head rows (row-major, head arity as
-    /// stride; duplicates preserved — one row per derivation).
-    fn collect(
-        &self,
-        storage: &carac_storage::StorageManager,
-        stats: &mut RunStats,
-        parallelism: usize,
-    ) -> Result<(Vec<Value>, u64), ExecError> {
+    /// Collect-mode execution against the context's current databases: one
+    /// emitted row per derivation, nothing inserted anywhere.
+    fn collect(&self, ctx: &mut ExecContext) -> Result<FlatRows, ExecError> {
+        let ExecContext {
+            storage,
+            stats,
+            parallelism,
+            ..
+        } = ctx;
         stats.update.delta_subqueries += 1;
-        match &self.kernel {
-            Some(kernel) => kernel.collect_rows(storage, stats, parallelism),
-            None => collect_interpreted_rows(&self.query, storage, stats, parallelism),
-        }
+        let (values, len) = match &self.kernel {
+            Some(kernel) => kernel.collect_rows(storage, stats, *parallelism)?,
+            None => collect_interpreted_rows(&self.query, storage, stats, *parallelism)?,
+        };
+        Ok(FlatRows {
+            width: self.query.head_bindings.len(),
+            len: len as usize,
+            values,
+        })
     }
 }
 
+/// Where one column of a body fact comes from in a driver derivation row.
+enum BodyTerm {
+    Const(Value),
+    /// Column of the row the rule's driver emits.
+    Column(usize),
+}
+
+/// One positive body atom of a rule, resolved against the row its driver
+/// emits, so the body fact of a derivation can be rebuilt and looked up.
+struct BodyAtom {
+    rel: RelId,
+    /// Whether `rel` belongs to the stratum the rule is in (its facts are
+    /// then subject to the epoch order and to condemnation).
+    in_stratum: bool,
+    terms: Vec<BodyTerm>,
+}
+
 /// The maintenance machinery of one rule: a delta variant per positive body
-/// position plus the head-driven full-body query used for re-derivation and
-/// exact recounting.
+/// position plus the head-driven full-body query used for the witness
+/// check, re-derivation and exact recounting.
 struct RulePlan {
     head_rel: RelId,
+    head_arity: usize,
     /// `(relation read as delta, variant query)` per positive position.
     variants: Vec<(RelId, QueryExec)>,
     /// `Head(pattern)@DeltaKnown ⋈ body@Derived`: enumerates, per fact of
     /// the set loaded into the head relation's delta-known database, every
-    /// derivation it has in the current database.
+    /// derivation it has in the current database.  Each emitted row is the
+    /// head fact followed by the rule's body variables.
     driver: QueryExec,
+    /// The positive body in terms of the driver's emitted row.
+    body: Vec<BodyAtom>,
 }
 
 /// Per-stratum maintenance plan.
@@ -339,6 +417,26 @@ impl DeltaSets {
 
     fn changed(&self, rel: RelId) -> bool {
         self.plus_of(rel).is_some() || self.minus_of(rel).is_some()
+    }
+}
+
+/// The heads one frontier round flagged in one relation, with what the
+/// witness check needs per head (parallel to the rows of `rows`).
+struct Flagged {
+    rows: Relation,
+    /// Epoch of the head in the derived database.
+    epochs: Vec<u32>,
+    /// Whether a witness was found.
+    supported: Vec<bool>,
+}
+
+impl Flagged {
+    fn new(schema: RelationSchema) -> Flagged {
+        Flagged {
+            rows: Relation::new(schema),
+            epochs: Vec::new(),
+            supported: Vec::new(),
+        }
     }
 }
 
@@ -420,11 +518,32 @@ fn order_delta_first(query: &ConjunctiveQuery, first: usize) -> ConjunctiveQuery
 /// outward from the driver), with the original negations and constraints.
 /// Loading a fact set into the head relation's delta-known database and
 /// collecting this query emits, per fact of the set, one row per derivation
-/// the current database offers.
-fn driver_query(rule: &Rule) -> ConjunctiveQuery {
+/// the current database offers: the head fact followed by the variables of
+/// the positive body, from which the returned [`BodyAtom`]s rebuild every
+/// body fact of that derivation.
+fn driver_query(rule: &Rule, stratum: &[RelId]) -> (ConjunctiveQuery, Vec<BodyAtom>) {
     let mut query = ConjunctiveQuery::from_rule(rule, None);
-    let head_terms: Vec<Term> = query
-        .head_bindings
+    let mut column_of: FxHashMap<carac_datalog::VarId, usize> = FxHashMap::default();
+    let mut body = Vec::new();
+    for atom in &query.atoms {
+        let terms = atom
+            .terms
+            .iter()
+            .map(|term| match term {
+                Term::Const(c) => BodyTerm::Const(*c),
+                Term::Var(v) => BodyTerm::Column(*column_of.entry(*v).or_insert_with(|| {
+                    query.head_bindings.push(HeadBinding::Var(*v));
+                    query.head_bindings.len() - 1
+                })),
+            })
+            .collect();
+        body.push(BodyAtom {
+            rel: atom.rel,
+            in_stratum: stratum.contains(&atom.rel),
+            terms,
+        });
+    }
+    let head_terms: Vec<Term> = query.head_bindings[..rule.head.terms.len()]
         .iter()
         .map(|b| match b {
             HeadBinding::Var(v) => Term::Var(*v),
@@ -439,7 +558,7 @@ fn driver_query(rule: &Rule) -> ConjunctiveQuery {
             terms: head_terms,
         },
     );
-    order_delta_first(&query, 0)
+    (order_delta_first(&query, 0), body)
 }
 
 impl Incremental {
@@ -478,10 +597,13 @@ impl Incremental {
                         negated_rels.push(literal.atom.rel);
                     }
                 }
+                let (driver, body) = driver_query(rule, &stratum.relations);
                 rules.push(RulePlan {
                     head_rel: rule.head.rel,
+                    head_arity: rule.head.terms.len(),
                     variants,
-                    driver: QueryExec::new(driver_query(rule), kernel),
+                    driver: QueryExec::new(driver, kernel),
+                    body,
                 });
             }
             let mut aggregate = false;
@@ -578,15 +700,11 @@ impl Incremental {
         }
 
         // --- 2. apply the EDB changes physically, tracking net deltas ----
+        ctx.storage.advance_epoch();
         for op in batch.ops() {
             match op.sign {
                 DeltaSign::Insert => {
-                    if ctx
-                        .storage
-                        .db_mut(DbKind::Derived)
-                        .relation_mut(op.rel)?
-                        .insert_row(&op.values)?
-                    {
+                    if ctx.storage.append_derived_row(op.rel, &op.values)? {
                         deltas.record_insert(op.rel, &op.values)?;
                     }
                 }
@@ -656,20 +774,42 @@ impl Incremental {
         Ok(())
     }
 
-    /// The live rows of `rel`'s derived database appended past the slot
-    /// high-water mark `mark` — the net-new facts of a maintenance phase.
-    fn new_live_rows(
+    /// Publishes as insert deltas the live rows of `rel`'s derived database
+    /// appended past the slot high-water mark `mark` — the net-new facts of
+    /// a maintenance phase — except those in `skip` (facts that were there
+    /// before the phase and came back).
+    fn publish_new_rows(
         ctx: &ExecContext,
         rel: RelId,
         mark: usize,
-    ) -> Result<Vec<Vec<Value>>, ExecError> {
+        skip: Option<&Relation>,
+        deltas: &mut DeltaSets,
+    ) -> Result<(), ExecError> {
         let derived = ctx.storage.db(DbKind::Derived).relation(rel)?;
-        Ok((mark..derived.slot_count())
-            .filter_map(|slot| {
-                let slot = slot as carac_storage::RowId;
-                derived.is_live(slot).then(|| derived.row(slot).to_vec())
+        for slot in mark..derived.slot_count() {
+            let slot = slot as RowId;
+            if !derived.is_live(slot) {
+                continue;
+            }
+            let row = derived.row(slot);
+            if skip.is_some_and(|set| set.contains_row(row)) {
+                continue;
+            }
+            deltas.record_insert(rel, row)?;
+        }
+        Ok(())
+    }
+
+    /// The slot high-water marks of the stratum's relations: everything a
+    /// phase appends past them is new (or came back).
+    fn slot_marks(plan: &StratumPlan, ctx: &ExecContext) -> Result<Vec<(RelId, usize)>, ExecError> {
+        plan.relations
+            .iter()
+            .map(|&rel| {
+                let derived = ctx.storage.db(DbKind::Derived).relation(rel)?;
+                Ok((rel, derived.slot_count()))
             })
-            .collect())
+            .collect()
     }
 
     /// Exact derivation counts for the facts in `probe`: loads them into
@@ -689,21 +829,30 @@ impl Incremental {
         // saturation sentinel, which `clamp_support` takes care of.
         let mut counts: FxHashMap<Vec<Value>, u64> = FxHashMap::default();
         for rule in plan.rules.iter().filter(|r| r.head_rel == rel) {
-            let ExecContext {
-                storage,
-                stats,
-                parallelism,
-                ..
-            } = ctx;
-            let (buf, emitted) = rule.driver.collect(storage, stats, *parallelism)?;
-            let arity = rule.driver.head_arity();
-            for i in 0..emitted as usize {
-                let row = &buf[i * arity..(i + 1) * arity];
-                *counts.entry(row.to_vec()).or_insert(0) += 1;
+            for derivation in rule.driver.collect(ctx)?.rows() {
+                let head = &derivation[..rule.head_arity];
+                match counts.get_mut(head) {
+                    Some(count) => *count += 1,
+                    None => {
+                        counts.insert(head.to_vec(), 1);
+                    }
+                }
             }
         }
         ctx.storage.clear_deltas(&[rel])?;
         Ok(counts)
+    }
+
+    /// The slot of `row` in `rel`'s derived relation, for callers that just
+    /// saw or put it there — its absence is a typed internal error.
+    fn derived_slot(ctx: &ExecContext, rel: RelId, row: &[Value]) -> Result<RowId, ExecError> {
+        let derived = ctx.storage.db(DbKind::Derived).relation(rel)?;
+        derived.find_row_hashed(row, row_hash(row)).ok_or_else(|| {
+            ExecError::Internal(format!(
+                "a fact of relation {rel:?} under counted maintenance is missing from \
+                 the derived database"
+            ))
+        })
     }
 
     /// Whether `values` is a protected base fact of `rel` (asserted, not
@@ -714,10 +863,10 @@ impl Incremental {
             .is_some_and(|base| base.contains_row(values))
     }
 
-    /// The deletion phase of one positive stratum: over-delete the cone of
-    /// the input retractions against the *old* database, then keep the
-    /// survivors — by support count (non-recursive, counted semi-naive) or
-    /// by re-derivation (recursive, DRed).
+    /// The deletion phase of one positive stratum: find the facts the input
+    /// retractions take down — against the *old* database — by the witness
+    /// check (recursive strata) or by support counts (non-recursive), retract
+    /// them, and bring back what the new database still derives.
     fn deletion_phase(
         &self,
         plan: &StratumPlan,
@@ -729,126 +878,38 @@ impl Incremental {
         // so the re-derivation propagation below can derive *genuinely new*
         // facts through the new edges — those must be published as insert
         // deltas (re-derived candidates, by contrast, are no net change).
-        let mut marks: Vec<(RelId, usize)> = Vec::new();
-        for &rel in &plan.relations {
-            marks.push((
-                rel,
-                ctx.storage.db(DbKind::Derived).relation(rel)?.slot_count(),
-            ));
-        }
+        let marks = Self::slot_marks(plan, ctx)?;
         // Restore the already-applied input retractions for the duration of
-        // the over-delete joins: a derivation may combine several deleted
-        // facts, and every variant must see the other deleted facts at its
-        // non-delta positions.  (Already-applied *insertions* stay visible;
-        // they can only enlarge the over-approximation, which the
+        // the lost-derivation joins: a derivation may combine several
+        // deleted facts, and every variant must see the other deleted facts
+        // at its non-delta positions.  (Already-applied *insertions* stay
+        // visible; they can only enlarge the set of flagged heads, which the
         // survivor checks repair.)
-        let mut restored: Vec<(RelId, Vec<Value>)> = Vec::new();
+        let mut restored: Vec<(RelId, FlatRows)> = Vec::new();
+        ctx.storage.advance_epoch();
         for &rel in &plan.body_rels {
             if let Some(minus) = deltas.minus_of(rel) {
-                let rows: Vec<Vec<Value>> = minus.iter_rows().map(<[Value]>::to_vec).collect();
-                for row in rows {
-                    if ctx
-                        .storage
-                        .db_mut(DbKind::Derived)
-                        .relation_mut(rel)?
-                        .insert_row(&row)?
-                    {
-                        restored.push((rel, row));
+                let mut rows = FlatRows::with_capacity(minus.arity(), minus.len());
+                for row in minus.iter_rows() {
+                    if ctx.storage.append_derived_row(rel, row)? {
+                        rows.push(row);
                     }
                 }
+                restored.push((rel, rows));
             }
         }
 
-        // Over-delete fixpoint: frontier rounds over the delta variants.
-        // Schema lookups go through the checked accessor: a maintenance plan
-        // built for a different program than the live session (a caller
-        // pairing mismatched `Incremental` and `ExecContext` values) surfaces
-        // as a typed error here instead of panicking mid-phase.
-        let schema_of = |rel: RelId, ctx: &ExecContext| -> Result<RelationSchema, ExecError> {
-            Ok(ctx.storage.schema(rel)?.clone())
+        let deleted = if plan.recursive {
+            self.condemn_unsupported(plan, ctx, deltas, up)?
+        } else {
+            self.decrement_supports(plan, ctx, deltas, up)?
         };
-        let mut deleted: FxHashMap<RelId, Relation> = FxHashMap::default();
-        for &rel in &plan.relations {
-            deleted.insert(rel, Relation::new(schema_of(rel, ctx)?));
-        }
-        let mut frontier: Vec<(RelId, Relation)> = Vec::new();
-        for &rel in &plan.body_rels {
-            if let Some(minus) = deltas.minus_of(rel) {
-                let mut side = Relation::new(schema_of(rel, ctx)?);
-                side.union_in_place(minus)?;
-                frontier.push((rel, side));
-            }
-        }
-        while !frontier.is_empty() {
-            let frontier_rels: Vec<RelId> = frontier.iter().map(|(r, _)| *r).collect();
-            for (rel, facts) in &frontier {
-                Self::load_delta(ctx, *rel, facts)?;
-            }
-            let mut next: FxHashMap<RelId, Relation> = FxHashMap::default();
-            for rule in &plan.rules {
-                for (delta_rel, exec) in &rule.variants {
-                    if ctx
-                        .storage
-                        .relation(DbKind::DeltaKnown, *delta_rel)?
-                        .is_empty()
-                    {
-                        continue;
-                    }
-                    let ExecContext {
-                        storage,
-                        stats,
-                        parallelism,
-                        ..
-                    } = ctx;
-                    let (buf, rows) = exec.collect(storage, stats, *parallelism)?;
-                    let arity = exec.head_arity();
-                    let head = rule.head_rel;
-                    for i in 0..rows as usize {
-                        let row = &buf[i * arity..(i + 1) * arity];
-                        let derived = ctx.storage.db(DbKind::Derived).relation(head)?;
-                        let Some(slot) =
-                            derived.find_row_hashed(row, carac_storage::pool::row_hash(row))
-                        else {
-                            continue; // phantom derivation via new inserts
-                        };
-                        if self.is_base_fact(head, row) {
-                            continue; // asserted facts are never over-deleted
-                        }
-                        if !plan.recursive {
-                            // Counted semi-naive: one lost derivation.
-                            ctx.storage
-                                .db_mut(DbKind::Derived)
-                                .relation_mut(head)?
-                                .sub_support(slot, 1);
-                        }
-                        let set = deleted.get_mut(&head).ok_or_else(|| {
-                            ExecError::Internal(format!(
-                                "over-delete emitted into relation {head:?}, which is \
-                                 not part of the stratum being maintained"
-                            ))
-                        })?;
-                        if set.insert_row(row)? {
-                            up.overdeleted += 1;
-                            match next.entry(head) {
-                                Entry::Occupied(mut side) => {
-                                    side.get_mut().insert_row(row)?;
-                                }
-                                Entry::Vacant(slot) => {
-                                    slot.insert(Relation::new(schema_of(head, ctx)?))
-                                        .insert_row(row)?;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            ctx.storage.clear_deltas(&frontier_rels)?;
-            frontier = next.into_iter().collect();
-        }
 
         // Undo the temporary restores: the inputs return to their new state.
-        for (rel, row) in restored {
-            ctx.storage.retract_fact_row(rel, &row)?;
+        for (rel, rows) in restored {
+            for row in rows.rows() {
+                ctx.storage.retract_fact_row(rel, row)?;
+            }
         }
 
         if plan.recursive {
@@ -858,18 +919,269 @@ impl Incremental {
         }
 
         // Publish the genuinely new facts this phase created: live rows
-        // appended past the mark that are *not* over-deleted candidates
+        // appended past the mark that are *not* retracted candidates
         // (candidates re-entering are re-derivations of pre-batch facts).
         for (rel, mark) in marks {
-            let candidates = deleted.get(&rel);
-            for row in Self::new_live_rows(ctx, rel, mark)? {
-                if candidates.is_some_and(|set| set.contains_row(&row)) {
-                    continue;
-                }
-                deltas.record_insert(rel, &row)?;
-            }
+            Self::publish_new_rows(ctx, rel, mark, deleted.get(&rel), deltas)?;
         }
         Ok(())
+    }
+
+    /// One frontier round of lost derivations: loads `frontier` as the
+    /// delta, runs every delta variant that reads it against the old
+    /// database, and hands each head that lost a derivation — once per lost
+    /// derivation, with its slot in the derived database — to `on_head`.
+    /// Heads the old database does not hold (phantoms through this batch's
+    /// insertions) and asserted base facts are not reported.
+    ///
+    /// Schema lookups go through the checked accessors: a maintenance plan
+    /// built for a different program than the live session (a caller
+    /// pairing mismatched `Incremental` and `ExecContext` values) surfaces
+    /// as a typed error here instead of panicking mid-phase.
+    fn lost_derivations(
+        &self,
+        plan: &StratumPlan,
+        ctx: &mut ExecContext,
+        frontier: &[(RelId, Relation)],
+        mut on_head: impl FnMut(&mut ExecContext, RelId, &[Value], RowId) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
+        for (rel, facts) in frontier {
+            Self::load_delta(ctx, *rel, facts)?;
+        }
+        for rule in &plan.rules {
+            for (delta_rel, exec) in &rule.variants {
+                if ctx
+                    .storage
+                    .relation(DbKind::DeltaKnown, *delta_rel)?
+                    .is_empty()
+                {
+                    continue;
+                }
+                let head = rule.head_rel;
+                for row in exec.collect(ctx)?.rows() {
+                    let derived = ctx.storage.db(DbKind::Derived).relation(head)?;
+                    let Some(slot) = derived.find_row_hashed(row, row_hash(row)) else {
+                        continue; // phantom derivation via new inserts
+                    };
+                    if !self.is_base_fact(head, row) {
+                        on_head(ctx, head, row, slot)?;
+                    }
+                }
+            }
+        }
+        let frontier_rels: Vec<RelId> = frontier.iter().map(|(rel, _)| *rel).collect();
+        ctx.storage.clear_deltas(&frontier_rels)?;
+        Ok(())
+    }
+
+    /// The input retractions of `plan` as the first frontier.
+    fn retracted_inputs(
+        plan: &StratumPlan,
+        ctx: &ExecContext,
+        deltas: &DeltaSets,
+    ) -> Result<Vec<(RelId, Relation)>, ExecError> {
+        let mut frontier = Vec::new();
+        for &rel in &plan.body_rels {
+            if let Some(minus) = deltas.minus_of(rel) {
+                let mut side = Relation::new(ctx.storage.schema(rel)?.clone());
+                side.union_in_place(minus)?;
+                frontier.push((rel, side));
+            }
+        }
+        Ok(frontier)
+    }
+
+    /// An empty fact set per relation of the stratum.
+    fn stratum_sets(
+        plan: &StratumPlan,
+        ctx: &ExecContext,
+    ) -> Result<FxHashMap<RelId, Relation>, ExecError> {
+        plan.relations
+            .iter()
+            .map(|&rel| Ok((rel, Relation::new(ctx.storage.schema(rel)?.clone()))))
+            .collect()
+    }
+
+    /// The fact set of `head` in a per-stratum map — a typed error when a
+    /// rule emitted into a relation outside the stratum being maintained.
+    fn stratum_set(
+        sets: &mut FxHashMap<RelId, Relation>,
+        head: RelId,
+    ) -> Result<&mut Relation, ExecError> {
+        sets.get_mut(&head).ok_or_else(|| {
+            ExecError::Internal(format!(
+                "deletion emitted into relation {head:?}, which is not part of the \
+                 stratum being maintained"
+            ))
+        })
+    }
+
+    /// Counted deletion for a non-recursive stratum: every lost derivation
+    /// decrements its head's support count.  Returns the heads that lost at
+    /// least one; [`Incremental::counted_survivors`] reads the counts.  One
+    /// round is the whole cone — no rule of the stratum reads its heads.
+    fn decrement_supports(
+        &self,
+        plan: &StratumPlan,
+        ctx: &mut ExecContext,
+        deltas: &DeltaSets,
+        up: &mut UpdateStats,
+    ) -> Result<FxHashMap<RelId, Relation>, ExecError> {
+        let mut touched = Self::stratum_sets(plan, ctx)?;
+        let frontier = Self::retracted_inputs(plan, ctx, deltas)?;
+        self.lost_derivations(plan, ctx, &frontier, |ctx, head, row, slot| {
+            ctx.storage
+                .db_mut(DbKind::Derived)
+                .relation_mut(head)?
+                .sub_support(slot, 1);
+            if Self::stratum_set(&mut touched, head)?.insert_row(row)? {
+                up.overdeleted += 1;
+            }
+            Ok(())
+        })?;
+        Ok(touched)
+    }
+
+    /// Deletion for a recursive stratum: frontier rounds flag the heads that
+    /// lost a derivation, the witness check decides which of them still
+    /// stand, and only those that do not are condemned and carried into the
+    /// next frontier.  Returns the condemned facts per relation; nothing is
+    /// retracted here (every round reads the old database).
+    ///
+    /// The condemned set only grows at the end of a round, so a round's
+    /// outcome does not depend on the order its heads are checked in; a head
+    /// that stood in one round is flagged and checked again whenever a fact
+    /// it could have leaned on is condemned later.
+    fn condemn_unsupported(
+        &self,
+        plan: &StratumPlan,
+        ctx: &mut ExecContext,
+        deltas: &DeltaSets,
+        up: &mut UpdateStats,
+    ) -> Result<FxHashMap<RelId, Relation>, ExecError> {
+        let mut condemned = Self::stratum_sets(plan, ctx)?;
+        let mut frontier = Self::retracted_inputs(plan, ctx, deltas)?;
+        while !frontier.is_empty() {
+            // 1. The heads this frontier takes a derivation from.
+            let mut flagged: FxHashMap<RelId, Flagged> = FxHashMap::default();
+            self.lost_derivations(plan, ctx, &frontier, |ctx, head, row, slot| {
+                if Self::stratum_set(&mut condemned, head)?.contains_row(row) {
+                    return Ok(());
+                }
+                let heads = match flagged.entry(head) {
+                    Entry::Occupied(heads) => heads.into_mut(),
+                    Entry::Vacant(heads) => {
+                        heads.insert(Flagged::new(ctx.storage.schema(head)?.clone()))
+                    }
+                };
+                if heads.rows.insert_row(row)? {
+                    let derived = ctx.storage.db(DbKind::Derived).relation(head)?;
+                    heads.epochs.push(derived.epoch_of(slot));
+                    heads.supported.push(false);
+                }
+                Ok(())
+            })?;
+
+            // 2. The witness check: the flagged heads drive their own rules'
+            // full bodies; one derivation inside the order keeps a head.
+            for (rel, heads) in &flagged {
+                Self::load_delta(ctx, *rel, &heads.rows)?;
+            }
+            let mut fact = Vec::new();
+            for rule in &plan.rules {
+                let Some(heads) = flagged.get_mut(&rule.head_rel) else {
+                    continue;
+                };
+                for derivation in rule.driver.collect(ctx)?.rows() {
+                    let head = &derivation[..rule.head_arity];
+                    let Some(at) = heads.rows.find_row_hashed(head, row_hash(head)) else {
+                        continue;
+                    };
+                    let at = at as usize;
+                    if !heads.supported[at] {
+                        heads.supported[at] = Self::is_witness(
+                            rule,
+                            derivation,
+                            heads.epochs[at],
+                            ctx,
+                            &condemned,
+                            deltas,
+                            &mut fact,
+                        )?;
+                    }
+                }
+            }
+            let flagged_rels: Vec<RelId> = flagged.keys().copied().collect();
+            ctx.storage.clear_deltas(&flagged_rels)?;
+
+            // 3. Heads left without a witness are condemned and flag their
+            // own consequences in the next round.
+            frontier = Vec::new();
+            for (rel, heads) in flagged {
+                let mut lost = Relation::new(ctx.storage.schema(rel)?.clone());
+                let set = Self::stratum_set(&mut condemned, rel)?;
+                for (row, supported) in heads.rows.iter_rows().zip(&heads.supported) {
+                    up.candidates_checked += 1;
+                    if *supported {
+                        up.support_survivors += 1;
+                    } else {
+                        set.insert_row(row)?;
+                        lost.insert_row(row)?;
+                        up.overdeleted += 1;
+                    }
+                }
+                if !lost.is_empty() {
+                    frontier.push((rel, lost));
+                }
+            }
+        }
+        Ok(condemned)
+    }
+
+    /// Whether `derivation` (a row of `rule`'s driver: the head, then the
+    /// body variables) keeps its head standing: every body fact is
+    /// un-condemned and not retracted by this batch, and every body fact of
+    /// the stratum itself is strictly older than the head.  `fact` is
+    /// scratch space for the rebuilt body rows.
+    fn is_witness(
+        rule: &RulePlan,
+        derivation: &[Value],
+        head_epoch: u32,
+        ctx: &ExecContext,
+        condemned: &FxHashMap<RelId, Relation>,
+        deltas: &DeltaSets,
+        fact: &mut Vec<Value>,
+    ) -> Result<bool, ExecError> {
+        for atom in &rule.body {
+            fact.clear();
+            fact.extend(atom.terms.iter().map(|term| match term {
+                BodyTerm::Const(c) => *c,
+                BodyTerm::Column(col) => derivation[*col],
+            }));
+            let hash = row_hash(fact);
+            if !atom.in_stratum {
+                let retracted = deltas
+                    .minus_of(atom.rel)
+                    .is_some_and(|minus| minus.contains_row_hashed(fact, hash));
+                if retracted {
+                    return Ok(false);
+                }
+                continue;
+            }
+            let derived = ctx.storage.db(DbKind::Derived).relation(atom.rel)?;
+            // The driver joined this fact out of the derived database, so it
+            // is there; a miss would mean it is no witness either way.
+            let older = derived
+                .find_row_hashed(fact, hash)
+                .is_some_and(|slot| derived.epoch_of(slot) < head_epoch);
+            let standing = condemned
+                .get(&atom.rel)
+                .is_none_or(|set| !set.contains_row_hashed(fact, hash));
+            if !(older && standing) {
+                return Ok(false);
+            }
+        }
+        Ok(true)
     }
 
     /// Counted survivor selection for a non-recursive stratum: candidates
@@ -896,9 +1208,7 @@ impl Incremental {
             {
                 let derived = ctx.storage.db(DbKind::Derived).relation(rel)?;
                 for row in candidates.iter_rows() {
-                    let slot = derived
-                        .find_row_hashed(row, carac_storage::pool::row_hash(row))
-                        .expect("candidate confirmed present during over-delete");
+                    let slot = Self::derived_slot(ctx, rel, row)?;
                     if !derived.support_saturated(slot) && derived.support_of(slot) > 0 {
                         up.support_survivors += 1;
                     } else {
@@ -922,12 +1232,12 @@ impl Incremental {
                     0 => deltas.record_retract(rel, &row)?,
                     n => {
                         // Still derivable: re-insert with its exact count.
-                        let derived = ctx.storage.db_mut(DbKind::Derived).relation_mut(rel)?;
-                        derived.insert_row(&row)?;
-                        let slot = derived
-                            .find_row_hashed(&row, carac_storage::pool::row_hash(&row))
-                            .expect("just inserted");
-                        derived.set_support(slot, clamp_support(n));
+                        ctx.storage.append_derived_row(rel, &row)?;
+                        let slot = Self::derived_slot(ctx, rel, &row)?;
+                        ctx.storage
+                            .db_mut(DbKind::Derived)
+                            .relation_mut(rel)?
+                            .set_support(slot, clamp_support(n));
                         up.recounted += 1;
                     }
                 }
@@ -936,9 +1246,12 @@ impl Incremental {
         Ok(())
     }
 
-    /// DRed re-derivation for a recursive stratum: retract the whole
-    /// over-deleted cone, rescue facts with a remaining one-step derivation
-    /// via the head-driven driver, then propagate the rescues to fixpoint.
+    /// Retraction and rescue for a recursive stratum: retract the condemned
+    /// facts, bring back those the remaining database still derives in one
+    /// step (a derivation the epoch order could not vouch for) via the
+    /// head-driven driver, then propagate the rescues to fixpoint.  Rescued
+    /// and propagated facts are appended at fresh epochs, above everything
+    /// they were derived from.
     fn rederive(
         plan: &StratumPlan,
         ctx: &mut ExecContext,
@@ -953,7 +1266,7 @@ impl Incremental {
         if !any {
             return Ok(());
         }
-        // Physically retract the cone.
+        // Physically retract the condemned facts.
         for &rel in &plan.relations {
             if let Some(set) = deleted.get(&rel) {
                 for row in set.iter_rows() {
@@ -977,37 +1290,27 @@ impl Incremental {
             {
                 continue;
             }
-            let ExecContext {
-                storage,
-                stats,
-                parallelism,
-                ..
-            } = ctx;
-            let (buf, rows) = rule.driver.collect(storage, stats, *parallelism)?;
-            let arity = rule.driver.head_arity();
+            let found = rule.driver.collect(ctx)?;
             // Resolve the seed relation through the checked schema accessor
             // once per rule, so a plan/session mismatch is a typed error
             // rather than a panic inside the entry closure.
-            if rows > 0 && !seeds.contains_key(&rule.head_rel) {
+            if found.len > 0 && !seeds.contains_key(&rule.head_rel) {
                 let schema = ctx.storage.schema(rule.head_rel)?.clone();
                 seeds.insert(rule.head_rel, Relation::new(schema));
             }
-            for i in 0..rows as usize {
-                let row = &buf[i * arity..(i + 1) * arity];
-                if let Some(seed) = seeds.get_mut(&rule.head_rel) {
-                    seed.insert_row(row)?;
+            if let Some(seed) = seeds.get_mut(&rule.head_rel) {
+                for derivation in found.rows() {
+                    seed.insert_row(&derivation[..rule.head_arity])?;
                 }
             }
         }
         ctx.storage.clear_deltas(&plan.relations)?;
         // Re-insert the rescued facts and propagate them (standard
         // semi-naive continuation within the stratum).
+        ctx.storage.advance_epoch();
         for (rel, seed) in &seeds {
             for row in seed.iter_rows() {
-                ctx.storage
-                    .db_mut(DbKind::Derived)
-                    .relation_mut(*rel)?
-                    .insert_row(row)?;
+                ctx.storage.append_derived_row(*rel, row)?;
             }
             Self::load_delta(ctx, *rel, seed)?;
         }
@@ -1046,18 +1349,11 @@ impl Incremental {
         up: &mut UpdateStats,
     ) -> Result<(), ExecError> {
         // High-water marks: everything appended past them is net-new.
-        let mut marks: Vec<(RelId, usize)> = Vec::new();
-        for &rel in &plan.relations {
-            marks.push((
-                rel,
-                ctx.storage.db(DbKind::Derived).relation(rel)?.slot_count(),
-            ));
-        }
+        let marks = Self::slot_marks(plan, ctx)?;
         let mut seeded: Vec<RelId> = Vec::new();
         for &rel in &plan.body_rels {
             if let Some(plus) = deltas.plus_of(rel) {
-                let plus = plus.clone();
-                Self::load_delta(ctx, rel, &plus)?;
+                Self::load_delta(ctx, rel, plus)?;
                 seeded.push(rel);
             }
         }
@@ -1078,9 +1374,7 @@ impl Incremental {
 
         // Collect the net-new facts for downstream strata.
         for (rel, mark) in marks {
-            for row in Self::new_live_rows(ctx, rel, mark)? {
-                deltas.record_insert(rel, &row)?;
-            }
+            Self::publish_new_rows(ctx, rel, mark, None, deltas)?;
         }
         if let Some(affected) = affected {
             Self::recount_affected(plan, ctx, affected, up)?;
@@ -1110,18 +1404,11 @@ impl Incremental {
                     {
                         continue;
                     }
-                    let ExecContext {
-                        storage,
-                        stats,
-                        parallelism,
-                        ..
-                    } = ctx;
-                    let (buf, rows) = exec.collect(storage, stats, *parallelism)?;
-                    let arity = exec.head_arity();
+                    let emitted = exec.collect(ctx)?;
                     // Resolve the affected-set target once per variant, not
                     // per emitted row (the schema clone is construction-only).
                     let touched = match affected.as_deref_mut() {
-                        Some(map) if rows > 0 => {
+                        Some(map) if emitted.len > 0 => {
                             let schema = ctx.storage.schema(rule.head_rel)?.clone();
                             Some(
                                 map.entry(rule.head_rel)
@@ -1131,8 +1418,7 @@ impl Incremental {
                         _ => None,
                     };
                     let mut touched = touched;
-                    for i in 0..rows as usize {
-                        let row = &buf[i * arity..(i + 1) * arity];
+                    for row in emitted.rows() {
                         ctx.storage.insert_derived_row(rule.head_rel, row)?;
                         if let Some(set) = touched.as_deref_mut() {
                             set.insert_row(row)?;
@@ -1166,8 +1452,7 @@ impl Incremental {
             let counts = Self::count_derivations(plan, ctx, rel, probe)?;
             let derived = ctx.storage.db_mut(DbKind::Derived).relation_mut(rel)?;
             for row in probe.iter_rows() {
-                if let Some(slot) = derived.find_row_hashed(row, carac_storage::pool::row_hash(row))
-                {
+                if let Some(slot) = derived.find_row_hashed(row, row_hash(row)) {
                     derived.set_support(
                         slot,
                         clamp_support(counts.get(row).copied().unwrap_or(0).max(1)),
@@ -1247,13 +1532,13 @@ mod tests {
     use carac_datalog::parser::parse;
     use carac_datalog::ProgramBuilder;
 
-    fn live_tc() -> (Program, ExecContext, Incremental) {
-        let p = parse(
-            "Path(x, y) :- Edge(x, y).\n\
-             Path(x, y) :- Edge(x, z), Path(z, y).\n\
-             Edge(1, 2). Edge(2, 3). Edge(3, 4).",
-        )
-        .unwrap();
+    const TC_RULES: &str = "Path(x, y) :- Edge(x, y).\n\
+                            Path(x, y) :- Edge(x, z), Path(z, y).\n";
+
+    /// A live session over `source`: evaluated to fixpoint, with its
+    /// maintenance plan.
+    fn live(source: &str) -> (Program, ExecContext, Incremental) {
+        let p = parse(source).unwrap();
         let mut ctx = ExecContext::prepare(&p, true).unwrap();
         let plan = generate_plan(&p, EvalStrategy::SemiNaive);
         interpret(&plan, &mut ctx).unwrap();
@@ -1261,12 +1546,188 @@ mod tests {
         (p, ctx, inc)
     }
 
+    fn live_tc() -> (Program, ExecContext, Incremental) {
+        live(&format!("{TC_RULES}Edge(1, 2). Edge(2, 3). Edge(3, 4)."))
+    }
+
+    /// The sorted facts of `rel` in a session.
+    fn facts(p: &Program, ctx: &ExecContext, rel: &str) -> Vec<Tuple> {
+        let mut rows = ctx.derived_tuples(p.relation_by_name(rel).unwrap());
+        rows.sort();
+        rows
+    }
+
+    /// The sorted facts of `rel` after evaluating `source` from scratch.
+    fn scratch(source: &str, rel: &str) -> Vec<Tuple> {
+        let (p, ctx, _) = live(source);
+        facts(&p, &ctx, rel)
+    }
+
     fn scratch_count(source: &str) -> usize {
-        let p = parse(source).unwrap();
-        let mut ctx = ExecContext::prepare(&p, true).unwrap();
-        let plan = generate_plan(&p, EvalStrategy::SemiNaive);
-        interpret(&plan, &mut ctx).unwrap();
-        ctx.derived_count(p.relation_by_name("Path").unwrap())
+        scratch(source, "Path").len()
+    }
+
+    /// Applies one batch of edge retractions and insertions.
+    fn update_edges(
+        p: &Program,
+        ctx: &mut ExecContext,
+        inc: &Incremental,
+        retract: &[(u32, u32)],
+        insert: &[(u32, u32)],
+    ) -> UpdateStats {
+        let edge = p.relation_by_name("Edge").unwrap();
+        let mut batch = UpdateBatch::new();
+        for &(a, b) in retract {
+            batch.retract(edge, Tuple::pair(a, b));
+        }
+        for &(a, b) in insert {
+            batch.insert(edge, Tuple::pair(a, b));
+        }
+        inc.apply(ctx, &batch).unwrap().stats
+    }
+
+    #[test]
+    fn a_cycle_cannot_keep_itself_alive() {
+        // x -> z -> x and x -> y: Path(x, y) and Path(z, y) each have a
+        // one-step derivation from the other.  Once x -> y goes, neither
+        // derivation lies below its head in the epoch order, so both fall.
+        let (p, mut ctx, inc) = live(&format!("{TC_RULES}Edge(1, 3). Edge(3, 1). Edge(1, 2)."));
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[]);
+        assert_eq!(
+            facts(&p, &ctx, "Path"),
+            scratch(&format!("{TC_RULES}Edge(1, 3). Edge(3, 1)."), "Path")
+        );
+        assert_eq!(facts(&p, &ctx, "Path").len(), 4);
+        assert_eq!(stats.overdeleted, 2);
+        assert_eq!(stats.candidates_checked, 2);
+        assert_eq!(stats.support_survivors, 0);
+        assert_eq!(stats.rederived, 0);
+        assert_eq!(stats.derived_retracted, 2);
+    }
+
+    #[test]
+    fn an_equally_short_second_route_keeps_a_fact_in_place() {
+        // The diamond a -> b -> d, a -> c -> d: retracting a -> b flags
+        // Path(a, b) and Path(a, d); the latter stands on Edge(a, c),
+        // Path(c, d) — Path(c, d) is older — and is never retracted.
+        let (p, mut ctx, inc) = live(&format!(
+            "{TC_RULES}Edge(1, 2). Edge(1, 3). Edge(2, 4). Edge(3, 4)."
+        ));
+        let path = p.relation_by_name("Path").unwrap();
+        let kept = [Value::int(1), Value::int(4)];
+        let slot_of = |ctx: &ExecContext| {
+            let derived = ctx.storage.relation(DbKind::Derived, path).unwrap();
+            derived.find_row_hashed(&kept, row_hash(&kept))
+        };
+        let before = slot_of(&ctx);
+        assert!(before.is_some());
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[]);
+        assert_eq!(
+            facts(&p, &ctx, "Path"),
+            scratch(
+                &format!("{TC_RULES}Edge(1, 3). Edge(2, 4). Edge(3, 4)."),
+                "Path"
+            )
+        );
+        assert_eq!(stats.overdeleted, 1);
+        assert_eq!(stats.rederived, 0);
+        assert_eq!(stats.support_survivors, 1);
+        assert_eq!(stats.candidates_checked, 2);
+        assert_eq!(stats.derived_retracted, 1);
+        assert_eq!(
+            slot_of(&ctx),
+            before,
+            "Path(1, 4) was retracted and re-added"
+        );
+    }
+
+    #[test]
+    fn a_witness_may_use_an_edge_the_same_batch_inserts() {
+        // 1 -> 2 -> 3 and 4 -> 3.  One batch cuts 1 -> 2 and adds 1 -> 4:
+        // Path(1, 3) loses its only derivation but stands on the new edge
+        // and the older Path(4, 3).
+        let (p, mut ctx, inc) = live(&format!("{TC_RULES}Edge(1, 2). Edge(2, 3). Edge(4, 3)."));
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[(1, 4)]);
+        assert_eq!(
+            facts(&p, &ctx, "Path"),
+            scratch(
+                &format!("{TC_RULES}Edge(2, 3). Edge(4, 3). Edge(1, 4)."),
+                "Path"
+            )
+        );
+        assert_eq!(stats.overdeleted, 1); // Path(1, 2)
+        assert_eq!(stats.support_survivors, 1); // Path(1, 3)
+        assert_eq!(stats.rederived, 0);
+        assert_eq!(stats.derived_retracted, 1);
+        assert_eq!(stats.derived_inserted, 1); // Path(1, 4)
+    }
+
+    #[test]
+    fn epochs_compare_across_the_relations_of_one_stratum() {
+        // Odd- and even-length walks recurse through each other.  On the
+        // diamond with a tail, Even(1, 4) stands on the older Odd(3, 4) and
+        // Odd(1, 5) on the older Even(3, 5) once 1 -> 2 is gone.
+        let rules = "Odd(x, y) :- Edge(x, y).\n\
+                     Even(x, y) :- Edge(x, z), Odd(z, y).\n\
+                     Odd(x, y) :- Edge(x, z), Even(z, y).\n";
+        let edges = "Edge(1, 3). Edge(2, 4). Edge(3, 4). Edge(4, 5).";
+        let (p, mut ctx, inc) = live(&format!("{rules}Edge(1, 2). {edges}"));
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[]);
+        for rel in ["Odd", "Even"] {
+            assert_eq!(
+                facts(&p, &ctx, rel),
+                scratch(&format!("{rules}{edges}"), rel),
+                "{rel}"
+            );
+        }
+        assert_eq!(stats.overdeleted, 1); // Odd(1, 2)
+        assert_eq!(stats.support_survivors, 2);
+        assert_eq!(stats.rederived, 0);
+
+        // And a cycle through both relations still cannot hold itself up:
+        // 1 -> 2 -> 1 with the exit 2 -> 3.
+        let cycle = "Edge(1, 2). Edge(2, 1).";
+        let (p, mut ctx, inc) = live(&format!("{rules}{cycle} Edge(2, 3)."));
+        update_edges(&p, &mut ctx, &inc, &[(2, 3)], &[]);
+        for rel in ["Odd", "Even"] {
+            assert_eq!(
+                facts(&p, &ctx, rel),
+                scratch(&format!("{rules}{cycle}"), rel),
+                "{rel}"
+            );
+        }
+    }
+
+    #[test]
+    fn rows_of_equal_epoch_never_vouch_for_each_other() {
+        // A state without its epochs (here: Path rebuilt in one go) is
+        // still maintained correctly — every flagged head is condemned and
+        // comes back through the rescue step, as in classic DRed.
+        let (p, mut ctx, inc) = live(&format!(
+            "{TC_RULES}Edge(1, 2). Edge(1, 3). Edge(2, 4). Edge(3, 4)."
+        ));
+        let path = p.relation_by_name("Path").unwrap();
+        let rows = ctx.derived_tuples(path);
+        let derived = ctx
+            .storage
+            .db_mut(DbKind::Derived)
+            .relation_mut(path)
+            .unwrap();
+        derived.clear();
+        for row in rows {
+            derived.insert(row).unwrap();
+        }
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[]);
+        assert_eq!(
+            facts(&p, &ctx, "Path"),
+            scratch(
+                &format!("{TC_RULES}Edge(1, 3). Edge(2, 4). Edge(3, 4)."),
+                "Path"
+            )
+        );
+        assert_eq!(stats.overdeleted, 2);
+        assert_eq!(stats.support_survivors, 0);
+        assert_eq!(stats.rederived, 1); // Path(1, 4)
     }
 
     #[test]

@@ -66,14 +66,27 @@ pub struct UpdateStats {
     pub derived_inserted: u64,
     /// Derived facts removed from the fixpoint by deletion propagation.
     pub derived_retracted: u64,
-    /// Facts over-deleted by the DRed/counted deletion cone (before
-    /// re-derivation and support checks rescue survivors).
+    /// Facts a deletion phase took out of consideration before knowing
+    /// whether the new database still derives them.  Recursive strata:
+    /// facts *condemned* by the witness check (each is physically retracted
+    /// and must be re-derived to come back).  Non-recursive strata: facts
+    /// that lost at least one derivation (the counted candidates; those
+    /// whose support stays positive are never retracted).
     pub overdeleted: u64,
-    /// Over-deleted facts rescued by the re-derivation phase.
+    /// Condemned facts of recursive strata that the rescue step and its
+    /// propagation re-derived.
     pub rederived: u64,
-    /// Over-deleted facts kept by the counted fast path (support count
-    /// stayed positive — no re-derivation join was needed).
+    /// Heads that lost a derivation and were kept in place without any
+    /// retraction.  Recursive strata: witness checks passed (a head flagged
+    /// in several frontier rounds counts once per round it stood).
+    /// Non-recursive strata: candidates whose support count stayed positive.
     pub support_survivors: u64,
+    /// Heads of recursive strata put through the witness check, once per
+    /// frontier round that flagged them.  Every check either passes
+    /// (`support_survivors`) or condemns (`overdeleted`), so for a program
+    /// whose deletions only reach recursive strata
+    /// `candidates_checked == support_survivors + overdeleted`.
+    pub candidates_checked: u64,
     /// Facts whose support count was recomputed exactly by a head-driven
     /// recount join.
     pub recounted: u64,
@@ -100,6 +113,7 @@ impl UpdateStats {
         self.overdeleted += other.overdeleted;
         self.rederived += other.rederived;
         self.support_survivors += other.support_survivors;
+        self.candidates_checked += other.candidates_checked;
         self.recounted += other.recounted;
         self.strata_recomputed += other.strata_recomputed;
         self.delta_subqueries += other.delta_subqueries;

@@ -15,6 +15,13 @@
 //! writing.  At the end of each iteration [`StorageManager::swap_and_clear`]
 //! merges delta-new into derived, swaps the two delta databases and clears
 //! the new write-side.
+//!
+//! Every such boundary also opens a new **epoch**: the manager bumps one
+//! session-monotone counter and the rows merged into derived carry it
+//! ([`Relation::epoch_of`]).  A fact's epoch is therefore above the epoch of
+//! every same-stratum fact its first derivation read — the well-founded
+//! order the incremental deletion phase uses to tell a fact that still has
+//! independent support from one that only leans on its own consequences.
 
 use crate::error::StorageError;
 use crate::hasher::FxHashMap;
@@ -107,6 +114,9 @@ pub struct StorageManager {
     /// Whether hash indexes are maintained (the indexed/unindexed axis of
     /// the evaluation).
     use_indexes: bool,
+    /// The current epoch: stamped on every row appended to a derived
+    /// relation, bumped (saturating) at every iteration boundary.
+    epoch: u32,
 }
 
 impl StorageManager {
@@ -120,7 +130,32 @@ impl StorageManager {
             delta_known: Database::new(),
             delta_new: Database::new(),
             use_indexes,
+            epoch: 0,
         }
+    }
+
+    /// The current epoch (0 until the first iteration boundary).
+    pub fn epoch(&self) -> u32 {
+        self.epoch
+    }
+
+    /// Opens a new epoch and returns it: rows appended to derived relations
+    /// from now on rank above every row already there.  Called by
+    /// [`StorageManager::swap_and_clear`]; callers that append to a derived
+    /// relation outside an iteration boundary
+    /// ([`StorageManager::append_derived_row`]) open one first.  The counter
+    /// saturates instead of wrapping: rows of equal epoch never vouch for
+    /// each other, so a saturated session loses pruning power, not
+    /// correctness.
+    pub fn advance_epoch(&mut self) -> u32 {
+        self.epoch = self.epoch.saturating_add(1);
+        self.epoch
+    }
+
+    /// Raises the counter to at least `epoch` (snapshot restore: new rows
+    /// must rank above every restored one).
+    pub(crate) fn resume_epoch(&mut self, epoch: u32) {
+        self.epoch = self.epoch.max(epoch);
     }
 
     /// Whether indexes are enabled.
@@ -254,7 +289,7 @@ impl StorageManager {
     /// [`StorageManager::insert_fact`] over a raw row slice: one pooled
     /// append per database, no tuple clones anywhere on the path.
     pub fn insert_fact_row(&mut self, rel: RelId, values: &[Value]) -> Result<bool> {
-        let fresh = self.derived.relation_mut(rel)?.insert_row(values)?;
+        let fresh = self.append_derived_row(rel, values)?;
         if fresh {
             self.delta_known.relation_mut(rel)?.insert_row(values)?;
         }
@@ -285,7 +320,7 @@ impl StorageManager {
     /// the quantity the incremental subsystem's counted-deletion fast path
     /// consumes for non-recursive strata.  (Recursive strata re-emit
     /// derivations across delta variants, so their counts over-approximate
-    /// and the incremental subsystem uses delete/re-derive there instead.)
+    /// and the incremental subsystem decides by row epochs there instead.)
     pub fn insert_derived_row(&mut self, rel: RelId, values: &[Value]) -> Result<bool> {
         let hash = crate::pool::row_hash(values);
         let derived = self.derived.relation_mut(rel)?;
@@ -312,6 +347,15 @@ impl StorageManager {
         }
     }
 
+    /// Appends a row to the derived database only, in the current epoch —
+    /// the direct-append path of the incremental subsystem (applied EDB
+    /// insertions, rescued facts).  Returns `true` if the row was new.
+    pub fn append_derived_row(&mut self, rel: RelId, values: &[Value]) -> Result<bool> {
+        let derived = self.derived.relation_mut(rel)?;
+        derived.begin_epoch(self.epoch);
+        derived.insert_row(values)
+    }
+
     /// Retracts an EDB (or base) fact from the derived database, unlinking
     /// it from every index and shard partition.  Returns `true` if the fact
     /// was present.  Derived consequences are *not* touched — maintaining
@@ -333,19 +377,23 @@ impl StorageManager {
     ///
     /// The merge appends rows straight from delta-new's pool, reusing its
     /// retained row hashes; the rotation itself is an O(1) swap of pool
-    /// internals (no row is copied, reinserted or rehashed).
+    /// internals (no row is copied, reinserted or rehashed).  The merged
+    /// rows open a new epoch ([`StorageManager::advance_epoch`]).
     ///
     /// Returns the number of facts merged into the derived database across
     /// all listed relations; the caller uses "0" as the fixpoint signal.
     pub fn swap_and_clear(&mut self, relations: &[RelId]) -> Result<usize> {
         let mut merged = 0;
+        let epoch = self.advance_epoch();
         for &rel in relations {
             // Merge the freshly discovered facts into the derived database
             // (split field borrows: derived is written, delta-new only read).
             {
                 let (derived_db, new_db) = (&mut self.derived, &self.delta_new);
                 let new_rel = new_db.relation(rel)?;
-                merged += derived_db.relation_mut(rel)?.union_in_place(new_rel)?;
+                let derived = derived_db.relation_mut(rel)?;
+                derived.begin_epoch(epoch);
+                merged += derived.union_in_place(new_rel)?;
             }
             // delta-known <- delta-new ; delta-new <- empty.  The swap moves
             // the pools in O(1); only the (already-consumed) old read side

@@ -12,8 +12,10 @@
 //! * [`pool`] — the flat row pool: one row-major `Vec<Value>` per relation
 //!   with hash-confirm dedup and compact inline-or-spill posting lists,
 //! * [`Relation`] — an insertion-ordered, duplicate-free set of rows over a
-//!   [`RowPool`], with optional per-column and composite hash indexes and
-//!   the allocation-free [`Relation::probe_rows`] access path,
+//!   [`RowPool`], with optional per-column and composite hash indexes, the
+//!   allocation-free [`Relation::probe_rows`] access path, and the epoch of
+//!   every row ([`Relation::epoch_of`]: which iteration boundary appended
+//!   it) as a run table,
 //! * [`Database`] — a collection of relations addressed by [`RelId`],
 //! * [`StorageManager`] — the three evaluation databases used by semi-naive
 //!   evaluation (*derived*, *delta-known*, *delta-new*) together with the
@@ -35,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod database;
+mod epoch;
 pub mod error;
 pub mod hasher;
 pub mod index;

@@ -15,7 +15,7 @@ use crate::value::Value;
 /// being added to or removed from the extensional database.  Update batches
 /// ship `(relation, sign, row)` triples; the incremental maintenance
 /// subsystem turns them into counted semi-naive (non-recursive strata) or
-/// delete/re-derive (recursive strata) propagation.
+/// witness-checked (recursive strata) propagation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeltaSign {
     /// The fact enters the database.

@@ -1,5 +1,6 @@
 //! In-memory relations with set semantics over a flat row pool.
 
+use crate::epoch::EpochRuns;
 use crate::error::StorageError;
 use crate::index::{ColumnIndex, CompositeIndex};
 use crate::pool::{mix_hash, shard_of_hash, value_hash, PoolStats, RowId, RowPool};
@@ -21,7 +22,9 @@ use crate::Result;
 ///   several bound columns at once,
 /// * `shards` — optional hash partitions of the row ids by shard-key value,
 ///   enabling independent parallel scans of disjoint row subsets (see
-///   [`Relation::set_sharding`]).
+///   [`Relation::set_sharding`]),
+/// * `epochs` — which iteration boundary appended each row, as a run table
+///   over the slots ([`Relation::epoch_of`]); no per-row field.
 ///
 /// [`Tuple`] remains the boundary type for loading facts and reading
 /// results; the evaluation hot paths speak `&[Value]` row slices and
@@ -58,6 +61,8 @@ pub struct Relation {
     /// Row ids per shard (`shards.len() == shard_count` when sharded,
     /// empty otherwise).
     shards: Vec<Vec<RowId>>,
+    /// `(first slot, epoch)` runs; see [`Relation::epoch_of`].
+    epochs: EpochRuns,
 }
 
 /// Deterministic shard assignment for a value: the shard-key value is run
@@ -169,6 +174,7 @@ impl Relation {
             shard_count: 1,
             shard_key: 0,
             shards: Vec::new(),
+            epochs: EpochRuns::default(),
         }
     }
 
@@ -556,6 +562,53 @@ impl Relation {
         self.pool.slots()
     }
 
+    /// Rows appended from now on carry `epoch` (until a higher one begins).
+    /// The storage manager calls this with its session counter before every
+    /// append to a derived relation; an epoch at or below the current one
+    /// changes nothing, so epochs never decrease in slot order.
+    #[inline]
+    pub fn begin_epoch(&mut self, epoch: u32) {
+        self.epochs.begin(self.pool.slots() as RowId, epoch);
+    }
+
+    /// The epoch of row `row`: the value of the storage manager's counter
+    /// when the row was appended (0 for rows appended before any epoch
+    /// began).  Semi-naive evaluation appends a fact at the boundary closing
+    /// the iteration that first derived it, after every fact its derivation
+    /// read — so within a stratum a lower epoch means "was there first",
+    /// the well-founded order the incremental deletion phase prunes by.
+    /// A binary search over one entry per boundary that appended anything;
+    /// order-preserving across [`Relation::compact`], reset by
+    /// [`Relation::clear`].
+    #[inline]
+    pub fn epoch_of(&self, row: RowId) -> u32 {
+        self.epochs.epoch_of(row)
+    }
+
+    /// The epoch run table as `(ordinal of the run's first live row,
+    /// epoch)` — the slots it would name after a [`Relation::compact`],
+    /// which is the row numbering a snapshot stores.
+    pub fn epoch_runs(&self) -> Vec<(RowId, u32)> {
+        if self.pool.has_dead() {
+            let compacted = self.epochs.renumbered(|row| self.pool.is_live(row));
+            compacted.as_slice().to_vec()
+        } else {
+            self.epochs.as_slice().to_vec()
+        }
+    }
+
+    /// Replaces the run table with one read from a snapshot; `false` (and
+    /// no change) when `runs` is not a valid table for the stored rows.
+    pub(crate) fn restore_epoch_runs(&mut self, runs: &[(RowId, u32)]) -> bool {
+        match EpochRuns::checked(runs, self.pool.slots()) {
+            Some(epochs) => {
+                self.epochs = epochs;
+                true
+            }
+            None => false,
+        }
+    }
+
     /// Membership test for a boundary tuple.
     #[inline]
     pub fn contains(&self, tuple: &Tuple) -> bool {
@@ -749,14 +802,17 @@ impl Relation {
 
     /// Compacts tombstoned slots away (see [`RowPool::compact`]): live rows
     /// are renumbered densely and every id-bearing structure — single-column
-    /// and composite indexes, shard partitions — is rebuilt.  A no-op (and
-    /// free) when nothing is dead.  **Invalidates previously obtained
-    /// [`RowId`]s**, so callers only compact at points where none are held
-    /// (the incremental engine compacts between update batches).
+    /// and composite indexes, shard partitions — is rebuilt; the epoch runs
+    /// are renumbered with the rows.  A no-op (and free) when nothing is
+    /// dead.  **Invalidates previously obtained [`RowId`]s**, so callers
+    /// only compact at points where none are held (the incremental engine
+    /// compacts between update batches).
     pub fn compact(&mut self) {
-        if !self.pool.compact() {
+        if !self.pool.has_dead() {
             return;
         }
+        self.epochs = self.epochs.renumbered(|row| self.pool.is_live(row));
+        self.pool.compact();
         for index in &mut self.indexes {
             index.rebuild(&self.pool);
         }
@@ -773,8 +829,9 @@ impl Relation {
         self.pool.slots() - self.pool.len()
     }
 
-    /// Removes every row but keeps schema, index and shard definitions (and
-    /// allocated capacity, so refills do not reallocate).
+    /// Removes every row (and with them the epoch runs) but keeps schema,
+    /// index and shard definitions (and allocated capacity, so refills do
+    /// not reallocate).
     pub fn clear(&mut self) {
         self.pool.clear();
         for index in &mut self.indexes {
@@ -786,6 +843,7 @@ impl Relation {
         for shard in &mut self.shards {
             shard.clear();
         }
+        self.epochs.clear();
     }
 
     /// Moves all rows of `other` into `self` (deduplicating), leaving
@@ -849,7 +907,8 @@ impl Relation {
     }
 
     /// Swaps the *contents* of two relations (row pool, indexes, composite
-    /// indexes and shard partitions) while leaving their schemas in place,
+    /// indexes, shard partitions and epoch runs) while leaving their schemas
+    /// in place,
     /// in O(1) — this is the primitive behind `SwapClearOp`'s delta
     /// rotation: no row is copied, reinserted or rehashed.
     pub fn swap_contents(&mut self, other: &mut Relation) {
@@ -859,6 +918,7 @@ impl Relation {
         std::mem::swap(&mut self.shard_count, &mut other.shard_count);
         std::mem::swap(&mut self.shard_key, &mut other.shard_key);
         std::mem::swap(&mut self.shards, &mut other.shards);
+        std::mem::swap(&mut self.epochs, &mut other.epochs);
     }
 
     /// Resident-memory snapshot: the pool's stats plus the resident bytes of
@@ -880,6 +940,7 @@ impl Relation {
             .iter()
             .map(|s| s.capacity() * std::mem::size_of::<RowId>())
             .sum::<usize>();
+        stats.bytes += self.epochs.heap_bytes();
         stats
     }
 }

@@ -4,8 +4,11 @@
 //! incremental maintenance without re-evaluation: the symbol dictionary (in
 //! interning order, so the 32-bit [`Value`] encoding of every stored row
 //! stays meaningful), and — per relation — the live rows of the *derived*
-//! database in row-major form together with their support counts and the
-//! pool's compaction generation.  The delta databases are deliberately not
+//! database in row-major form together with their support counts, their
+//! epochs (the run table of [`crate::Relation::epoch_runs`], a few bytes per
+//! iteration that appended anything — a recovered session prunes deletions
+//! exactly like an uninterrupted one) and the pool's compaction generation.
+//! The delta databases are deliberately not
 //! captured: the incremental subsystem clears them defensively at the start
 //! of every batch, so the derived database alone is the resumable state.
 //!
@@ -30,6 +33,7 @@ use std::io::Write;
 use std::path::Path;
 
 use crate::database::{DbKind, StorageManager};
+use crate::epoch::EpochRuns;
 use crate::error::StorageError;
 use crate::pool::RowId;
 use crate::schema::RelId;
@@ -38,8 +42,9 @@ use crate::value::Value;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CARACSNP";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version.  Version 2 added the per-relation epoch
+/// runs; version 1 files are rejected with [`PersistError::BadVersion`].
+pub const SNAPSHOT_VERSION: u32 = 2;
 /// Endianness tag stored in the header: decodes to this constant only when
 /// the file was written little-endian by this format.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
@@ -232,7 +237,7 @@ impl<'a> ByteReader<'a> {
 
 /// One relation's captured derived state: schema identity, the pool's
 /// compaction generation, and the live rows (row-major) with their support
-/// counts.
+/// counts and epochs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationSnapshot {
     /// Relation name (restore matches it against the target catalog).
@@ -248,6 +253,9 @@ pub struct RelationSnapshot {
     pub values: Vec<Value>,
     /// Per-row support counts, parallel to the rows.
     pub support: Vec<u32>,
+    /// The rows' epochs as `(first row, epoch)` runs, both strictly
+    /// increasing ([`crate::Relation::epoch_runs`]).
+    pub epochs: Vec<(RowId, u32)>,
 }
 
 impl RelationSnapshot {
@@ -301,9 +309,10 @@ impl Snapshot {
 
     /// Replaces the derived database of `storage` with the snapshot's
     /// contents: every relation is cleared (deltas included) and refilled
-    /// with the captured rows, support counts and generation counter.
-    /// Index and shard *definitions* on the target are kept and maintained
-    /// through the normal insert path.
+    /// with the captured rows, support counts, epochs and generation
+    /// counter, and the manager's epoch counter resumes above every restored
+    /// epoch.  Index and shard *definitions* on the target are kept and
+    /// maintained through the normal insert path.
     ///
     /// The target's relation catalog must match the snapshot exactly (same
     /// names, arities and EDB flags in id order) — restoring a snapshot
@@ -355,8 +364,15 @@ impl Snapshot {
                 }
                 rel.set_support(row as RowId, snap.support[row]);
             }
+            if !rel.restore_epoch_runs(&snap.epochs) {
+                return Err(PersistError::Corrupt {
+                    context: format!("epoch runs of relation `{}` are out of order", snap.name),
+                });
+            }
             rel.set_generation(snap.generation);
         }
+        let newest = self.relations.iter().filter_map(|snap| snap.epochs.last());
+        storage.resume_epoch(newest.map(|run| run.1).max().unwrap_or(0));
         Ok(())
     }
 }
@@ -462,8 +478,8 @@ fn encode_snapshot(storage: &StorageManager, symbols: &SymbolTable, journal_seq:
         rels.push(u8::from(schema.is_edb));
         push_u64(&mut rels, rel.generation());
         push_u64(&mut rels, rel.len() as u64);
-        // Live rows in insertion order, values then support counts — the
-        // on-disk image is the compacted form of the pool.
+        // Live rows in insertion order, values then support counts then
+        // epoch runs — the on-disk image is the compacted form of the pool.
         for row in 0..rel.slot_count() as RowId {
             if !rel.is_live(row) {
                 continue;
@@ -476,6 +492,12 @@ fn encode_snapshot(storage: &StorageManager, symbols: &SymbolTable, journal_seq:
             if rel.is_live(row) {
                 push_u32(&mut rels, rel.support_of(row));
             }
+        }
+        let runs = rel.epoch_runs();
+        push_u32(&mut rels, runs.len() as u32);
+        for (first, epoch) in runs {
+            push_u32(&mut rels, first);
+            push_u32(&mut rels, epoch);
         }
     }
 
@@ -659,6 +681,21 @@ fn decode_relations(
         for _ in 0..rows {
             support.push(r.u32("support count")?);
         }
+        let runs = r.u32("epoch run count")? as usize;
+        if r.remaining() / 8 < runs {
+            return Err(PersistError::Truncated {
+                context: format!("epoch runs of relation `{name}`"),
+            });
+        }
+        let mut epochs = Vec::with_capacity(runs);
+        for _ in 0..runs {
+            epochs.push((r.u32("epoch run")?, r.u32("epoch run")?));
+        }
+        if EpochRuns::checked(&epochs, rows).is_none() {
+            return Err(PersistError::Corrupt {
+                context: format!("epoch runs of relation `{name}` are out of order"),
+            });
+        }
         relations.push(RelationSnapshot {
             name,
             arity,
@@ -666,6 +703,7 @@ fn decode_relations(
             generation,
             values,
             support,
+            epochs,
         });
     }
     if r.remaining() != 0 {
@@ -741,6 +779,11 @@ mod tests {
             .unwrap();
         assert_eq!(path_rel.len(), 1);
         assert_eq!(path_rel.support_of(0), 2);
+        // The merged row kept its epoch, the base facts theirs, and rows
+        // appended from here on rank above both.
+        assert_eq!(path_rel.epoch_of(0), 1);
+        assert_eq!(edge_rel.epoch_of(0), 0);
+        assert_eq!(target.epoch(), 1);
         std::fs::remove_file(&path).ok();
     }
 
@@ -793,6 +836,13 @@ mod tests {
                 found: 99,
                 expected: SNAPSHOT_VERSION
             })
+        ));
+        // Version 1 (no epoch runs) is not read as version 2.
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            read_snapshot(&path),
+            Err(PersistError::BadVersion { found: 1, .. })
         ));
         std::fs::remove_file(&path).ok();
     }

@@ -672,81 +672,82 @@ fn incremental_tc_matches_scratch_across_kernels_and_threads() {
     for seed in [0u64, 5, 9] {
         let base = random_digraph(12, 30, seed);
         for (shape, stream) in stream_shapes(&base, 12, seed + 100) {
-            for threads in [1usize, 2, 8] {
-                for kernel in [
-                    EngineConfig::interpreted(),
-                    EngineConfig::eager_jit(BackendKind::Lambda, false),
-                ] {
-                    assert_stream_matches_scratch(
-                        &tc_program,
-                        "Edge",
-                        &["Path"],
-                        &base,
-                        &stream,
-                        kernel.with_parallelism(threads),
-                        &format!("tc seed {seed} {shape} x{threads} ({})", kernel.label()),
-                    );
-                }
+            for config in update_configs() {
+                assert_stream_matches_scratch(
+                    &tc_program,
+                    "Edge",
+                    &["Path"],
+                    &base,
+                    &stream,
+                    config,
+                    &format!(
+                        "tc seed {seed} {shape} x{} ({})",
+                        config.parallelism,
+                        config.label()
+                    ),
+                );
             }
         }
     }
 }
 
 /// CSPA-shaped mutually recursive rules (the fig6/fig8 macro workload's
-/// rule set) over an explicit Assign/Derefr fact base: updates to Assign
-/// maintain VaFlow, VAlias and MAlias exactly.
+/// rule set) over an explicit Assign/Derefr fact base.
+fn cspa_rules(assign: &[(u32, u32)]) -> carac_datalog::Program {
+    let mut b = ProgramBuilder::new();
+    for rel in ["Assign", "Derefr", "VaFlow", "VAlias", "MAlias"] {
+        b.relation(rel, 2);
+    }
+    b.rule("VaFlow", &["v2", "v1"])
+        .when("Assign", &["v2", "v1"])
+        .end();
+    b.rule("VaFlow", &["v1", "v1"])
+        .when("Assign", &["v1", "v2"])
+        .end();
+    b.rule("VaFlow", &["v1", "v1"])
+        .when("Assign", &["v2", "v1"])
+        .end();
+    b.rule("MAlias", &["v1", "v1"])
+        .when("Assign", &["v2", "v1"])
+        .end();
+    b.rule("MAlias", &["v1", "v1"])
+        .when("Assign", &["v1", "v2"])
+        .end();
+    b.rule("VaFlow", &["v1", "v2"])
+        .when("Assign", &["v1", "v3"])
+        .when("MAlias", &["v3", "v2"])
+        .end();
+    b.rule("VaFlow", &["v1", "v2"])
+        .when("VaFlow", &["v1", "v3"])
+        .when("VaFlow", &["v3", "v2"])
+        .end();
+    b.rule("MAlias", &["v1", "v0"])
+        .when("Derefr", &["v2", "v1"])
+        .when("VAlias", &["v2", "v3"])
+        .when("Derefr", &["v3", "v0"])
+        .end();
+    b.rule("VAlias", &["v1", "v2"])
+        .when("VaFlow", &["v3", "v1"])
+        .when("VaFlow", &["v3", "v2"])
+        .end();
+    b.rule("VAlias", &["v1", "v2"])
+        .when("MAlias", &["v3", "v0"])
+        .when("VaFlow", &["v3", "v1"])
+        .when("VaFlow", &["v0", "v2"])
+        .end();
+    for &(a, b_) in assign {
+        b.fact_ints("Assign", &[a, b_]);
+    }
+    for (a, b_) in random_digraph(10, 12, 77) {
+        b.fact_ints("Derefr", &[a, b_]);
+    }
+    b.build().unwrap()
+}
+
+/// Updates to Assign maintain VaFlow, VAlias and MAlias of [`cspa_rules`]
+/// exactly.
 #[test]
 fn incremental_cspa_rules_match_scratch() {
-    fn cspa_rules(assign: &[(u32, u32)]) -> carac_datalog::Program {
-        let mut b = ProgramBuilder::new();
-        for rel in ["Assign", "Derefr", "VaFlow", "VAlias", "MAlias"] {
-            b.relation(rel, 2);
-        }
-        b.rule("VaFlow", &["v2", "v1"])
-            .when("Assign", &["v2", "v1"])
-            .end();
-        b.rule("VaFlow", &["v1", "v1"])
-            .when("Assign", &["v1", "v2"])
-            .end();
-        b.rule("VaFlow", &["v1", "v1"])
-            .when("Assign", &["v2", "v1"])
-            .end();
-        b.rule("MAlias", &["v1", "v1"])
-            .when("Assign", &["v2", "v1"])
-            .end();
-        b.rule("MAlias", &["v1", "v1"])
-            .when("Assign", &["v1", "v2"])
-            .end();
-        b.rule("VaFlow", &["v1", "v2"])
-            .when("Assign", &["v1", "v3"])
-            .when("MAlias", &["v3", "v2"])
-            .end();
-        b.rule("VaFlow", &["v1", "v2"])
-            .when("VaFlow", &["v1", "v3"])
-            .when("VaFlow", &["v3", "v2"])
-            .end();
-        b.rule("MAlias", &["v1", "v0"])
-            .when("Derefr", &["v2", "v1"])
-            .when("VAlias", &["v2", "v3"])
-            .when("Derefr", &["v3", "v0"])
-            .end();
-        b.rule("VAlias", &["v1", "v2"])
-            .when("VaFlow", &["v3", "v1"])
-            .when("VaFlow", &["v3", "v2"])
-            .end();
-        b.rule("VAlias", &["v1", "v2"])
-            .when("MAlias", &["v3", "v0"])
-            .when("VaFlow", &["v3", "v1"])
-            .when("VaFlow", &["v0", "v2"])
-            .end();
-        for &(a, b_) in assign {
-            b.fact_ints("Assign", &[a, b_]);
-        }
-        for (a, b_) in random_digraph(10, 12, 77) {
-            b.fact_ints("Derefr", &[a, b_]);
-        }
-        b.build().unwrap()
-    }
     for seed in [2u64, 8] {
         let base = random_digraph(10, 20, seed);
         for (shape, stream) in stream_shapes(&base, 10, seed + 50) {
@@ -1083,4 +1084,174 @@ fn incremental_mixed_batch_publishes_deletion_phase_discoveries() {
             &format!("mixed-batch discovery ({})", kernel.label()),
         );
     }
+}
+
+// -------------------------------------------------------------------
+// Retract-heavy single-edge streams, checked after every batch
+// -------------------------------------------------------------------
+
+/// Seeds of the stream sweeps below (CI's nightly `fuzz-extended` job
+/// widens them through the same variable as the program fuzzer).
+fn stream_seeds() -> u64 {
+    std::env::var("CARAC_FUZZ_SEEDS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(3)
+}
+
+/// Both update kernels at 1, 2 and 8 threads.
+fn update_configs() -> Vec<EngineConfig> {
+    let mut configs = Vec::new();
+    for threads in [1usize, 2, 8] {
+        configs.push(EngineConfig::interpreted().with_parallelism(threads));
+        configs.push(EngineConfig::eager_jit(BackendKind::Lambda, false).with_parallelism(threads));
+    }
+    configs
+}
+
+/// Maintains a live session per config under `stream` and asserts after
+/// **every** batch that each output relation equals the from-scratch
+/// evaluation of the edges live at that point (interpreter as the oracle,
+/// evaluated once per batch and shared by the configs).
+fn assert_every_batch_matches_scratch(
+    build: EdgeProgramFn,
+    update_relation: &str,
+    outputs: &[&str],
+    base: &[(u32, u32)],
+    stream: &[UpdateStreamBatch],
+    label: &str,
+) {
+    let expected: Vec<Vec<Vec<carac_storage::Tuple>>> = (1..=stream.len())
+        .map(|applied| {
+            let edges = final_edges(base, &stream[..applied]);
+            let mut oracle = Carac::new(build(&edges)).with_config(EngineConfig::interpreted());
+            outputs
+                .iter()
+                .map(|output| {
+                    let mut rows = oracle.live_tuples(output).unwrap();
+                    rows.sort();
+                    rows
+                })
+                .collect()
+        })
+        .collect();
+    for config in update_configs() {
+        let label = format!("{label} x{} ({})", config.parallelism, config.label());
+        let mut engine = Carac::new(build(base)).with_config(config);
+        engine
+            .run_live()
+            .unwrap_or_else(|e| panic!("{label}: initial run failed: {e}"));
+        for (i, batch) in stream.iter().enumerate() {
+            engine
+                .apply_edge_updates(update_relation, &batch.inserts, &batch.retracts)
+                .unwrap_or_else(|e| panic!("{label}: batch {i} failed: {e}"));
+            for (output, scratch) in outputs.iter().zip(&expected[i]) {
+                let mut live = engine.live_tuples(output).unwrap();
+                live.sort();
+                assert_eq!(
+                    &live, scratch,
+                    "{label}: {output} diverged from scratch after batch {i} \
+                     (+{:?} -{:?})",
+                    batch.inserts, batch.retracts
+                );
+            }
+        }
+    }
+}
+
+/// The `tc_live` shape of `bench_core` at a size a debug build can afford:
+/// transitive closure over a sparse random digraph with one giant SCC,
+/// single-edge batches, 40 % of them retractions into the recursion.
+#[test]
+fn single_edge_streams_over_tc_match_scratch_after_every_batch() {
+    for seed in 0..stream_seeds() {
+        let base = random_digraph(60, 90, 0x7C11 + seed);
+        let stream = edge_update_stream(&base, 60, 48, 1, 0x57EA + seed);
+        assert_every_batch_matches_scratch(
+            &tc_program,
+            "Edge",
+            &["Path"],
+            &base,
+            &stream,
+            &format!("tc stream seed {seed}"),
+        );
+    }
+}
+
+/// The same over the mutually recursive CSPA rules (three relations in one
+/// stratum, three-atom joins).
+#[test]
+fn single_edge_streams_over_cspa_match_scratch_after_every_batch() {
+    for seed in 0..stream_seeds() {
+        let base = random_digraph(10, 20, 0xC59A + seed);
+        let stream = edge_update_stream(&base, 10, 32, 1, 0xA551 + seed);
+        assert_every_batch_matches_scratch(
+            &cspa_rules,
+            "Assign",
+            &["VaFlow", "VAlias", "MAlias"],
+            &base,
+            &stream,
+            &format!("cspa stream seed {seed}"),
+        );
+    }
+}
+
+/// Exact-count regression for the witness check: over a fixed stream, the
+/// facts condemned per retraction stay a small fraction of the classic
+/// delete/re-derive cone — every `Path(x, y)` with a walk through the
+/// retracted edge `a -> b`, i.e. (nodes reaching `a`) x (nodes `b` reaches)
+/// in the graph before the retraction.
+#[test]
+fn condemned_facts_are_a_fraction_of_the_classic_cone() {
+    const NODES: u32 = 250;
+    /// Nodes reachable from `from` (itself included) along `edges`, or
+    /// against them when `forward` is false.
+    fn reach(edges: &[(u32, u32)], from: u32, forward: bool) -> usize {
+        let mut seen = vec![false; NODES as usize];
+        let mut stack = vec![from];
+        seen[from as usize] = true;
+        while let Some(node) = stack.pop() {
+            for &(a, b) in edges {
+                let (here, there) = if forward { (a, b) } else { (b, a) };
+                if here == node && !seen[there as usize] {
+                    seen[there as usize] = true;
+                    stack.push(there);
+                }
+            }
+        }
+        seen.iter().filter(|&&s| s).count()
+    }
+    // `tc_live`'s own size: the pruning power is a property of graphs with
+    // a giant SCC, where most of a cone has a second route.
+    let base = random_digraph(NODES, 375, 0x7C11);
+    let stream = edge_update_stream(&base, NODES, 100, 1, 0x57EA);
+    let mut engine = Carac::new(tc_program(&base));
+    engine.run_live().unwrap();
+    let (mut cone, mut overdeleted, mut rederived) = (0u64, 0u64, 0u64);
+    for (i, batch) in stream.iter().enumerate() {
+        let before = final_edges(&base, &stream[..i]);
+        for &(a, b) in &batch.retracts {
+            cone += (reach(&before, a, false) * reach(&before, b, true)) as u64;
+        }
+        let report = engine
+            .apply_edge_updates("Edge", &batch.inserts, &batch.retracts)
+            .unwrap();
+        overdeleted += report.stats.overdeleted;
+        rederived += report.stats.rederived;
+        assert_eq!(
+            report.stats.candidates_checked,
+            report.stats.support_survivors + report.stats.overdeleted,
+            "every witness check passes or condemns (batch {i})"
+        );
+    }
+    assert!(
+        cone > 0 && overdeleted > 0,
+        "the stream never retracted into the closure"
+    );
+    assert!(
+        overdeleted * 5 <= cone,
+        "condemned {overdeleted} facts where the classic cone holds {cone}"
+    );
+    assert!(rederived <= overdeleted);
+    println!("classic cone {cone}, condemned {overdeleted}, re-derived {rederived}");
 }

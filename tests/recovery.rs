@@ -229,9 +229,16 @@ fn wrong_format_versions_are_typed_rejections() {
         CaracError::Persist(PersistError::BadVersion { found, .. }) => assert_eq!(found, 99),
         other => panic!("expected BadVersion, got {other}"),
     }
+    // Version 1 snapshots (no epoch runs) are no longer read either.
+    let mut bytes = std::fs::read(&snap).unwrap();
+    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+    std::fs::write(&snap, &bytes).unwrap();
+    match engine.restore(&snap).unwrap_err() {
+        CaracError::Persist(PersistError::BadVersion { found, .. }) => assert_eq!(found, 1),
+        other => panic!("expected BadVersion, got {other}"),
+    }
     let fixed_snap = {
-        let mut bytes = std::fs::read(&snap).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&carac_storage::snapshot::SNAPSHOT_VERSION.to_le_bytes());
         std::fs::write(&snap, &bytes).unwrap();
         snap
     };
@@ -259,6 +266,98 @@ fn truncated_snapshot_is_a_typed_rejection() {
         other => panic!("expected Truncated/ChecksumMismatch, got {other}"),
     }
     assert!(!engine.is_live());
+    let _ = std::fs::remove_file(&snap);
+    let _ = std::fs::remove_file(&wal);
+}
+
+/// checkpoint → crash → recover → continue on the `tc_live` shape: the
+/// snapshot carries every row's epoch, so the recovered session's witness
+/// checks decide exactly like those of a session that never stopped — the
+/// same facts condemned, kept in place and re-derived, batch for batch.  (A
+/// restore that lost the epochs would still be correct, but would condemn
+/// every flagged fact and report larger counts.)
+#[test]
+fn a_recovered_session_prunes_deletions_like_an_uninterrupted_one() {
+    use carac::UpdateStats;
+    use carac_analysis::generators::{edge_update_stream, random_digraph};
+
+    const NODES: u32 = 60;
+    const CHECKPOINT_AT: usize = 30;
+    const CRASH_AT: usize = 45;
+    let base = random_digraph(NODES, 90, 0x7C11);
+    let stream = edge_update_stream(&base, NODES, 80, 1, 0x57EA);
+    let engine = || {
+        let mut source =
+            String::from("Path(x, y) :- Edge(x, y).\nPath(x, y) :- Edge(x, z), Path(z, y).\n");
+        for (a, b) in &base {
+            source.push_str(&format!("Edge({a}, {b}).\n"));
+        }
+        Carac::new(parse(&source).unwrap())
+    };
+    // What the maintenance decided, without the fields that legitimately
+    // differ (the recovered pools start compacted).
+    let decisions = |stats: &UpdateStats| {
+        [
+            stats.candidates_checked,
+            stats.support_survivors,
+            stats.overdeleted,
+            stats.rederived,
+            stats.derived_retracted,
+            stats.derived_inserted,
+        ]
+    };
+    let apply = |engine: &mut Carac, i: usize| {
+        engine
+            .apply_edge_updates("Edge", &stream[i].inserts, &stream[i].retracts)
+            .unwrap_or_else(|e| panic!("batch {i}: {e}"))
+            .stats
+    };
+
+    let mut uninterrupted = engine();
+    let expected: Vec<[u64; 6]> = (0..stream.len())
+        .map(|i| decisions(&apply(&mut uninterrupted, i)))
+        .collect();
+    assert!(
+        expected[CHECKPOINT_AT..]
+            .iter()
+            .any(|d| d[1] > 0 && d[2] > 0),
+        "the stream never exercises the witness check after the checkpoint"
+    );
+
+    let snap = temp_path("epoch-snap", 0);
+    let wal = temp_path("epoch-wal", 0);
+    {
+        let mut crashed = engine();
+        for i in 0..CHECKPOINT_AT {
+            apply(&mut crashed, i);
+        }
+        crashed.checkpoint(&snap).expect("checkpoint");
+        crashed.journal_to(&wal).expect("journal attach");
+        for i in CHECKPOINT_AT..CRASH_AT {
+            apply(&mut crashed, i);
+        }
+    }
+    let mut recovered = engine();
+    let report = recovered.recover(&snap, &wal).expect("recover");
+    assert_eq!(report.replayed as usize, CRASH_AT - CHECKPOINT_AT);
+    // The replayed batches, in sum...
+    let replayed = decisions(&recovered.live_stats().expect("live session").update);
+    for (field, total) in replayed.iter().enumerate() {
+        let uninterrupted: u64 = expected[CHECKPOINT_AT..CRASH_AT]
+            .iter()
+            .map(|d| d[field])
+            .sum();
+        assert_eq!(*total, uninterrupted, "replay, field {field}");
+    }
+    // ...and every batch from there on, one by one.
+    for (i, uninterrupted) in expected.iter().enumerate().skip(CRASH_AT) {
+        assert_eq!(
+            &decisions(&apply(&mut recovered, i)),
+            uninterrupted,
+            "batch {i} after recovery"
+        );
+    }
+    assert_eq!(live_state(&mut recovered), live_state(&mut uninterrupted));
     let _ = std::fs::remove_file(&snap);
     let _ = std::fs::remove_file(&wal);
 }

@@ -11,6 +11,9 @@
 //! * **generation bumps** — `row_checked` accepts ids under the generation
 //!   they were obtained under and rejects them (typed `StaleRowId`) once a
 //!   compaction has moved ids;
+//! * **epochs** — every live row keeps the epoch it was inserted under
+//!   through retraction, compaction, clear, clone, content swaps and the
+//!   snapshot round trip, and epochs never decrease in slot order;
 //! * **support saturation** — random add/sub streams against an exact
 //!   `u64` shadow counter: the stored count equals the true count while it
 //!   fits, and the [`SUPPORT_SATURATED`] sentinel is sticky once reached.
@@ -320,4 +323,159 @@ fn retraction_resets_support_and_reinsertion_restarts_it() {
         .expect("live row");
     assert_eq!(relation.support_of(id), 1);
     assert!(!relation.support_saturated(id));
+}
+
+/// The epoch of every live row, in slot order.
+fn live_epochs(relation: &Relation) -> Vec<(Vec<Value>, u32)> {
+    (0..relation.slot_count() as RowId)
+        .filter(|&slot| relation.is_live(slot))
+        .map(|slot| (relation.row(slot).to_vec(), relation.epoch_of(slot)))
+        .collect()
+}
+
+/// `epoch_runs()` expanded to one epoch per live row (`rows` of them).
+fn expand_runs(runs: &[(RowId, u32)], rows: usize) -> Vec<u32> {
+    (0..rows as RowId)
+        .map(|ordinal| {
+            runs.iter()
+                .rev()
+                .find(|run| run.0 <= ordinal)
+                .map_or(0, |run| run.1)
+        })
+        .collect()
+}
+
+#[test]
+fn epochs_follow_their_rows_through_every_operation() {
+    // A random stream of epoch bumps, inserts, retractions, compactions,
+    // clears, clones and content swaps against a model that remembers the
+    // epoch each live row was inserted under.  After every step: each live
+    // row reports its model epoch, epochs never decrease in slot order, and
+    // the run table in snapshot form (`epoch_runs`) says the same thing.
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0xE90C_0000);
+        let mut relation = test_relation(2);
+        let mut other = test_relation(2);
+        let mut model: Vec<(Vec<u32>, u32)> = Vec::new();
+        let mut other_model: Vec<(Vec<u32>, u32)> = Vec::new();
+        let mut counter = 0u32;
+        for step in 0..OPS_PER_SEED {
+            match rng.gen_range_u32(0, 100) {
+                0..=19 => {
+                    // A boundary; now and then a jump to the saturated end.
+                    counter = if rng.gen_bool(0.01) {
+                        u32::MAX
+                    } else {
+                        counter.saturating_add(1)
+                    };
+                    relation.begin_epoch(counter);
+                }
+                20..=69 => {
+                    let values = random_row(&mut rng, 2);
+                    if relation.insert_row(&row(&values)).unwrap() {
+                        model.push((values, counter));
+                    }
+                }
+                70..=89 => {
+                    let values = random_row(&mut rng, 2);
+                    if relation.retract_row(&row(&values)).unwrap() {
+                        model.retain(|(v, _)| *v != values);
+                    }
+                }
+                90..=94 => relation.compact(),
+                95..=96 => {
+                    relation.swap_contents(&mut other);
+                    std::mem::swap(&mut model, &mut other_model);
+                    // The swapped-in table may lag the counter.
+                    relation.begin_epoch(counter);
+                }
+                97..=98 => relation = relation.clone(),
+                _ => {
+                    relation.clear();
+                    model.clear();
+                    relation.begin_epoch(counter);
+                }
+            }
+            let expected: Vec<(Vec<Value>, u32)> =
+                model.iter().map(|(v, e)| (row(v), *e)).collect();
+            assert_eq!(live_epochs(&relation), expected, "seed {seed} step {step}");
+            let in_slot_order: Vec<u32> = (0..relation.slot_count() as RowId)
+                .map(|slot| relation.epoch_of(slot))
+                .collect();
+            assert!(
+                in_slot_order.windows(2).all(|pair| pair[0] <= pair[1]),
+                "epochs decrease in slot order (seed {seed} step {step})"
+            );
+            let runs = relation.epoch_runs();
+            assert!(
+                runs.windows(2)
+                    .all(|pair| pair[0].0 < pair[1].0 && pair[0].1 < pair[1].1),
+                "run table out of order: {runs:?} (seed {seed} step {step})"
+            );
+            assert_eq!(
+                expand_runs(&runs, relation.len()),
+                model.iter().map(|(_, e)| *e).collect::<Vec<_>>(),
+                "seed {seed} step {step}"
+            );
+        }
+    }
+}
+
+#[test]
+fn epochs_survive_the_snapshot_round_trip() {
+    use carac_storage::{read_snapshot, write_snapshot, DbKind, StorageManager, SymbolTable};
+
+    let catalog =
+        |sm: &mut StorageManager| (sm.register("Edge", 2, true), sm.register("Path", 2, false));
+    for seed in 0..SEEDS {
+        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED_E90C);
+        let mut sm = StorageManager::new(true);
+        let (edge, path) = catalog(&mut sm);
+        for _ in 0..40 {
+            for _ in 0..rng.gen_range_u32(0, 6) {
+                sm.insert_derived_row(path, &row(&random_row(&mut rng, 2)))
+                    .unwrap();
+            }
+            if rng.gen_bool(0.3) {
+                sm.insert_fact_row(edge, &row(&random_row(&mut rng, 2)))
+                    .unwrap();
+            }
+            sm.swap_and_clear(&[path]).unwrap();
+            if rng.gen_bool(0.4) {
+                sm.retract_derived_row(path, &row(&random_row(&mut rng, 2)))
+                    .unwrap();
+            }
+        }
+        let file = std::env::temp_dir().join(format!(
+            "carac-epoch-prop-{}-{seed}.snap",
+            std::process::id()
+        ));
+        write_snapshot(&file, &sm, &SymbolTable::new(), 0).unwrap();
+        let snapshot = read_snapshot(&file).unwrap();
+        std::fs::remove_file(&file).ok();
+        let mut restored = StorageManager::new(true);
+        catalog(&mut restored);
+        snapshot.apply(&mut restored).unwrap();
+        for rel in [edge, path] {
+            assert_eq!(
+                live_epochs(restored.relation(DbKind::Derived, rel).unwrap()),
+                live_epochs(sm.relation(DbKind::Derived, rel).unwrap()),
+                "seed {seed}"
+            );
+        }
+        // Rows merged after the restore rank above every restored row.
+        let newest = live_epochs(restored.relation(DbKind::Derived, path).unwrap())
+            .iter()
+            .map(|(_, epoch)| *epoch)
+            .max()
+            .unwrap_or(0);
+        let fresh = row(&[90, 90]);
+        restored.insert_derived_row(path, &fresh).unwrap();
+        restored.swap_and_clear(&[path]).unwrap();
+        let derived = restored.relation(DbKind::Derived, path).unwrap();
+        let slot = derived
+            .find_row_hashed(&fresh, carac_storage::pool::row_hash(&fresh))
+            .unwrap();
+        assert!(derived.epoch_of(slot) > newest, "seed {seed}");
+    }
 }

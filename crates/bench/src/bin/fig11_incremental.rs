@@ -1,8 +1,8 @@
 //! Figure 11 — incremental maintenance vs. from-scratch re-evaluation.
 //!
 //! Streams edge insert/retract batches into a live engine session
-//! (`Carac::apply_update`: counted semi-naive for non-recursive strata,
-//! the witness check for recursive ones) and compares the total maintenance
+//! (`Carac::apply_update`: insert propagation plus the witness check for
+//! deletions in every positive stratum) and compares the total maintenance
 //! time against re-evaluating every post-batch database from scratch.  Two
 //! workloads:
 //!

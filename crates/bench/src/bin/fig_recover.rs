@@ -7,7 +7,7 @@
 //! * **cold start** — rebuild from the source facts: full semi-naive
 //!   re-derivation, then re-apply every lost batch,
 //! * **restore + replay** — `Carac::recover`: install the checkpoint
-//!   (derived tuples *and* support counts, no re-derivation) and replay
+//!   (derived tuples *and* their epochs, no re-derivation) and replay
 //!   only the journal suffix through the incremental path.
 //!
 //! Both sides are asserted to land on identical fact sets, so the table
@@ -300,7 +300,7 @@ fn main() {
     }
 
     report.note("(cold = full semi-naive re-derivation plus re-applying every lost batch;");
-    report.note(" recover = read checkpoint + journal, install derived state and support counts,");
+    report.note(" recover = read checkpoint + journal, install derived state and epochs,");
     report.note(" replay the journal suffix incrementally.  Fact sets are asserted identical on");
     report.note(" every row, so the speedup column is certified crash-consistent.)");
     report.print();

@@ -60,10 +60,9 @@ pub(crate) struct LiveSession {
 ///
 /// On top of the one-shot [`Carac::run`], the engine supports a **live
 /// session**: evaluate once, then keep the fixpoint current under streams
-/// of EDB insertions *and* deletions with [`Carac::apply_update`] — counted
-/// semi-naive maintenance for non-recursive strata, the epoch-ordered
-/// witness check (retract only what lost its well-founded support) for
-/// recursive ones, no full recomputation:
+/// of EDB insertions *and* deletions with [`Carac::apply_update`] — the
+/// epoch-ordered witness check (retract only what lost its well-founded
+/// support) for every positive stratum, no full recomputation:
 ///
 /// ```
 /// use carac::{Carac, EngineConfig, UpdateBatch};
@@ -617,9 +616,10 @@ impl Carac {
     }
 
     /// Applies a batch of EDB insertions and retractions to the live
-    /// session, maintaining every derived stratum incrementally (counted
-    /// semi-naive for non-recursive strata, the witness check for recursive
-    /// ones).  Opens the live session first if none exists.  The resulting
+    /// session, maintaining every derived stratum incrementally (insert
+    /// propagation plus the witness check for deletions in positive strata,
+    /// a wholesale recompute for aggregate and negation strata).  Opens the
+    /// live session first if none exists.  The resulting
     /// fact sets are identical to re-evaluating the updated EDB from
     /// scratch.
     ///

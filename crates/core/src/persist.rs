@@ -6,10 +6,10 @@
 //!
 //! * **Checkpoint** ([`Carac::checkpoint`]) — an atomic (temp file + fsync +
 //!   rename) snapshot of the live session's *entire* derived database:
-//!   every relation's rows, their per-row support counts and the compaction
-//!   generation counters, plus the program's symbol dictionary.  A restored
-//!   session resumes [`Carac::apply_update`] immediately — no re-derivation,
-//!   and the counted-deletion fast path keeps its support counters.
+//!   every relation's rows, their epochs and the compaction generation
+//!   counters, plus the program's symbol dictionary.  A restored session
+//!   resumes [`Carac::apply_update`] immediately — no re-derivation, and the
+//!   witness check keeps the epoch order it prunes deletions by.
 //! * **Journal** ([`Carac::journal_to`]) — an append-only log of
 //!   [`UpdateBatch`]es.  Each batch is framed, CRC-checksummed, sequence
 //!   numbered and **fsync'd before the in-memory state changes**, so at
@@ -55,8 +55,8 @@ impl Carac {
     /// Writes an atomic on-disk checkpoint of the live session to `path`
     /// (evaluating the program first if no session is open).
     ///
-    /// The snapshot carries every relation's derived rows, support counts,
-    /// epochs and generation counter, the symbol dictionary, and — when a
+    /// The snapshot carries every relation's derived rows, epochs and
+    /// generation counter, the symbol dictionary, and — when a
     /// journal is attached — the sequence number of the last journaled
     /// batch, so a later [`Carac::recover`] replays only the records the
     /// checkpoint does not already reflect.  The write is crash-safe: a sibling temp file is
@@ -92,7 +92,7 @@ impl Carac {
 
     /// Restores a live session from a checkpoint written by
     /// [`Carac::checkpoint`] for the *same program*, without re-deriving
-    /// anything: rows, support counts, epochs and generation counters come
+    /// anything: rows, epochs and generation counters come
     /// straight from the snapshot, so the session resumes
     /// [`Carac::apply_update`] with full incremental-maintenance fidelity.
     ///
@@ -199,8 +199,7 @@ impl Carac {
     /// Builds a fresh live session from `snapshot`: validates the symbol
     /// dictionary and catalog against the program, prepares a context
     /// skeleton (relations, indexes) and overwrites its derived database
-    /// with the snapshot's rows, support counts, epochs and generation
-    /// counters.
+    /// with the snapshot's rows, epochs and generation counters.
     /// Replaces any current session; detaches any current journal.
     fn install_snapshot(&mut self, snapshot: &Snapshot) -> Result<(), CaracError> {
         snapshot.validate_symbols(self.program().symbols())?;
@@ -260,8 +259,8 @@ mod tests {
         restored.restore(&snap).unwrap();
         assert!(restored.is_live());
         assert_eq!(sorted_paths(&mut restored), expected);
-        // ...and keeps maintaining it incrementally, including the counted
-        // deletion path that relies on the snapshotted support counts.
+        // ...and keeps maintaining it incrementally, the witness check
+        // reading the snapshotted epochs.
         restored.apply_edge_updates("Edge", &[], &[(1, 2)]).unwrap();
         engine.apply_edge_updates("Edge", &[], &[(1, 2)]).unwrap();
         assert_eq!(sorted_paths(&mut restored), sorted_paths(&mut engine));

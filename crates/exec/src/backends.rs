@@ -161,7 +161,7 @@ impl std::fmt::Debug for Artifact {
 /// the backend dispatch seam of the incremental maintenance subsystem.
 ///
 /// Updates need *collect-mode* execution (emitted rows feed retraction and
-/// support-count logic instead of the delta-new insert path), which the
+/// witness-check logic instead of the delta-new insert path), which the
 /// specialized closures and the interpreter both provide.  The bytecode VM
 /// cannot yet hand emitted rows back to the maintenance layer, so
 /// [`update_kernel`] maps it to the interpreter; lifting that restriction

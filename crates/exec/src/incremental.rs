@@ -12,7 +12,7 @@
 //!   swap-and-clear boundary as normal semi-naive evaluation.  Updates run
 //!   through the same allocation-free join probes and the same sharded
 //!   fork-join pool as full evaluation, so they parallelize identically.
-//! * **Deletion in recursive strata: the witness check** — every row of the
+//! * **Deletion: the witness check** (every positive stratum) — every row of the
 //!   derived database carries an *epoch*
 //!   ([`Relation::epoch_of`](carac_storage::Relation::epoch_of)): the
 //!   iteration boundary that appended it.  Semi-naive evaluation appends a
@@ -39,18 +39,12 @@
 //!   epoch (a saturated counter, a state loaded without its run table) never
 //!   vouch for each other: such facts are condemned and take the
 //!   retract-and-rescue route, i.e. the phase degrades to classic
-//!   delete/re-derive, never to a wrong answer.  From-scratch evaluation is
-//!   the oracle the differential suites compare every batch against.
-//! * **Counted deletion (non-recursive strata)** — every derived row
-//!   carries a support count (derivations recorded by
-//!   `StorageManager::insert_derived_row`).  Lost derivations are
-//!   enumerated by joining the input retractions against the pre-deletion
-//!   database and decrement the counts; rows whose count stays positive
-//!   survive without any re-derivation work (the fast path), rows hitting
-//!   zero are retracted and re-checked by an exact head-driven recount.
-//!   Decrements may over-count derivations touching several deleted facts,
-//!   so counts are a *conservative* fast path: a positive count proves
-//!   survival, a zero count only triggers the exact recount.
+//!   delete/re-derive, never to a wrong answer.  In a non-recursive stratum
+//!   no body atom lies in the stratum, so there is no epoch to compare: the
+//!   check asks exactly "does a derivation over facts this batch keeps
+//!   remain", one frontier round is the whole cone, and the rescue step
+//!   finds nothing.  From-scratch evaluation is the oracle the differential
+//!   suites compare every batch against.
 //! * **Stratum recompute (aggregates, negation)** — strata whose rules
 //!   aggregate a changed input or negate a changed relation are recomputed
 //!   wholesale from the (already final) lower strata by re-running their
@@ -328,7 +322,7 @@ struct BodyAtom {
 
 /// The maintenance machinery of one rule: a delta variant per positive body
 /// position plus the head-driven full-body query used for the witness
-/// check, re-derivation and exact recounting.
+/// check and re-derivation.
 struct RulePlan {
     head_rel: RelId,
     head_arity: usize,
@@ -346,7 +340,6 @@ struct RulePlan {
 /// Per-stratum maintenance plan.
 struct StratumPlan {
     relations: Vec<RelId>,
-    recursive: bool,
     rules: Vec<RulePlan>,
     /// Distinct relations appearing in positive rule bodies (or as the
     /// aggregate input) — the stratum's inputs plus its own recursion.
@@ -463,16 +456,6 @@ impl std::fmt::Debug for Incremental {
             .field("strata", &self.strata.len())
             .finish()
     }
-}
-
-/// Clamps an exact (u64) derivation count into a stored support value:
-/// counts representable below the sentinel store exactly, anything at or
-/// beyond it stores [`carac_storage::SUPPORT_SATURATED`] — "count unknown,
-/// always recount" — rather than a wrapped or silently-clamped number.
-fn clamp_support(n: u64) -> u32 {
-    // A count of exactly u32::MAX is itself unrepresentable below the
-    // sentinel, so it maps to "saturated" too.
-    u32::try_from(n).unwrap_or(carac_storage::SUPPORT_SATURATED)
 }
 
 /// Statically join-orders a maintenance query: the atom at `first` (the
@@ -621,7 +604,6 @@ impl Incremental {
             };
             strata.push(StratumPlan {
                 relations: stratum.relations.clone(),
-                recursive: stratum.recursive,
                 rules,
                 body_rels,
                 negated_rels,
@@ -738,7 +720,7 @@ impl Incremental {
                 self.deletion_phase(plan, ctx, &mut deltas, &mut up)?;
             }
             if plan.body_rels.iter().any(|&r| deltas.plus_of(r).is_some()) {
-                Self::insertion_phase(plan, ctx, &mut deltas, &mut up)?;
+                Self::insertion_phase(plan, ctx, &mut deltas)?;
             }
         }
 
@@ -812,49 +794,6 @@ impl Incremental {
             .collect()
     }
 
-    /// Exact derivation counts for the facts in `probe`: loads them into
-    /// `rel`'s delta-known database, runs every head-driven driver query of
-    /// the stratum's rules for `rel`, and returns emissions per fact (the
-    /// delta databases are cleared again before returning).
-    fn count_derivations(
-        plan: &StratumPlan,
-        ctx: &mut ExecContext,
-        rel: RelId,
-        probe: &Relation,
-    ) -> Result<FxHashMap<Vec<Value>, u64>, ExecError> {
-        Self::load_delta(ctx, rel, probe)?;
-        // Counted in u64: a u32 tally would wrap past 2^32 derivations and
-        // report a *smaller* count than the truth — understated is safe for
-        // the survivor test but the stored support must then carry the
-        // saturation sentinel, which `clamp_support` takes care of.
-        let mut counts: FxHashMap<Vec<Value>, u64> = FxHashMap::default();
-        for rule in plan.rules.iter().filter(|r| r.head_rel == rel) {
-            for derivation in rule.driver.collect(ctx)?.rows() {
-                let head = &derivation[..rule.head_arity];
-                match counts.get_mut(head) {
-                    Some(count) => *count += 1,
-                    None => {
-                        counts.insert(head.to_vec(), 1);
-                    }
-                }
-            }
-        }
-        ctx.storage.clear_deltas(&[rel])?;
-        Ok(counts)
-    }
-
-    /// The slot of `row` in `rel`'s derived relation, for callers that just
-    /// saw or put it there — its absence is a typed internal error.
-    fn derived_slot(ctx: &ExecContext, rel: RelId, row: &[Value]) -> Result<RowId, ExecError> {
-        let derived = ctx.storage.db(DbKind::Derived).relation(rel)?;
-        derived.find_row_hashed(row, row_hash(row)).ok_or_else(|| {
-            ExecError::Internal(format!(
-                "a fact of relation {rel:?} under counted maintenance is missing from \
-                 the derived database"
-            ))
-        })
-    }
-
     /// Whether `values` is a protected base fact of `rel` (asserted, not
     /// derived — deletion propagation must never retract it).
     fn is_base_fact(&self, rel: RelId, values: &[Value]) -> bool {
@@ -865,8 +804,8 @@ impl Incremental {
 
     /// The deletion phase of one positive stratum: find the facts the input
     /// retractions take down — against the *old* database — by the witness
-    /// check (recursive strata) or by support counts (non-recursive), retract
-    /// them, and bring back what the new database still derives.
+    /// check, retract them, and bring back what the new database still
+    /// derives.
     fn deletion_phase(
         &self,
         plan: &StratumPlan,
@@ -899,11 +838,7 @@ impl Incremental {
             }
         }
 
-        let deleted = if plan.recursive {
-            self.condemn_unsupported(plan, ctx, deltas, up)?
-        } else {
-            self.decrement_supports(plan, ctx, deltas, up)?
-        };
+        let deleted = self.condemn_unsupported(plan, ctx, deltas, up)?;
 
         // Undo the temporary restores: the inputs return to their new state.
         for (rel, rows) in restored {
@@ -912,11 +847,7 @@ impl Incremental {
             }
         }
 
-        if plan.recursive {
-            Self::rederive(plan, ctx, &deleted, deltas, up)?;
-        } else {
-            Self::counted_survivors(plan, ctx, &deleted, deltas, up)?;
-        }
+        Self::rederive(plan, ctx, &deleted, deltas, up)?;
 
         // Publish the genuinely new facts this phase created: live rows
         // appended past the mark that are *not* retracted candidates
@@ -974,34 +905,6 @@ impl Incremental {
         Ok(())
     }
 
-    /// The input retractions of `plan` as the first frontier.
-    fn retracted_inputs(
-        plan: &StratumPlan,
-        ctx: &ExecContext,
-        deltas: &DeltaSets,
-    ) -> Result<Vec<(RelId, Relation)>, ExecError> {
-        let mut frontier = Vec::new();
-        for &rel in &plan.body_rels {
-            if let Some(minus) = deltas.minus_of(rel) {
-                let mut side = Relation::new(ctx.storage.schema(rel)?.clone());
-                side.union_in_place(minus)?;
-                frontier.push((rel, side));
-            }
-        }
-        Ok(frontier)
-    }
-
-    /// An empty fact set per relation of the stratum.
-    fn stratum_sets(
-        plan: &StratumPlan,
-        ctx: &ExecContext,
-    ) -> Result<FxHashMap<RelId, Relation>, ExecError> {
-        plan.relations
-            .iter()
-            .map(|&rel| Ok((rel, Relation::new(ctx.storage.schema(rel)?.clone()))))
-            .collect()
-    }
-
     /// The fact set of `head` in a per-stratum map — a typed error when a
     /// rule emitted into a relation outside the stratum being maintained.
     fn stratum_set(
@@ -1016,33 +919,7 @@ impl Incremental {
         })
     }
 
-    /// Counted deletion for a non-recursive stratum: every lost derivation
-    /// decrements its head's support count.  Returns the heads that lost at
-    /// least one; [`Incremental::counted_survivors`] reads the counts.  One
-    /// round is the whole cone — no rule of the stratum reads its heads.
-    fn decrement_supports(
-        &self,
-        plan: &StratumPlan,
-        ctx: &mut ExecContext,
-        deltas: &DeltaSets,
-        up: &mut UpdateStats,
-    ) -> Result<FxHashMap<RelId, Relation>, ExecError> {
-        let mut touched = Self::stratum_sets(plan, ctx)?;
-        let frontier = Self::retracted_inputs(plan, ctx, deltas)?;
-        self.lost_derivations(plan, ctx, &frontier, |ctx, head, row, slot| {
-            ctx.storage
-                .db_mut(DbKind::Derived)
-                .relation_mut(head)?
-                .sub_support(slot, 1);
-            if Self::stratum_set(&mut touched, head)?.insert_row(row)? {
-                up.overdeleted += 1;
-            }
-            Ok(())
-        })?;
-        Ok(touched)
-    }
-
-    /// Deletion for a recursive stratum: frontier rounds flag the heads that
+    /// Deletion for a positive stratum: frontier rounds flag the heads that
     /// lost a derivation, the witness check decides which of them still
     /// stand, and only those that do not are condemned and carried into the
     /// next frontier.  Returns the condemned facts per relation; nothing is
@@ -1059,8 +936,17 @@ impl Incremental {
         deltas: &DeltaSets,
         up: &mut UpdateStats,
     ) -> Result<FxHashMap<RelId, Relation>, ExecError> {
-        let mut condemned = Self::stratum_sets(plan, ctx)?;
-        let mut frontier = Self::retracted_inputs(plan, ctx, deltas)?;
+        let mut condemned = FxHashMap::default();
+        for &rel in &plan.relations {
+            condemned.insert(rel, Relation::new(ctx.storage.schema(rel)?.clone()));
+        }
+        // The first frontier: the input retractions.
+        let mut frontier = Vec::new();
+        for &rel in &plan.body_rels {
+            if let Some(minus) = deltas.minus_of(rel) {
+                frontier.push((rel, minus.clone()));
+            }
+        }
         while !frontier.is_empty() {
             // 1. The heads this frontier takes a derivation from.
             let mut flagged: FxHashMap<RelId, Flagged> = FxHashMap::default();
@@ -1115,7 +1001,8 @@ impl Incremental {
             ctx.storage.clear_deltas(&flagged_rels)?;
 
             // 3. Heads left without a witness are condemned and flag their
-            // own consequences in the next round.
+            // own consequences in the next round (in a relation some rule of
+            // the stratum reads — in a non-recursive stratum, none).
             frontier = Vec::new();
             for (rel, heads) in flagged {
                 let mut lost = Relation::new(ctx.storage.schema(rel)?.clone());
@@ -1130,7 +1017,7 @@ impl Incremental {
                         up.overdeleted += 1;
                     }
                 }
-                if !lost.is_empty() {
+                if !lost.is_empty() && plan.body_rels.contains(&rel) {
                     frontier.push((rel, lost));
                 }
             }
@@ -1184,74 +1071,11 @@ impl Incremental {
         Ok(true)
     }
 
-    /// Counted survivor selection for a non-recursive stratum: candidates
-    /// whose decremented support stayed positive survive untouched; the
-    /// rest are retracted and re-checked by an exact head-driven recount.
-    fn counted_survivors(
-        plan: &StratumPlan,
-        ctx: &mut ExecContext,
-        deleted: &FxHashMap<RelId, Relation>,
-        deltas: &mut DeltaSets,
-        up: &mut UpdateStats,
-    ) -> Result<(), ExecError> {
-        for &rel in &plan.relations {
-            let Some(candidates) = deleted.get(&rel).filter(|r| !r.is_empty()) else {
-                continue;
-            };
-            // Partition candidates by their post-decrement support.  A
-            // saturated count ([`carac_storage::SUPPORT_SATURATED`]) proves
-            // nothing — the true count overflowed at some point and the
-            // stored number stopped tracking it — so saturated rows are
-            // routed to the exact recount unconditionally instead of being
-            // trusted as survivors.
-            let mut zeroed: Vec<Vec<Value>> = Vec::new();
-            {
-                let derived = ctx.storage.db(DbKind::Derived).relation(rel)?;
-                for row in candidates.iter_rows() {
-                    let slot = Self::derived_slot(ctx, rel, row)?;
-                    if !derived.support_saturated(slot) && derived.support_of(slot) > 0 {
-                        up.support_survivors += 1;
-                    } else {
-                        zeroed.push(row.to_vec());
-                    }
-                }
-            }
-            if zeroed.is_empty() {
-                continue;
-            }
-            // Retract the zero-support candidates, then recount them
-            // exactly against the post-deletion database.
-            let mut probe = Relation::new(ctx.storage.schema(rel)?.clone());
-            for row in &zeroed {
-                ctx.storage.retract_derived_row(rel, row)?;
-                probe.insert_row(row)?;
-            }
-            let counts = Self::count_derivations(plan, ctx, rel, &probe)?;
-            for row in zeroed {
-                match counts.get(&row).copied().unwrap_or(0) {
-                    0 => deltas.record_retract(rel, &row)?,
-                    n => {
-                        // Still derivable: re-insert with its exact count.
-                        ctx.storage.append_derived_row(rel, &row)?;
-                        let slot = Self::derived_slot(ctx, rel, &row)?;
-                        ctx.storage
-                            .db_mut(DbKind::Derived)
-                            .relation_mut(rel)?
-                            .set_support(slot, clamp_support(n));
-                        up.recounted += 1;
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Retraction and rescue for a recursive stratum: retract the condemned
-    /// facts, bring back those the remaining database still derives in one
-    /// step (a derivation the epoch order could not vouch for) via the
-    /// head-driven driver, then propagate the rescues to fixpoint.  Rescued
-    /// and propagated facts are appended at fresh epochs, above everything
-    /// they were derived from.
+    /// Retraction and rescue: retract the condemned facts, bring back those
+    /// the remaining database still derives in one step (a derivation the
+    /// epoch order could not vouch for) via the head-driven driver, then
+    /// propagate the rescues to fixpoint.  Rescued and propagated facts are
+    /// appended at fresh epochs, above everything they were derived from.
     fn rederive(
         plan: &StratumPlan,
         ctx: &mut ExecContext,
@@ -1259,25 +1083,17 @@ impl Incremental {
         deltas: &mut DeltaSets,
         up: &mut UpdateStats,
     ) -> Result<(), ExecError> {
-        let any = plan
-            .relations
-            .iter()
-            .any(|rel| deleted.get(rel).is_some_and(|r| !r.is_empty()));
-        if !any {
+        if deleted.values().all(Relation::is_empty) {
             return Ok(());
         }
-        // Physically retract the condemned facts.
+        // Physically retract the condemned facts; for the one-step
+        // re-derivation they drive their own rules' full bodies against the
+        // remaining database.
         for &rel in &plan.relations {
-            if let Some(set) = deleted.get(&rel) {
+            if let Some(set) = deleted.get(&rel).filter(|r| !r.is_empty()) {
                 for row in set.iter_rows() {
                     ctx.storage.retract_derived_row(rel, row)?;
                 }
-            }
-        }
-        // One-step re-derivation: the deleted sets drive their own rules'
-        // full bodies against the remaining database.
-        for &rel in &plan.relations {
-            if let Some(set) = deleted.get(&rel).filter(|r| !r.is_empty()) {
                 Self::load_delta(ctx, rel, set)?;
             }
         }
@@ -1306,15 +1122,18 @@ impl Incremental {
         }
         ctx.storage.clear_deltas(&plan.relations)?;
         // Re-insert the rescued facts and propagate them (standard
-        // semi-naive continuation within the stratum).
-        ctx.storage.advance_epoch();
-        for (rel, seed) in &seeds {
-            for row in seed.iter_rows() {
-                ctx.storage.append_derived_row(*rel, row)?;
+        // semi-naive continuation within the stratum).  A non-recursive
+        // stratum never gets here with a seed: its check was exact.
+        if !seeds.is_empty() {
+            ctx.storage.advance_epoch();
+            for (rel, seed) in &seeds {
+                for row in seed.iter_rows() {
+                    ctx.storage.append_derived_row(*rel, row)?;
+                }
+                Self::load_delta(ctx, *rel, seed)?;
             }
-            Self::load_delta(ctx, *rel, seed)?;
+            Self::propagate(plan, ctx, &plan.relations)?;
         }
-        Self::propagate(plan, ctx, &plan.relations.clone(), None)?;
         // Facts still absent are the net retractions the strata above see;
         // re-derived facts existed before, so they are no delta at all.
         for &rel in &plan.relations {
@@ -1338,15 +1157,11 @@ impl Incremental {
 
     /// The insertion phase of one stratum: seed the input insertions as
     /// deltas and run semi-naive continuation; newly derived facts are read
-    /// off the row pools' high-water marks afterwards.  Non-recursive
-    /// (counted) strata additionally recount every affected fact exactly,
-    /// keeping the support invariant (`stored <= true derivations`) that
-    /// the counted deletion fast path relies on.
+    /// off the row pools' high-water marks afterwards.
     fn insertion_phase(
         plan: &StratumPlan,
         ctx: &mut ExecContext,
         deltas: &mut DeltaSets,
-        up: &mut UpdateStats,
     ) -> Result<(), ExecError> {
         // High-water marks: everything appended past them is net-new.
         let marks = Self::slot_marks(plan, ctx)?;
@@ -1363,21 +1178,11 @@ impl Incremental {
                 boundary.push(rel);
             }
         }
-        // Non-recursive (counted) strata track *every* emitted head fact:
-        // re-emissions bump support counts of pre-existing rows (and
-        // multi-delta derivations are re-emitted once per variant), so all
-        // touched facts — not just the net-new ones — need the exact
-        // recount below to keep the `stored <= true` invariant.
-        let mut affected: Option<FxHashMap<RelId, Relation>> =
-            (!plan.recursive).then(FxHashMap::default);
-        Self::propagate(plan, ctx, &boundary, affected.as_mut())?;
+        Self::propagate(plan, ctx, &boundary)?;
 
         // Collect the net-new facts for downstream strata.
         for (rel, mark) in marks {
             Self::publish_new_rows(ctx, rel, mark, None, deltas)?;
-        }
-        if let Some(affected) = affected {
-            Self::recount_affected(plan, ctx, affected, up)?;
         }
         Ok(())
     }
@@ -1385,14 +1190,11 @@ impl Incremental {
     /// Runs the stratum's delta variants to fixpoint: whichever relations
     /// currently hold delta-known facts drive their variants, emitted rows
     /// go through the ordinary deduplicating derived-insert, and the
-    /// standard swap-and-clear boundary rotates the deltas.  When
-    /// `affected` is given, every emitted head fact is recorded there
-    /// (deduplicated) for the caller's support recount.
+    /// standard swap-and-clear boundary rotates the deltas.
     fn propagate(
         plan: &StratumPlan,
         ctx: &mut ExecContext,
         boundary: &[RelId],
-        mut affected: Option<&mut FxHashMap<RelId, Relation>>,
     ) -> Result<(), ExecError> {
         loop {
             for rule in &plan.rules {
@@ -1404,25 +1206,8 @@ impl Incremental {
                     {
                         continue;
                     }
-                    let emitted = exec.collect(ctx)?;
-                    // Resolve the affected-set target once per variant, not
-                    // per emitted row (the schema clone is construction-only).
-                    let touched = match affected.as_deref_mut() {
-                        Some(map) if emitted.len > 0 => {
-                            let schema = ctx.storage.schema(rule.head_rel)?.clone();
-                            Some(
-                                map.entry(rule.head_rel)
-                                    .or_insert_with(|| Relation::new(schema)),
-                            )
-                        }
-                        _ => None,
-                    };
-                    let mut touched = touched;
-                    for row in emitted.rows() {
+                    for row in exec.collect(ctx)?.rows() {
                         ctx.storage.insert_derived_row(rule.head_rel, row)?;
-                        if let Some(set) = touched.as_deref_mut() {
-                            set.insert_row(row)?;
-                        }
                     }
                 }
             }
@@ -1431,34 +1216,6 @@ impl Incremental {
             ctx.stats.iterations += 1;
             if ctx.storage.deltas_empty(boundary)? {
                 break;
-            }
-        }
-        Ok(())
-    }
-
-    /// Exact support recount for the affected facts of a counted stratum:
-    /// the affected set drives each rule's full body; the number of
-    /// emissions per fact is its exact derivation count.
-    fn recount_affected(
-        plan: &StratumPlan,
-        ctx: &mut ExecContext,
-        affected: FxHashMap<RelId, Relation>,
-        up: &mut UpdateStats,
-    ) -> Result<(), ExecError> {
-        for (&rel, probe) in &affected {
-            if probe.is_empty() {
-                continue;
-            }
-            let counts = Self::count_derivations(plan, ctx, rel, probe)?;
-            let derived = ctx.storage.db_mut(DbKind::Derived).relation_mut(rel)?;
-            for row in probe.iter_rows() {
-                if let Some(slot) = derived.find_row_hashed(row, row_hash(row)) {
-                    derived.set_support(
-                        slot,
-                        clamp_support(counts.get(row).copied().unwrap_or(0).max(1)),
-                    );
-                    up.recounted += 1;
-                }
             }
         }
         Ok(())
@@ -1586,6 +1343,26 @@ mod tests {
         inc.apply(ctx, &batch).unwrap().stats
     }
 
+    /// The slot of the pair fact `rel(a, b)` in the derived database.
+    fn slot_of(p: &Program, ctx: &ExecContext, rel: &str, a: u32, b: u32) -> Option<RowId> {
+        let row = [Value::int(a), Value::int(b)];
+        let rel = p.relation_by_name(rel).unwrap();
+        let derived = ctx.storage.relation(DbKind::Derived, rel).unwrap();
+        derived.find_row_hashed(&row, row_hash(&row))
+    }
+
+    /// Rebuilds `rel` in one go, so that all of its rows share one epoch.
+    fn rebuild_in_one_epoch(p: &Program, ctx: &mut ExecContext, rel: &str) {
+        let rel = p.relation_by_name(rel).unwrap();
+        let rows = ctx.derived_tuples(rel);
+        let derived = ctx.storage.db_mut(DbKind::Derived).relation_mut(rel);
+        let derived = derived.unwrap();
+        derived.clear();
+        for row in rows {
+            derived.insert(row).unwrap();
+        }
+    }
+
     #[test]
     fn a_cycle_cannot_keep_itself_alive() {
         // x -> z -> x and x -> y: Path(x, y) and Path(z, y) each have a
@@ -1613,13 +1390,7 @@ mod tests {
         let (p, mut ctx, inc) = live(&format!(
             "{TC_RULES}Edge(1, 2). Edge(1, 3). Edge(2, 4). Edge(3, 4)."
         ));
-        let path = p.relation_by_name("Path").unwrap();
-        let kept = [Value::int(1), Value::int(4)];
-        let slot_of = |ctx: &ExecContext| {
-            let derived = ctx.storage.relation(DbKind::Derived, path).unwrap();
-            derived.find_row_hashed(&kept, row_hash(&kept))
-        };
-        let before = slot_of(&ctx);
+        let before = slot_of(&p, &ctx, "Path", 1, 4);
         assert!(before.is_some());
         let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[]);
         assert_eq!(
@@ -1634,11 +1405,7 @@ mod tests {
         assert_eq!(stats.support_survivors, 1);
         assert_eq!(stats.candidates_checked, 2);
         assert_eq!(stats.derived_retracted, 1);
-        assert_eq!(
-            slot_of(&ctx),
-            before,
-            "Path(1, 4) was retracted and re-added"
-        );
+        assert_eq!(slot_of(&p, &ctx, "Path", 1, 4), before, "Path(1, 4) moved");
     }
 
     #[test]
@@ -1706,17 +1473,7 @@ mod tests {
         let (p, mut ctx, inc) = live(&format!(
             "{TC_RULES}Edge(1, 2). Edge(1, 3). Edge(2, 4). Edge(3, 4)."
         ));
-        let path = p.relation_by_name("Path").unwrap();
-        let rows = ctx.derived_tuples(path);
-        let derived = ctx
-            .storage
-            .db_mut(DbKind::Derived)
-            .relation_mut(path)
-            .unwrap();
-        derived.clear();
-        for row in rows {
-            derived.insert(row).unwrap();
-        }
+        rebuild_in_one_epoch(&p, &mut ctx, "Path");
         let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[]);
         assert_eq!(
             facts(&p, &ctx, "Path"),
@@ -1813,61 +1570,83 @@ mod tests {
         assert_eq!(ctx.derived_count(path), 10);
     }
 
+    const HOP2: &str = "Hop2(x, z) :- Edge(x, y), Edge(y, z).\n";
+
     #[test]
-    fn saturated_support_forces_exact_recount() {
-        // Regression: support counts saturate at u32::MAX.  Before the
-        // sticky sentinel, a saturated row (true count no longer tracked)
-        // would be decremented to MAX-2 by a batch deleting *all* of its
-        // derivations and then pass the `support > 0` survivor test —
-        // keeping a fact whose true derivation count is zero.  Saturated
-        // rows must take the exact-recount path instead.
-        let p = parse(
-            "Out(x, y) :- A(x, y).\n\
-             Out(x, y) :- B(x, y).\n\
-             A(1, 1). B(1, 1). A(2, 2).",
-        )
-        .unwrap();
-        let mut ctx = ExecContext::prepare(&p, true).unwrap();
-        let plan = generate_plan(&p, EvalStrategy::SemiNaive);
-        interpret(&plan, &mut ctx).unwrap();
-        let out = p.relation_by_name("Out").unwrap();
-        let a = p.relation_by_name("A").unwrap();
-        let b = p.relation_by_name("B").unwrap();
-        assert_eq!(ctx.derived_count(out), 2);
-
-        // Saturate the stored count of Out(1, 1), simulating a row whose
-        // derivation count overflowed during a long-lived session.
-        let row = [Value::int(1), Value::int(1)];
-        let hash = carac_storage::pool::row_hash(&row);
-        let derived = ctx
-            .storage
-            .db_mut(DbKind::Derived)
-            .relation_mut(out)
-            .unwrap();
-        let slot = derived.find_row_hashed(&row, hash).unwrap();
-        derived.set_support(slot, carac_storage::SUPPORT_SATURATED);
-        assert!(derived.support_saturated(slot));
-
-        // Delete *both* derivations in one batch: the true count drops to
-        // zero, so Out(1, 1) must disappear.
-        let inc = Incremental::new(&p, &[], UpdateKernel::Specialized);
-        let mut batch = UpdateBatch::new();
-        batch.retract(a, Tuple::pair(1, 1));
-        batch.retract(b, Tuple::pair(1, 1));
-        let report = inc.apply(&mut ctx, &batch).unwrap();
+    fn a_second_route_keeps_a_non_recursive_head_in_place() {
+        // Hop2(1, 4) over 1 -> 2 -> 4 and 1 -> 3 -> 4: cutting 1 -> 2 flags
+        // it, the route through 3 vouches for it, and it keeps its slot.
+        let rest = "Edge(2, 4). Edge(1, 3). Edge(3, 4).";
+        let (p, mut ctx, inc) = live(&format!("{HOP2}Edge(1, 2). {rest}"));
+        let before = slot_of(&p, &ctx, "Hop2", 1, 4);
+        assert!(before.is_some());
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[]);
         assert_eq!(
-            ctx.derived_count(out),
-            1,
-            "saturated support must not vouch for a dead fact"
+            facts(&p, &ctx, "Hop2"),
+            scratch(&format!("{HOP2}{rest}"), "Hop2")
         );
-        assert!(!ctx
-            .storage
-            .relation(DbKind::Derived, out)
-            .unwrap()
-            .contains_row(&row));
-        // The decision came from the exact recount, not the counter.
-        assert_eq!(report.stats.support_survivors, 0);
-        assert_eq!(report.stats.derived_retracted, 1);
+        assert_eq!(stats.candidates_checked, 1);
+        assert_eq!(stats.support_survivors, 1);
+        assert_eq!(stats.overdeleted, 0);
+        assert_eq!(stats.derived_retracted, 0);
+        assert_eq!(slot_of(&p, &ctx, "Hop2", 1, 4), before);
+    }
+
+    #[test]
+    fn cutting_every_route_condemns_a_non_recursive_head() {
+        let (p, mut ctx, inc) = live(&format!(
+            "{HOP2}Edge(1, 2). Edge(2, 4). Edge(1, 3). Edge(3, 4)."
+        ));
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2), (1, 3)], &[]);
+        assert!(facts(&p, &ctx, "Hop2").is_empty());
+        assert_eq!(stats.candidates_checked, 1);
+        assert_eq!(stats.overdeleted, 1);
+        assert_eq!(stats.rederived, 0);
+        assert_eq!(stats.derived_retracted, 1);
+    }
+
+    #[test]
+    fn a_non_recursive_head_may_stand_on_an_edge_the_same_batch_inserts() {
+        // 1 -> 2 -> 4 and 3 -> 4.  One batch cuts 1 -> 2 and adds 1 -> 3:
+        // Hop2(1, 4) loses its only derivation and stands on the new one.
+        let rest = "Edge(2, 4). Edge(3, 4).";
+        let (p, mut ctx, inc) = live(&format!("{HOP2}Edge(1, 2). {rest}"));
+        let before = slot_of(&p, &ctx, "Hop2", 1, 4);
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[(1, 3)]);
+        let expected = scratch(&format!("{HOP2}Edge(1, 3). {rest}"), "Hop2");
+        assert_eq!(facts(&p, &ctx, "Hop2"), expected);
+        assert_eq!(stats.support_survivors, 1);
+        assert_eq!(stats.overdeleted, 0);
+        assert_eq!(stats.derived_retracted, 0);
+        assert_eq!(stats.derived_inserted, 0);
+        assert_eq!(slot_of(&p, &ctx, "Hop2", 1, 4), before);
+    }
+
+    #[test]
+    fn a_rescued_fact_never_reaches_the_stratum_above() {
+        // The diamond of `rows_of_equal_epoch_never_vouch_for_each_other`
+        // under a non-recursive stratum reading Path: Path(1, 4) is
+        // condemned and rescued, so it is not a net retraction and Up(1, 4)
+        // is never even flagged.
+        let up = "Up(x, y) :- Path(x, y).\n";
+        let edges = "Edge(1, 3). Edge(2, 4). Edge(3, 4).";
+        let (p, mut ctx, inc) = live(&format!("{TC_RULES}{up}Edge(1, 2). {edges}"));
+        rebuild_in_one_epoch(&p, &mut ctx, "Path");
+        let before = slot_of(&p, &ctx, "Up", 1, 4);
+        assert!(before.is_some());
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[]);
+        for rel in ["Path", "Up"] {
+            assert_eq!(
+                facts(&p, &ctx, rel),
+                scratch(&format!("{TC_RULES}{up}{edges}"), rel),
+                "{rel}"
+            );
+        }
+        // Path(1, 2), Path(1, 4) and Up(1, 2) condemned; Path(1, 4) back.
+        assert_eq!(stats.overdeleted, 3);
+        assert_eq!(stats.rederived, 1);
+        assert_eq!(stats.candidates_checked, 3);
+        assert_eq!(slot_of(&p, &ctx, "Up", 1, 4), before);
     }
 
     #[test]

@@ -292,9 +292,9 @@ impl SpecializedQuery {
     /// inserting them anywhere**: a flat row-major buffer with the head
     /// arity as stride, plus the row count (duplicates preserved — each row
     /// is one derivation).  This is the collect-mode entry the incremental
-    /// maintenance subsystem uses for over-deletion, re-derivation and
-    /// support recounting, where emitted rows feed retraction or counting
-    /// logic instead of the delta-new insert path.  Shares the serial and
+    /// maintenance subsystem uses for lost derivations, the witness check
+    /// and re-derivation, where emitted rows feed retraction logic instead
+    /// of the delta-new insert path.  Shares the serial and
     /// fork-join execution machinery with [`SpecializedQuery::execute_with`].
     pub fn collect_rows(
         &self,

@@ -66,30 +66,21 @@ pub struct UpdateStats {
     pub derived_inserted: u64,
     /// Derived facts removed from the fixpoint by deletion propagation.
     pub derived_retracted: u64,
-    /// Facts a deletion phase took out of consideration before knowing
-    /// whether the new database still derives them.  Recursive strata:
-    /// facts *condemned* by the witness check (each is physically retracted
-    /// and must be re-derived to come back).  Non-recursive strata: facts
-    /// that lost at least one derivation (the counted candidates; those
-    /// whose support stays positive are never retracted).
+    /// Facts *condemned* by the witness check of a deletion phase: each is
+    /// physically retracted and must be re-derived to come back.
     pub overdeleted: u64,
-    /// Condemned facts of recursive strata that the rescue step and its
-    /// propagation re-derived.
+    /// Condemned facts that the rescue step and its propagation re-derived
+    /// (always 0 in a non-recursive stratum, where the check is exact).
     pub rederived: u64,
     /// Heads that lost a derivation and were kept in place without any
-    /// retraction.  Recursive strata: witness checks passed (a head flagged
-    /// in several frontier rounds counts once per round it stood).
-    /// Non-recursive strata: candidates whose support count stayed positive.
+    /// retraction: witness checks passed (a head flagged in several
+    /// frontier rounds counts once per round it stood).
     pub support_survivors: u64,
-    /// Heads of recursive strata put through the witness check, once per
-    /// frontier round that flagged them.  Every check either passes
-    /// (`support_survivors`) or condemns (`overdeleted`), so for a program
-    /// whose deletions only reach recursive strata
+    /// Heads put through the witness check, once per frontier round that
+    /// flagged them.  Every check either passes (`support_survivors`) or
+    /// condemns (`overdeleted`), so
     /// `candidates_checked == support_survivors + overdeleted`.
     pub candidates_checked: u64,
-    /// Facts whose support count was recomputed exactly by a head-driven
-    /// recount join.
-    pub recounted: u64,
     /// Strata recomputed wholesale (aggregate strata, and strata with
     /// negation over changed relations).
     pub strata_recomputed: u64,
@@ -114,7 +105,6 @@ impl UpdateStats {
         self.rederived += other.rederived;
         self.support_survivors += other.support_survivors;
         self.candidates_checked += other.candidates_checked;
-        self.recounted += other.recounted;
         self.strata_recomputed += other.strata_recomputed;
         self.delta_subqueries += other.delta_subqueries;
         self.compactions += other.compactions;

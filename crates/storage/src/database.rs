@@ -311,19 +311,11 @@ impl StorageManager {
     /// [`StorageManager::insert_derived`] over a raw row slice — the form
     /// the join kernels emit through.  The row hash is computed once and
     /// shared between the derived-database membership test and the
-    /// delta-new insert.
-    ///
-    /// Every call records one *derivation*: a fact already present (in
-    /// derived or in this iteration's delta-new) has its support count
-    /// incremented instead of being stored again, so after a single
-    /// evaluation pass the count equals the number of distinct derivations —
-    /// the quantity the incremental subsystem's counted-deletion fast path
-    /// consumes for non-recursive strata.  (Recursive strata re-emit
-    /// derivations across delta variants, so their counts over-approximate
-    /// and the incremental subsystem decides by row epochs there instead.)
+    /// delta-new insert; a duplicate (already in derived, or already emitted
+    /// this iteration) costs one probe of each and writes nothing.
     pub fn insert_derived_row(&mut self, rel: RelId, values: &[Value]) -> Result<bool> {
         let hash = crate::pool::row_hash(values);
-        let derived = self.derived.relation_mut(rel)?;
+        let derived = self.derived.relation(rel)?;
         if values.len() != derived.arity() {
             return Err(StorageError::ArityMismatch {
                 relation: derived.name().to_string(),
@@ -331,20 +323,13 @@ impl StorageManager {
                 actual: values.len(),
             });
         }
-        if let Some(row) = derived.find_row_hashed(values, hash) {
-            derived.add_support(row, 1);
+        if derived.contains_row_hashed(values, hash) {
             return Ok(false);
         }
-        let delta_new = self.delta_new.relation_mut(rel)?;
-        match delta_new.insert_row_hashed_id(values, hash) {
-            Some(_) => Ok(true),
-            None => {
-                if let Some(row) = delta_new.find_row_hashed(values, hash) {
-                    delta_new.add_support(row, 1);
-                }
-                Ok(false)
-            }
-        }
+        Ok(self
+            .delta_new
+            .relation_mut(rel)?
+            .insert_row_hashed(values, hash))
     }
 
     /// Appends a row to the derived database only, in the current epoch —
@@ -625,8 +610,8 @@ impl StorageManager {
     }
 
     /// Mutable access to `rel`'s derived relation — the restore path of the
-    /// snapshot subsystem rebuilds rows, support counts and the generation
-    /// counter through this.
+    /// snapshot subsystem rebuilds rows, epochs and the generation counter
+    /// through this.
     pub(crate) fn derived_relation_mut(&mut self, rel: RelId) -> Result<&mut Relation> {
         self.derived.relation_mut(rel)
     }
@@ -768,30 +753,6 @@ mod tests {
         assert_eq!(before, after);
         assert!(sm.relation(DbKind::DeltaNew, path).unwrap().is_empty());
         assert_eq!(sm.relation(DbKind::Derived, path).unwrap().len(), 500);
-    }
-
-    #[test]
-    fn insert_derived_counts_support_per_derivation() {
-        let (mut sm, _, path) = manager();
-        // First emission creates the fact in delta-new with support 1; a
-        // duplicate emission in the same iteration bumps the delta-new copy.
-        assert!(sm.insert_derived(path, Tuple::pair(1, 2)).unwrap());
-        assert!(!sm.insert_derived(path, Tuple::pair(1, 2)).unwrap());
-        sm.swap_and_clear(&[path]).unwrap();
-        let derived = sm.relation(DbKind::Derived, path).unwrap();
-        let row = derived
-            .find_row_hashed(
-                &[Value::int(1), Value::int(2)],
-                crate::pool::row_hash(&[Value::int(1), Value::int(2)]),
-            )
-            .unwrap();
-        assert_eq!(derived.support_of(row), 2);
-        // A re-derivation after the merge bumps the derived copy.
-        assert!(!sm.insert_derived(path, Tuple::pair(1, 2)).unwrap());
-        assert_eq!(
-            sm.relation(DbKind::Derived, path).unwrap().support_of(row),
-            3
-        );
     }
 
     #[test]

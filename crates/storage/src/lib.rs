@@ -57,7 +57,7 @@ pub use error::StorageError;
 pub use index::{ColumnIndex, CompositeIndex};
 pub use journal::{read_journal, JournalContents, JournalRecord, JournalWriter};
 pub use ops::{AggFunc, CmpOp, DeltaSign};
-pub use pool::{PoolStats, PostingList, RowId, RowPool, SUPPORT_SATURATED};
+pub use pool::{PoolStats, PostingList, RowId, RowPool};
 pub use relation::{ProbeIter, ProbeRows, Relation};
 pub use schema::{RelId, RelationSchema};
 pub use snapshot::{read_snapshot, write_snapshot, PersistError, RelationSnapshot, Snapshot};

@@ -14,8 +14,8 @@ use crate::value::Value;
 /// The sign of one fact in a signed delta relation: whether the fact is
 /// being added to or removed from the extensional database.  Update batches
 /// ship `(relation, sign, row)` triples; the incremental maintenance
-/// subsystem turns them into counted semi-naive (non-recursive strata) or
-/// witness-checked (recursive strata) propagation.
+/// subsystem turns them into insert propagation and witness-checked
+/// deletion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum DeltaSign {
     /// The fact enters the database.

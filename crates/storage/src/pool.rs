@@ -77,16 +77,6 @@ pub fn shard_of_hash(value_hash: u64, shard_count: usize) -> usize {
     ((value_hash >> 7) % shard_count as u64) as usize
 }
 
-/// Sentinel support count marking a row whose true derivation count
-/// overflowed the `u32` range at some point.  The sentinel is **sticky**:
-/// once a row saturates, [`RowPool::add_support`] and
-/// [`RowPool::sub_support`] leave it saturated — the stored number no longer
-/// tracks the true count, so decrementing it would fabricate a bound the
-/// pool cannot justify.  Consumers (the incremental engine's counted
-/// deletion) must treat saturated rows as "count unknown" and take the
-/// exact-recount path instead of trusting the stored value.
-pub const SUPPORT_SATURATED: u32 = u32::MAX;
-
 /// Number of row ids a [`PostingList`] holds without spilling to the heap.
 ///
 /// Chosen so the inline variant is no larger than the spilled one (a `Vec`
@@ -248,12 +238,6 @@ pub struct RowPool {
     /// `hashes[r]` is the row hash of row `r` (retained so merges and
     /// rebuilds never rehash).
     hashes: Vec<u64>,
-    /// Per-row derivation support count, parallel to `hashes`: how many
-    /// derivations are known for the row (1 on plain insertion).  Maintained
-    /// by the storage manager's derived-insert path and consumed by the
-    /// incremental maintenance subsystem's counted-deletion fast path;
-    /// meaningless (and ignored) for rows of recursive strata.
-    support: Vec<u32>,
     /// Tombstones, parallel to `hashes`: `dead[r]` marks a retracted slot.
     /// Left empty (all-live) until the first retraction so the common
     /// insert-only pool pays nothing for the feature.
@@ -287,7 +271,6 @@ impl RowPool {
             arity,
             values: Vec::new(),
             hashes: Vec::new(),
-            support: Vec::new(),
             dead: Vec::new(),
             dead_count: 0,
             dedup: FxHashMap::default(),
@@ -369,53 +352,6 @@ impl RowPool {
     #[inline]
     pub fn hash_of(&self, row: RowId) -> u64 {
         self.hashes[row as usize]
-    }
-
-    /// The support count of row `row` (number of known derivations).
-    #[inline]
-    pub fn support_of(&self, row: RowId) -> u32 {
-        self.support[row as usize]
-    }
-
-    /// Overwrites the support count of row `row`.
-    #[inline]
-    pub fn set_support(&mut self, row: RowId, count: u32) {
-        self.support[row as usize] = count;
-    }
-
-    /// Adds `n` derivations to row `row`'s support count.  Counts that
-    /// would reach or exceed [`SUPPORT_SATURATED`] stick at the sentinel:
-    /// the row's true count is no longer representable, and pretending the
-    /// clamped value were exact would silently break the counted-deletion
-    /// invariant (`stored <= true derivations` must never flip through a
-    /// sequence of saturated adds and exact subtracts being trusted as a
-    /// survivor proof).
-    #[inline]
-    pub fn add_support(&mut self, row: RowId, n: u32) {
-        let slot = &mut self.support[row as usize];
-        *slot = match slot.checked_add(n) {
-            Some(v) if v < SUPPORT_SATURATED => v,
-            _ => SUPPORT_SATURATED,
-        };
-    }
-
-    /// Removes `n` derivations from row `row`'s support count (saturating at
-    /// zero) and returns the new count.  A saturated row stays saturated —
-    /// see [`SUPPORT_SATURATED`].
-    #[inline]
-    pub fn sub_support(&mut self, row: RowId, n: u32) -> u32 {
-        let slot = &mut self.support[row as usize];
-        if *slot != SUPPORT_SATURATED {
-            *slot = slot.saturating_sub(n);
-        }
-        *slot
-    }
-
-    /// Whether row `row`'s support count has overflowed and is therefore
-    /// unusable as a derivation count (see [`SUPPORT_SATURATED`]).
-    #[inline]
-    pub fn support_saturated(&self, row: RowId) -> bool {
-        self.support[row as usize] == SUPPORT_SATURATED
     }
 
     /// Iterator over all live rows in insertion order.
@@ -529,7 +465,6 @@ impl RowPool {
         }
         self.dead[row as usize] = true;
         self.dead_count += 1;
-        self.support[row as usize] = 0;
         Some(row)
     }
 
@@ -607,7 +542,6 @@ impl RowPool {
         }
         self.values.extend_from_slice(values);
         self.hashes.push(hash);
-        self.support.push(1);
         if !self.dead.is_empty() {
             self.dead.push(false);
         }
@@ -633,7 +567,6 @@ impl RowPool {
         let live = self.len();
         let mut values = Vec::with_capacity(live * arity);
         let mut hashes = Vec::with_capacity(live);
-        let mut support = Vec::with_capacity(live);
         self.dedup.clear();
         self.overflow.clear();
         for old in 0..self.hashes.len() {
@@ -645,7 +578,6 @@ impl RowPool {
             values.extend_from_slice(&self.values[start..start + arity]);
             let hash = self.hashes[old];
             hashes.push(hash);
-            support.push(self.support[old]);
             // Rows are distinct by construction; only true 64-bit hash
             // collisions spill into the overflow side table.
             match self.dedup.entry(hash) {
@@ -659,7 +591,6 @@ impl RowPool {
         }
         self.values = values;
         self.hashes = hashes;
-        self.support = support;
         self.dead.clear();
         self.dead_count = 0;
         // Ids moved: everything holding a RowId into this pool is now
@@ -673,7 +604,6 @@ impl RowPool {
     pub fn clear(&mut self) {
         self.values.clear();
         self.hashes.clear();
-        self.support.clear();
         self.dead.clear();
         self.dead_count = 0;
         self.dedup.clear();
@@ -694,7 +624,6 @@ impl RowPool {
             rows: self.len(),
             bytes: self.values.capacity() * std::mem::size_of::<Value>()
                 + self.hashes.capacity() * std::mem::size_of::<u64>()
-                + self.support.capacity() * std::mem::size_of::<u32>()
                 + self.dead.capacity() * std::mem::size_of::<bool>()
                 + self.dedup.capacity() * bucket
                 + overflow,
@@ -871,47 +800,6 @@ mod tests {
         assert_eq!(pool.insert(&vals(&[3, 4])), Some(3));
         assert_eq!(pool.len(), 3);
         assert!(pool.contains(&vals(&[3, 4])));
-    }
-
-    #[test]
-    fn support_counts_ride_on_rows() {
-        let mut pool = RowPool::new(1);
-        let row = pool.insert(&vals(&[9])).unwrap();
-        assert_eq!(pool.support_of(row), 1);
-        pool.add_support(row, 2);
-        assert_eq!(pool.support_of(row), 3);
-        assert_eq!(pool.sub_support(row, 1), 2);
-        assert_eq!(pool.sub_support(row, 10), 0); // saturates
-        pool.set_support(row, 7);
-        assert_eq!(pool.support_of(row), 7);
-    }
-
-    #[test]
-    fn support_saturation_is_sticky_and_forces_unknown() {
-        // Regression: support counts used to saturate silently at u32::MAX
-        // with `saturating_add`/`saturating_sub`.  A saturated row whose
-        // true count exceeded u32::MAX could then be decremented to a
-        // positive stored count and pass as a "survivor" in counted
-        // deletion even when its true count had reached zero.  The sentinel
-        // is sticky: adds and subs leave it in place, and consumers are
-        // told the count is unknown.
-        let mut pool = RowPool::new(1);
-        let row = pool.insert(&vals(&[1])).unwrap();
-        assert!(!pool.support_saturated(row));
-        pool.set_support(row, SUPPORT_SATURATED - 2);
-        pool.add_support(row, 1);
-        assert!(!pool.support_saturated(row)); // MAX-1 is still exact
-        pool.add_support(row, 1);
-        assert!(pool.support_saturated(row)); // reached the sentinel
-                                              // Sticky under both directions.
-        assert_eq!(pool.sub_support(row, 1_000), SUPPORT_SATURATED);
-        assert!(pool.support_saturated(row));
-        pool.add_support(row, 7);
-        assert!(pool.support_saturated(row));
-        // An exact overwrite clears the sentinel.
-        pool.set_support(row, 3);
-        assert!(!pool.support_saturated(row));
-        assert_eq!(pool.sub_support(row, 1), 2);
     }
 
     #[test]

@@ -394,17 +394,16 @@ impl Relation {
 
     /// [`Relation::insert_row`] with the row hash precomputed by the caller
     /// (arity must already match; used by the merge and derived-insert paths
-    /// so iteration boundaries never rehash a row), returning the fresh
-    /// row's id (`None` when an equal row already exists) so callers can
-    /// attach support counts to the inserted row.
+    /// so iteration boundaries never rehash a row).  Returns `true` if the
+    /// row was new.
     #[inline]
-    pub(crate) fn insert_row_hashed_id(&mut self, values: &[Value], hash: u64) -> Option<RowId> {
+    pub(crate) fn insert_row_hashed(&mut self, values: &[Value], hash: u64) -> bool {
         let key_unit = if self.shard_count > 1 {
             value_hash(values.get(self.shard_key).copied().unwrap_or_default())
         } else {
             0
         };
-        self.insert_prehashed_row(values, hash, key_unit)
+        self.insert_prehashed_row(values, hash, key_unit).is_some()
     }
 
     #[inline]
@@ -472,45 +471,10 @@ impl Relation {
 
     /// The live row equal to `values`, if any (hash precomputed by the
     /// caller) — the row-id-returning variant of
-    /// [`Relation::contains_row_hashed`] used by the support-count
-    /// maintenance of the derived-insert path.
+    /// [`Relation::contains_row_hashed`], e.g. for reading a fact's epoch.
     #[inline]
     pub fn find_row_hashed(&self, values: &[Value], hash: u64) -> Option<RowId> {
         self.pool.find_hashed(values, hash)
-    }
-
-    /// The support count (number of known derivations) of row `row`.
-    #[inline]
-    pub fn support_of(&self, row: RowId) -> u32 {
-        self.pool.support_of(row)
-    }
-
-    /// Adds `n` derivations to row `row`'s support count (saturating).
-    #[inline]
-    pub fn add_support(&mut self, row: RowId, n: u32) {
-        self.pool.add_support(row, n);
-    }
-
-    /// Overwrites row `row`'s support count.
-    #[inline]
-    pub fn set_support(&mut self, row: RowId, count: u32) {
-        self.pool.set_support(row, count);
-    }
-
-    /// Removes `n` derivations from row `row`'s support count (saturating at
-    /// zero), returning the new count.
-    #[inline]
-    pub fn sub_support(&mut self, row: RowId, n: u32) -> u32 {
-        self.pool.sub_support(row, n)
-    }
-
-    /// Whether row `row`'s support count has overflowed and is unusable as
-    /// a derivation count (see [`crate::pool::SUPPORT_SATURATED`]): the
-    /// signal for consumers to take an exact-recount path instead of
-    /// trusting the stored value.
-    #[inline]
-    pub fn support_saturated(&self, row: RowId) -> bool {
-        self.pool.support_saturated(row)
     }
 
     /// Whether the slot `row` holds a live (non-retracted) row.
@@ -882,25 +846,8 @@ impl Relation {
                 continue;
             }
             let values = other.pool.row(row);
-            let hash = other.pool.hash_of(row);
-            let support = other.pool.support_of(row);
-            let key_unit = if self.shard_count > 1 {
-                value_hash(values.get(self.shard_key).copied().unwrap_or_default())
-            } else {
-                0
-            };
-            // Support counts travel with the row: a fresh insert carries the
-            // source count, a duplicate adds its derivations to the target's.
-            match self.insert_prehashed_row(values, hash, key_unit) {
-                Some(new_row) => {
-                    self.pool.set_support(new_row, support);
-                    added += 1;
-                }
-                None => {
-                    if let Some(existing) = self.pool.find_hashed(values, hash) {
-                        self.pool.add_support(existing, support);
-                    }
-                }
+            if self.insert_row_hashed(values, other.pool.hash_of(row)) {
+                added += 1;
             }
         }
         Ok(added)
@@ -1286,10 +1233,6 @@ mod tests {
         for s in 0..4 {
             assert_eq!(r.shard_rows(s).len(), fresh.shard_rows(s).len());
         }
-        // Support counts travelled with their rows.
-        for row in 0..50u32 {
-            assert_eq!(r.support_of(row), 1);
-        }
         // Further inserts and retracts behave normally afterwards.
         assert!(r.insert(Tuple::pair(0, 0)).unwrap());
         assert!(r.retract(&Tuple::pair(1, 1)).unwrap());
@@ -1340,26 +1283,6 @@ mod tests {
         let id = r.lookup_rows(0, Value::int(1))[0];
         r.retract(&Tuple::pair(1, 2)).unwrap();
         assert!(r.row_checked(id, r.generation()).is_err());
-    }
-
-    #[test]
-    fn union_in_place_transfers_support() {
-        let mut a = Relation::new(edge_schema());
-        let mut b = Relation::new(edge_schema());
-        a.insert(Tuple::pair(1, 2)).unwrap();
-        a.add_support(0, 2); // a's (1,2) has 3 derivations
-        b.insert(Tuple::pair(1, 2)).unwrap();
-        b.insert(Tuple::pair(3, 4)).unwrap();
-        b.set_support(1, 5);
-        a.union_in_place(&b).unwrap();
-        assert_eq!(a.support_of(0), 4); // 3 + 1 from b's copy
-        let new_row = a
-            .find_row_hashed(
-                &[Value::int(3), Value::int(4)],
-                crate::pool::row_hash(&[Value::int(3), Value::int(4)]),
-            )
-            .unwrap();
-        assert_eq!(a.support_of(new_row), 5); // carried over
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! incremental maintenance without re-evaluation: the symbol dictionary (in
 //! interning order, so the 32-bit [`Value`] encoding of every stored row
 //! stays meaningful), and — per relation — the live rows of the *derived*
-//! database in row-major form together with their support counts, their
+//! database in row-major form together with their row count, their
 //! epochs (the run table of [`crate::Relation::epoch_runs`], a few bytes per
 //! iteration that appended anything — a recovered session prunes deletions
 //! exactly like an uninterrupted one) and the pool's compaction generation.
@@ -43,8 +43,9 @@ use crate::value::Value;
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"CARACSNP";
 /// Current snapshot format version.  Version 2 added the per-relation epoch
-/// runs; version 1 files are rejected with [`PersistError::BadVersion`].
-pub const SNAPSHOT_VERSION: u32 = 2;
+/// runs, version 3 dropped the per-row support counts; files of either
+/// older version are rejected with [`PersistError::BadVersion`].
+pub const SNAPSHOT_VERSION: u32 = 3;
 /// Endianness tag stored in the header: decodes to this constant only when
 /// the file was written little-endian by this format.
 pub const ENDIAN_TAG: u32 = 0x0A0B_0C0D;
@@ -236,8 +237,7 @@ impl<'a> ByteReader<'a> {
 }
 
 /// One relation's captured derived state: schema identity, the pool's
-/// compaction generation, and the live rows (row-major) with their support
-/// counts and epochs.
+/// compaction generation, and the live rows (row-major) with their epochs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RelationSnapshot {
     /// Relation name (restore matches it against the target catalog).
@@ -249,20 +249,14 @@ pub struct RelationSnapshot {
     /// The row pool's compaction generation at capture time, restored so
     /// the generation counter stays monotonic across a process restart.
     pub generation: u64,
+    /// Number of live rows captured — explicit, because a nullary
+    /// relation's row cannot be counted from `values`.
+    pub rows: usize,
     /// All live rows, row-major (`rows * arity` values).
     pub values: Vec<Value>,
-    /// Per-row support counts, parallel to the rows.
-    pub support: Vec<u32>,
     /// The rows' epochs as `(first row, epoch)` runs, both strictly
     /// increasing ([`crate::Relation::epoch_runs`]).
     pub epochs: Vec<(RowId, u32)>,
-}
-
-impl RelationSnapshot {
-    /// Number of rows captured.
-    pub fn row_count(&self) -> usize {
-        self.support.len()
-    }
 }
 
 /// A fully parsed, integrity-checked snapshot file.
@@ -309,7 +303,7 @@ impl Snapshot {
 
     /// Replaces the derived database of `storage` with the snapshot's
     /// contents: every relation is cleared (deltas included) and refilled
-    /// with the captured rows, support counts, epochs and generation
+    /// with the captured rows, epochs and generation
     /// counter, and the manager's epoch counter resumes above every restored
     /// epoch.  Index and shard *definitions* on the target are kept and
     /// maintained through the normal insert path.
@@ -351,7 +345,7 @@ impl Snapshot {
         for (idx, snap) in self.relations.iter().enumerate() {
             let rel = storage.derived_relation_mut(RelId(idx as u32))?;
             rel.clear();
-            for row in 0..snap.row_count() {
+            for row in 0..snap.rows {
                 let values = if snap.arity == 0 {
                     &[][..]
                 } else {
@@ -362,7 +356,6 @@ impl Snapshot {
                         context: format!("duplicate row {row} in relation `{}`", snap.name),
                     });
                 }
-                rel.set_support(row as RowId, snap.support[row]);
             }
             if !rel.restore_epoch_runs(&snap.epochs) {
                 return Err(PersistError::Corrupt {
@@ -478,19 +471,11 @@ fn encode_snapshot(storage: &StorageManager, symbols: &SymbolTable, journal_seq:
         rels.push(u8::from(schema.is_edb));
         push_u64(&mut rels, rel.generation());
         push_u64(&mut rels, rel.len() as u64);
-        // Live rows in insertion order, values then support counts then
-        // epoch runs — the on-disk image is the compacted form of the pool.
-        for row in 0..rel.slot_count() as RowId {
-            if !rel.is_live(row) {
-                continue;
-            }
-            for &v in rel.row(row) {
+        // Live rows in insertion order, then epoch runs — the on-disk image
+        // is the compacted form of the pool.
+        for row in rel.iter_rows() {
+            for &v in row {
                 push_u32(&mut rels, v.raw());
-            }
-        }
-        for row in 0..rel.slot_count() as RowId {
-            if rel.is_live(row) {
-                push_u32(&mut rels, rel.support_of(row));
             }
         }
         let runs = rel.epoch_runs();
@@ -649,20 +634,26 @@ fn decode_relations(
         let rows = usize::try_from(rows).map_err(|_| PersistError::Corrupt {
             context: format!("relation `{name}` row count overflows"),
         })?;
-        // The frame must physically fit before any value is decoded.
-        let value_bytes = rows
+        // Bound the row count before anything is allocated or looped: a
+        // nullary relation holds at most the empty row, any other must have
+        // its values physically present.
+        if arity == 0 && rows > 1 {
+            return Err(PersistError::Corrupt {
+                context: format!("nullary relation `{name}` declares {rows} rows"),
+            });
+        }
+        let value_count = rows
             .checked_mul(arity)
-            .and_then(|n| n.checked_mul(4))
             .ok_or_else(|| PersistError::Corrupt {
                 context: format!("relation `{name}` frame size overflows"),
             })?;
-        if r.remaining() < value_bytes + rows * 4 {
+        if r.remaining() / 4 < value_count {
             return Err(PersistError::Truncated {
                 context: format!("rows of relation `{name}`"),
             });
         }
-        let mut values = Vec::with_capacity(rows * arity);
-        for _ in 0..rows * arity {
+        let mut values = Vec::with_capacity(value_count);
+        for _ in 0..value_count {
             let raw = r.u32("row value")?;
             let value = Value(raw);
             if let Some(sym) = value.symbol_index() {
@@ -676,10 +667,6 @@ fn decode_relations(
                 }
             }
             values.push(value);
-        }
-        let mut support = Vec::with_capacity(rows);
-        for _ in 0..rows {
-            support.push(r.u32("support count")?);
         }
         let runs = r.u32("epoch run count")? as usize;
         if r.remaining() / 8 < runs {
@@ -701,8 +688,8 @@ fn decode_relations(
             arity,
             is_edb,
             generation,
+            rows,
             values,
-            support,
             epochs,
         });
     }
@@ -736,7 +723,7 @@ mod tests {
         sm.insert_fact(edge, Tuple::pair(1, 2)).unwrap();
         sm.insert_fact(edge, Tuple::new(vec![a, b])).unwrap();
         sm.insert_derived(path, Tuple::pair(1, 2)).unwrap();
-        sm.insert_derived(path, Tuple::pair(1, 2)).unwrap(); // support 2
+        sm.insert_derived(path, Tuple::pair(1, 2)).unwrap();
         sm.swap_and_clear(&[path]).unwrap();
         (sm, symbols)
     }
@@ -763,7 +750,7 @@ mod tests {
         assert_eq!(snap.journal_seq, 7);
         assert_eq!(snap.symbols, vec!["alpha".to_string(), "beta".to_string()]);
         assert_eq!(snap.relations.len(), 3);
-        assert_eq!(snap.relations[0].row_count(), 1); // retracted row dropped
+        assert_eq!(snap.relations[0].rows, 1); // retracted row dropped
         snap.validate_symbols(&symbols).unwrap();
 
         let mut target = fresh_target();
@@ -778,7 +765,6 @@ mod tests {
             .relation(DbKind::Derived, target.rel_by_name("Path").unwrap())
             .unwrap();
         assert_eq!(path_rel.len(), 1);
-        assert_eq!(path_rel.support_of(0), 2);
         // The merged row kept its epoch, the base facts theirs, and rows
         // appended from here on rank above both.
         assert_eq!(path_rel.epoch_of(0), 1);
@@ -837,14 +823,58 @@ mod tests {
                 expected: SNAPSHOT_VERSION
             })
         ));
-        // Version 1 (no epoch runs) is not read as version 2.
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            read_snapshot(&path),
-            Err(PersistError::BadVersion { found: 1, .. })
-        ));
+        // Versions 1 (no epoch runs) and 2 (support counts) are not read
+        // as version 3.
+        for old in [1u32, 2] {
+            bytes[8..12].copy_from_slice(&old.to_le_bytes());
+            std::fs::write(&path, &bytes).unwrap();
+            assert!(matches!(
+                read_snapshot(&path),
+                Err(PersistError::BadVersion { found, .. }) if found == old
+            ));
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A RELATIONS payload holding one relation `R` of `arity` that
+    /// declares `rows` rows and carries no row data at all.
+    fn bare_relation_payload(arity: u32, rows: u64) -> Vec<u8> {
+        let mut payload = Vec::new();
+        push_u32(&mut payload, 1);
+        push_str(&mut payload, "R");
+        push_u32(&mut payload, arity);
+        payload.push(1);
+        push_u64(&mut payload, 0);
+        push_u64(&mut payload, rows);
+        push_u32(&mut payload, 0); // no epoch runs
+        payload
+    }
+
+    #[test]
+    fn hostile_row_counts_are_typed_errors() {
+        // Regression: a nullary relation declaring 2^62 rows overflowed the
+        // size bound (a debug panic; a capacity-overflow abort in release).
+        assert!(matches!(
+            decode_relations(&bare_relation_payload(0, 1 << 62), 0),
+            Err(PersistError::Corrupt { .. })
+        ));
+        assert!(matches!(
+            decode_relations(&bare_relation_payload(0, 2), 0),
+            Err(PersistError::Corrupt { .. })
+        ));
+        // Rows of wider relations must be physically present.
+        assert!(matches!(
+            decode_relations(&bare_relation_payload(2, 1 << 62), 0),
+            Err(PersistError::Truncated { .. })
+        ));
+        assert!(matches!(
+            decode_relations(&bare_relation_payload(3, u64::MAX / 2), 0),
+            Err(PersistError::Corrupt { .. } | PersistError::Truncated { .. })
+        ));
+        // The one row a nullary relation can hold decodes.
+        let relations = decode_relations(&bare_relation_payload(0, 1), 0).unwrap();
+        assert_eq!(relations[0].rows, 1);
+        assert!(relations[0].values.is_empty());
     }
 
     #[test]

@@ -229,13 +229,16 @@ fn wrong_format_versions_are_typed_rejections() {
         CaracError::Persist(PersistError::BadVersion { found, .. }) => assert_eq!(found, 99),
         other => panic!("expected BadVersion, got {other}"),
     }
-    // Version 1 snapshots (no epoch runs) are no longer read either.
+    // Version 1 (no epoch runs) and version 2 (per-row support counts)
+    // snapshots are no longer read either.
     let mut bytes = std::fs::read(&snap).unwrap();
-    bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&snap, &bytes).unwrap();
-    match engine.restore(&snap).unwrap_err() {
-        CaracError::Persist(PersistError::BadVersion { found, .. }) => assert_eq!(found, 1),
-        other => panic!("expected BadVersion, got {other}"),
+    for old in [1u32, 2] {
+        bytes[8..12].copy_from_slice(&old.to_le_bytes());
+        std::fs::write(&snap, &bytes).unwrap();
+        match engine.restore(&snap).unwrap_err() {
+            CaracError::Persist(PersistError::BadVersion { found, .. }) => assert_eq!(found, old),
+            other => panic!("expected BadVersion, got {other}"),
+        }
     }
     let fixed_snap = {
         bytes[8..12].copy_from_slice(&carac_storage::snapshot::SNAPSHOT_VERSION.to_le_bytes());

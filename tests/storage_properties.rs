@@ -13,10 +13,7 @@
 //!   compaction has moved ids;
 //! * **epochs** — every live row keeps the epoch it was inserted under
 //!   through retraction, compaction, clear, clone, content swaps and the
-//!   snapshot round trip, and epochs never decrease in slot order;
-//! * **support saturation** — random add/sub streams against an exact
-//!   `u64` shadow counter: the stored count equals the true count while it
-//!   fits, and the [`SUPPORT_SATURATED`] sentinel is sticky once reached.
+//!   snapshot round trip, and epochs never decrease in slot order.
 //!
 //! The streams are seeded (same RNG as the fuzz harness), so every failure
 //! reproduces from its seed.
@@ -24,9 +21,7 @@
 use std::collections::BTreeSet;
 
 use carac_analysis::rng::SmallRng;
-use carac_storage::{
-    RelId, Relation, RelationSchema, RowId, StorageError, Tuple, Value, SUPPORT_SATURATED,
-};
+use carac_storage::{RelId, Relation, RelationSchema, RowId, StorageError, Tuple, Value};
 
 const SEEDS: u64 = 40;
 const OPS_PER_SEED: usize = 300;
@@ -253,76 +248,6 @@ fn row_ids_are_stable_until_compaction_then_stale() {
         // Dense renumbering: ids are 0..len again.
         assert_eq!(relation.slot_count(), relation.len());
     }
-}
-
-#[test]
-fn support_counts_track_an_exact_shadow_counter() {
-    for seed in 0..SEEDS {
-        let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED_5EED);
-        let mut relation = test_relation(1);
-        relation.insert_row(&row(&[7])).unwrap();
-        let id: RowId = 0;
-        // insert_row starts support at 1.
-        let mut shadow: u64 = 1;
-        let mut saturated = false;
-        for _ in 0..2_000 {
-            if rng.gen_bool(0.55) {
-                // Adds are occasionally huge so the stream actually reaches
-                // the sentinel within the step budget.
-                let n = if rng.gen_bool(0.02) {
-                    SUPPORT_SATURATED / 2
-                } else {
-                    rng.gen_range_u32(1, 1_000)
-                };
-                relation.add_support(id, n);
-                shadow += u64::from(n);
-            } else {
-                let n = rng.gen_range_u32(1, 1_000);
-                relation.sub_support(id, n);
-                if !saturated {
-                    shadow = shadow.saturating_sub(u64::from(n));
-                }
-            }
-            if shadow >= u64::from(SUPPORT_SATURATED) {
-                saturated = true;
-            }
-            if saturated {
-                // Sticky: once the true count has ever left u32 range the
-                // stored count must stay pinned at the sentinel — a
-                // subtract must never conjure an exact-looking value.
-                assert!(
-                    relation.support_saturated(id),
-                    "seed {seed}: sentinel must stick"
-                );
-                assert_eq!(relation.support_of(id), SUPPORT_SATURATED);
-            } else {
-                assert!(!relation.support_saturated(id));
-                assert_eq!(
-                    u64::from(relation.support_of(id)),
-                    shadow,
-                    "seed {seed}: exact counts must match the shadow counter"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn retraction_resets_support_and_reinsertion_restarts_it() {
-    let mut relation = test_relation(1);
-    relation.insert_row(&row(&[1])).unwrap();
-    relation.add_support(0, 41);
-    assert_eq!(relation.support_of(0), 42);
-    assert!(relation.retract_row(&row(&[1])).unwrap());
-    // Re-insertion allocates a fresh slot with a fresh count of 1 — the old
-    // slot's count must not leak into the new derivation's bookkeeping.
-    assert!(relation.insert_row(&row(&[1])).unwrap());
-    let hash = carac_storage::pool::row_hash(&row(&[1]));
-    let id = relation
-        .find_row_hashed(&row(&[1]), hash)
-        .expect("live row");
-    assert_eq!(relation.support_of(id), 1);
-    assert!(!relation.support_saturated(id));
 }
 
 /// The epoch of every live row, in slot order.

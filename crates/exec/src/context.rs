@@ -168,16 +168,14 @@ impl ExecContext {
 
     /// Number of tuples currently derived for `rel`.
     pub fn derived_count(&self, rel: RelId) -> usize {
-        self.storage
-            .relation(DbKind::Derived, rel)
-            .map_or(0, carac_storage::Relation::len)
+        self.storage.cardinality(DbKind::Derived, rel)
     }
 
     /// All derived tuples of `rel`, cloned (for result inspection by callers
     /// and tests; hot paths use the storage manager directly).
     pub fn derived_tuples(&self, rel: RelId) -> Vec<Tuple> {
         self.storage
-            .relation(DbKind::Derived, rel)
+            .derived(rel)
             .map(carac_storage::Relation::to_tuples)
             .unwrap_or_default()
     }

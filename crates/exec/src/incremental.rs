@@ -747,12 +747,10 @@ impl Incremental {
         })
     }
 
-    /// Copies the rows of `facts` into `rel`'s delta-known database.
+    /// Adds the rows of `facts` to `rel`'s delta-known database, as an
+    /// explicit delta set (the level-0 scan of every maintenance query).
     fn load_delta(ctx: &mut ExecContext, rel: RelId, facts: &Relation) -> Result<(), ExecError> {
-        ctx.storage
-            .db_mut(DbKind::DeltaKnown)
-            .relation_mut(rel)?
-            .union_in_place(facts)?;
+        ctx.storage.load_delta(rel, facts)?;
         Ok(())
     }
 
@@ -767,7 +765,7 @@ impl Incremental {
         skip: Option<&Relation>,
         deltas: &mut DeltaSets,
     ) -> Result<(), ExecError> {
-        let derived = ctx.storage.db(DbKind::Derived).relation(rel)?;
+        let derived = ctx.storage.derived(rel)?;
         for slot in mark..derived.slot_count() {
             let slot = slot as RowId;
             if !derived.is_live(slot) {
@@ -788,7 +786,7 @@ impl Incremental {
         plan.relations
             .iter()
             .map(|&rel| {
-                let derived = ctx.storage.db(DbKind::Derived).relation(rel)?;
+                let derived = ctx.storage.derived(rel)?;
                 Ok((rel, derived.slot_count()))
             })
             .collect()
@@ -890,7 +888,7 @@ impl Incremental {
                 }
                 let head = rule.head_rel;
                 for row in exec.collect(ctx)?.rows() {
-                    let derived = ctx.storage.db(DbKind::Derived).relation(head)?;
+                    let derived = ctx.storage.derived(head)?;
                     let Some(slot) = derived.find_row_hashed(row, row_hash(row)) else {
                         continue; // phantom derivation via new inserts
                     };
@@ -961,7 +959,7 @@ impl Incremental {
                     }
                 };
                 if heads.rows.insert_row(row)? {
-                    let derived = ctx.storage.db(DbKind::Derived).relation(head)?;
+                    let derived = ctx.storage.derived(head)?;
                     heads.epochs.push(derived.epoch_of(slot));
                     heads.supported.push(false);
                 }
@@ -1055,7 +1053,7 @@ impl Incremental {
                 }
                 continue;
             }
-            let derived = ctx.storage.db(DbKind::Derived).relation(atom.rel)?;
+            let derived = ctx.storage.derived(atom.rel)?;
             // The driver joined this fact out of the derived database, so it
             // is there; a miss would mean it is no witness either way.
             let older = derived
@@ -1139,12 +1137,7 @@ impl Incremental {
         for &rel in &plan.relations {
             if let Some(set) = deleted.get(&rel) {
                 for row in set.iter_rows() {
-                    if ctx
-                        .storage
-                        .db(DbKind::Derived)
-                        .relation(rel)?
-                        .contains_row(row)
-                    {
+                    if ctx.storage.derived(rel)?.contains_row(row) {
                         up.rederived += 1;
                     } else {
                         deltas.record_retract(rel, row)?;
@@ -1234,11 +1227,8 @@ impl Incremental {
     ) -> Result<(), ExecError> {
         let mut old: Vec<(RelId, Relation)> = Vec::new();
         for &rel in &plan.relations {
-            old.push((rel, ctx.storage.db(DbKind::Derived).relation(rel)?.clone()));
-            ctx.storage
-                .db_mut(DbKind::Derived)
-                .relation_mut(rel)?
-                .clear();
+            old.push((rel, ctx.storage.derived(rel)?.clone()));
+            ctx.storage.derived_mut(rel)?.clear();
         }
         ctx.storage.clear_deltas(&plan.relations)?;
         // Base facts of the stratum's relations are asserted, not derived:
@@ -1256,7 +1246,7 @@ impl Incremental {
         }
         for (rel, old_rel) in old {
             let removed: Vec<Vec<Value>> = {
-                let new_rel = ctx.storage.db(DbKind::Derived).relation(rel)?;
+                let new_rel = ctx.storage.derived(rel)?;
                 old_rel
                     .iter_rows()
                     .filter(|row| !new_rel.contains_row(row))
@@ -1264,7 +1254,7 @@ impl Incremental {
                     .collect()
             };
             let added: Vec<Vec<Value>> = {
-                let new_rel = ctx.storage.db(DbKind::Derived).relation(rel)?;
+                let new_rel = ctx.storage.derived(rel)?;
                 new_rel
                     .iter_rows()
                     .filter(|row| !old_rel.contains_row(row))
@@ -1347,7 +1337,7 @@ mod tests {
     fn slot_of(p: &Program, ctx: &ExecContext, rel: &str, a: u32, b: u32) -> Option<RowId> {
         let row = [Value::int(a), Value::int(b)];
         let rel = p.relation_by_name(rel).unwrap();
-        let derived = ctx.storage.relation(DbKind::Derived, rel).unwrap();
+        let derived = ctx.storage.derived(rel).unwrap();
         derived.find_row_hashed(&row, row_hash(&row))
     }
 
@@ -1355,7 +1345,7 @@ mod tests {
     fn rebuild_in_one_epoch(p: &Program, ctx: &mut ExecContext, rel: &str) {
         let rel = p.relation_by_name(rel).unwrap();
         let rows = ctx.derived_tuples(rel);
-        let derived = ctx.storage.db_mut(DbKind::Derived).relation_mut(rel);
+        let derived = ctx.storage.derived_mut(rel);
         let derived = derived.unwrap();
         derived.clear();
         for row in rows {
@@ -1681,7 +1671,7 @@ mod tests {
         // survives the batch.
         let survivor = [Value::int(0), Value::int(175)];
         let hash = carac_storage::pool::row_hash(&survivor);
-        let derived = ctx.storage.relation(DbKind::Derived, path).unwrap();
+        let derived = ctx.storage.derived(path).unwrap();
         let held_gen = derived.generation();
         let held_id = derived.find_row_hashed(&survivor, hash).unwrap();
 
@@ -1701,7 +1691,7 @@ mod tests {
         );
 
         // The held id is now stale: generation moved, typed rejection.
-        let derived = ctx.storage.relation(DbKind::Derived, path).unwrap();
+        let derived = ctx.storage.derived(path).unwrap();
         assert!(derived.generation() > held_gen);
         assert_eq!(
             ctx.storage.derived_generation(path).unwrap(),

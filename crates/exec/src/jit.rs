@@ -218,9 +218,7 @@ fn cardinalities<'a>(
     reads: &'a [(RelId, DbKind)],
     storage: &'a StorageManager,
 ) -> impl Iterator<Item = usize> + 'a {
-    reads
-        .iter()
-        .map(|&(rel, db)| storage.db(db).cardinality(rel))
+    reads.iter().map(|&(rel, db)| storage.cardinality(db, rel))
 }
 
 /// What the freshness test compares: the derived and delta-known
@@ -233,7 +231,7 @@ fn cardinalities<'a>(
 fn landscape(storage: &StorageManager) -> impl Iterator<Item = usize> + '_ {
     (0..storage.relation_count()).flat_map(move |i| {
         let rel = RelId(i as u32);
-        [DbKind::Derived, DbKind::DeltaKnown].map(|db| storage.db(db).cardinality(rel))
+        [DbKind::Derived, DbKind::DeltaKnown].map(|db| storage.cardinality(db, rel))
     })
 }
 
@@ -317,6 +315,7 @@ impl JitEngine {
                 let vm_stats = machine.run(program, &mut ctx.storage)?;
                 ctx.stats.tuples_emitted += vm_stats.emitted;
                 ctx.stats.tuples_inserted += vm_stats.inserted;
+                ctx.stats.probe_scan_rows += vm_stats.probe_scan_rows;
                 Self::merge_vm_telemetry(&machine, ctx);
                 Ok(())
             }

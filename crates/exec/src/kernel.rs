@@ -21,7 +21,7 @@
 //! **The inner loop is allocation-free.**  Candidate rows arrive as borrowed
 //! [`RowId`] slices (index posting lists, shard partitions, or a reusable
 //! per-level scratch buffer for unindexed scans — see
-//! [`Relation::probe_rows`]); row values are read as `&[Value]` slices
+//! [`RelationView::probe_rows`]); row values are read as `&[Value]` slices
 //! straight out of the relation's flat row pool; emitted head rows append to
 //! one flat `Vec<Value>` output buffer with the head arity as stride and are
 //! inserted through [`StorageManager::insert_derived_row`].  No `Tuple` (and
@@ -33,7 +33,7 @@ use std::time::Instant;
 use carac_datalog::{AggregateSpec, HeadBinding, RuleId, Term, VarId};
 use carac_ir::ConjunctiveQuery;
 use carac_storage::hasher::FxHashMap;
-use carac_storage::{CmpOp, DbKind, RelId, Relation, RowId, StorageManager, Value};
+use carac_storage::{CmpOp, DbKind, RelId, RelationView, RowId, StorageManager, Value};
 
 use crate::error::ExecError;
 use crate::parallel::{chunk_rows, parallel_map};
@@ -101,17 +101,20 @@ struct LevelScratch {
 }
 
 /// The flat output buffer of one join run: emitted head rows laid out
-/// row-major with the head arity as stride.
+/// row-major with the head arity as stride, plus the rows its probes had
+/// to scan because no index answered them.
 #[derive(Debug, Default)]
 struct EmitBuffer {
     values: Vec<Value>,
     rows: u64,
+    scan_rows: u64,
 }
 
 impl EmitBuffer {
     fn append(&mut self, other: EmitBuffer) {
         self.values.extend(other.values);
         self.rows += other.rows;
+        self.scan_rows += other.scan_rows;
     }
 }
 
@@ -349,6 +352,7 @@ impl SpecializedQuery {
             out
         };
         stats.tuples_emitted += out.rows;
+        stats.probe_scan_rows += out.scan_rows;
         stats.rule_profiles.record_execution(
             self.rule,
             stats.current_stratum,
@@ -399,10 +403,9 @@ impl SpecializedQuery {
                 resolved.push((col, val.resolve(&zero_bindings)));
             }
             let mut probe_scratch = Vec::new();
-            scan_rows = relation
-                .probe_rows(&resolved, &mut probe_scratch)
-                .iter()
-                .collect();
+            let probe = relation.probe_rows(&resolved, &mut probe_scratch);
+            stats.probe_scan_rows += probe.scanned_rows() as u64;
+            scan_rows = probe.iter().collect();
             chunk_rows(&scan_rows, parallelism)
         };
         let total_rows: usize = partitions.iter().map(|p| p.len()).sum();
@@ -472,7 +475,8 @@ impl SpecializedQuery {
             // Negation checks (through the spare scratch level), then emit.
             for neg in &self.negated {
                 let relation = storage.relation(neg.db, neg.rel)?;
-                if probe_exists(relation, &neg.filters, bindings, &mut scratch[0]) {
+                let spare = &mut scratch[0];
+                if probe_exists(relation, &neg.filters, bindings, spare, &mut out.scan_rows) {
                     return Ok(());
                 }
             }
@@ -495,6 +499,7 @@ impl SpecializedQuery {
             cur.resolved.push((col, val.resolve(bindings)));
         }
         let probe = relation.probe_rows(&cur.resolved, &mut cur.rows);
+        out.scan_rows += probe.scanned_rows() as u64;
         self.join_rows(level, relation, probe.iter(), bindings, storage, rest, out)
     }
 
@@ -505,7 +510,7 @@ impl SpecializedQuery {
     fn join_rows(
         &self,
         level: usize,
-        relation: &Relation,
+        relation: RelationView<'_>,
         rows: impl Iterator<Item = RowId>,
         bindings: &mut [Value],
         storage: &StorageManager,
@@ -547,12 +552,14 @@ impl SpecializedQuery {
 }
 
 /// Whether a row matching every filter exists (negation probe), using the
-/// caller's reusable scratch.
+/// caller's reusable scratch; adds the rows a scan fallback visited to
+/// `scan_rows`.
 fn probe_exists(
-    relation: &Relation,
+    relation: RelationView<'_>,
     filters: &[(usize, FilterVal)],
     bindings: &[Value],
     scratch: &mut LevelScratch,
+    scan_rows: &mut u64,
 ) -> bool {
     scratch.resolved.clear();
     for &(col, val) in filters {
@@ -560,6 +567,7 @@ fn probe_exists(
     }
     let resolved = &scratch.resolved;
     let probe = relation.probe_rows(resolved, &mut scratch.rows);
+    *scan_rows += probe.scanned_rows() as u64;
     probe.iter().any(|row| {
         let values = relation.row(row);
         resolved
@@ -695,6 +703,7 @@ fn interp_collect(
         out
     };
     stats.tuples_emitted += out.rows;
+    stats.probe_scan_rows += out.scan_rows;
     stats.rule_profiles.record_execution(
         query.rule,
         stats.current_stratum,
@@ -744,10 +753,9 @@ fn interp_parallel(
     } else {
         let filters: Vec<(usize, Value)> = constrained.into_iter().collect();
         let mut probe_scratch = Vec::new();
-        scan_rows = relation
-            .probe_rows(&filters, &mut probe_scratch)
-            .iter()
-            .collect();
+        let probe = relation.probe_rows(&filters, &mut probe_scratch);
+        stats.probe_scan_rows += probe.scanned_rows() as u64;
+        scan_rows = probe.iter().collect();
         chunk_rows(&scan_rows, parallelism)
     };
     let total_rows: usize = partitions.iter().map(|p| p.len()).sum();
@@ -875,6 +883,7 @@ fn interp_level(
         }
     }
     let probe = relation.probe_rows(&cur.resolved, &mut cur.rows);
+    out.scan_rows += probe.scanned_rows() as u64;
     interp_rows(
         query,
         level,
@@ -897,7 +906,7 @@ fn interp_level(
 fn interp_rows(
     query: &ConjunctiveQuery,
     level: usize,
-    relation: &Relation,
+    relation: RelationView<'_>,
     rows: impl Iterator<Item = RowId>,
     bindings: &mut FxHashMap<VarId, Value>,
     storage: &StorageManager,

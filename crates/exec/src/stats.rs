@@ -138,6 +138,11 @@ pub struct RunStats {
     /// Partitions dispatched to worker threads across all parallel
     /// subqueries (shards or contiguous chunks).
     pub parallel_tasks: u64,
+    /// Rows visited by join probes that no index answered — filtered scans
+    /// of a relation (or of a delta) on a bound column without an index,
+    /// summed over the specialized kernel, the interpreter and the bytecode
+    /// VM.  Deterministic: it depends on the data and the join orders only.
+    pub probe_scan_rows: u64,
     /// Compilation log: a bounded ring (oldest events evicted first) so
     /// long-lived live sessions do not grow memory linearly with
     /// compilations.  Push through [`RunStats::push_compile_event`].
@@ -185,6 +190,7 @@ impl Default for RunStats {
             interpreted_fallbacks: 0,
             parallel_subqueries: 0,
             parallel_tasks: 0,
+            probe_scan_rows: 0,
             compile_events: VecDeque::new(),
             compile_event_capacity: DEFAULT_COMPILE_EVENT_CAPACITY,
             compile_events_dropped: 0,
@@ -234,6 +240,7 @@ impl RunStats {
         self.interpreted_fallbacks += other.interpreted_fallbacks;
         self.parallel_subqueries += other.parallel_subqueries;
         self.parallel_tasks += other.parallel_tasks;
+        self.probe_scan_rows += other.probe_scan_rows;
         for event in &other.compile_events {
             self.push_compile_event(event.clone());
         }

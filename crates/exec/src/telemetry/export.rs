@@ -164,6 +164,12 @@ pub fn metrics_json(stats: &RunStats) -> String {
     push_field(
         &mut out,
         &mut first,
+        "probe_scan_rows",
+        stats.probe_scan_rows,
+    );
+    push_field(
+        &mut out,
+        &mut first,
         "compilations",
         stats.compilations() as u64,
     );

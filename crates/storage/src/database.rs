@@ -1,7 +1,7 @@
-//! Databases and the semi-naive storage manager.
+//! The relation catalog and the semi-naive storage manager.
 //!
-//! Bottom-up semi-naive evaluation (paper §II-A, §V-D) needs three databases
-//! per relation:
+//! Bottom-up semi-naive evaluation (paper §II-A, §V-D) reads every relation
+//! through three *databases*:
 //!
 //! * **derived** — every fact discovered so far (plus the EDB facts),
 //! * **delta-known** — the facts discovered in the *previous* iteration
@@ -9,23 +9,40 @@
 //! * **delta-new** — the facts discovered in the *current* iteration
 //!   (write-only during the current iteration).
 //!
+//! They are not three stores.  Each relation keeps **one** row pool
+//! ([`Relation`]), and the three databases are slot ranges of it
+//! ([`RelationView`]): derived is the published slots, delta-known is the
+//! run of slots the last iteration boundary published, delta-new is the
+//! *pending* rows appended past the published ones.  A derived fact is
+//! emitted with one find-or-insert into the pool
+//! ([`StorageManager::insert_derived_row`]) and stays invisible to every
+//! read of derived until the boundary ([`StorageManager::swap_and_clear`])
+//! indexes, shards and publishes the pending rows as one run — which *is*
+//! the next iteration's delta-known.  No row is ever copied from one
+//! database into another, and no delta has an index of its own: a probe of
+//! delta-known takes the part of derived's posting list that lies in the
+//! run, found by binary search because posting lists are slot-ordered.
+//!
 //! Splitting the delta into a read-only and a write-only half is what lets
 //! any IROp boundary act as a safe point and enables asynchronous
 //! compilation: no operator ever observes a relation it is concurrently
-//! writing.  At the end of each iteration [`StorageManager::swap_and_clear`]
-//! merges delta-new into derived, swaps the two delta databases and clears
-//! the new write-side.
+//! writing.
 //!
-//! Every such boundary also opens a new **epoch**: the manager bumps one
-//! session-monotone counter and the rows merged into derived carry it
+//! Every boundary also opens a new **epoch**: the manager bumps one
+//! session-monotone counter and the rows it publishes carry it
 //! ([`Relation::epoch_of`]).  A fact's epoch is therefore above the epoch of
 //! every same-stratum fact its first derivation read — the well-founded
 //! order the incremental deletion phase uses to tell a fact that still has
 //! independent support from one that only leans on its own consequences.
+//!
+//! The incremental layer's deltas are arbitrary fact sets rather than runs:
+//! [`StorageManager::load_delta`] hands one over as an explicit, unindexed
+//! delta-known set, emptied at the next boundary or by
+//! [`StorageManager::clear_deltas`].
 
 use crate::error::StorageError;
 use crate::hasher::FxHashMap;
-use crate::relation::Relation;
+use crate::relation::{Relation, RelationView};
 use crate::schema::{RelId, RelationSchema};
 use crate::stats::StatsSnapshot;
 use crate::tuple::Tuple;
@@ -78,6 +95,7 @@ impl Database {
     }
 
     /// Immutable access to a relation.
+    #[inline]
     pub fn relation(&self, id: RelId) -> Result<&Relation> {
         self.relations
             .get(id.index())
@@ -95,22 +113,22 @@ impl Database {
     pub fn relations(&self) -> impl Iterator<Item = &Relation> {
         self.relations.iter()
     }
-
-    /// Cardinality of a relation, 0 if unknown (defensive for stats paths).
-    pub fn cardinality(&self, id: RelId) -> usize {
-        self.relations.get(id.index()).map_or(0, Relation::len)
-    }
 }
 
-/// The storage manager owns the three evaluation databases plus the schema
-/// catalog, and implements the iteration-boundary operations used by the
-/// execution layer.
+/// The storage manager owns the relations (one [`Database`]), the explicit
+/// delta sets of the incremental layer and the schema catalog, and
+/// implements the iteration-boundary operations used by the execution
+/// layer.
 #[derive(Debug, Clone)]
 pub struct StorageManager {
     schemas: Vec<RelationSchema>,
     derived: Database,
-    delta_known: Database,
-    delta_new: Database,
+    /// Per relation, the explicit delta set [`StorageManager::load_delta`]
+    /// fills: while it holds rows it is read as delta-known instead of the
+    /// relation's last run.  The next boundary or
+    /// [`StorageManager::clear_deltas`] empties it, keeping its capacity for
+    /// the next maintenance phase.
+    delta_sets: Vec<Relation>,
     /// Whether hash indexes are maintained (the indexed/unindexed axis of
     /// the evaluation).
     use_indexes: bool,
@@ -127,8 +145,7 @@ impl StorageManager {
         StorageManager {
             schemas: Vec::new(),
             derived: Database::new(),
-            delta_known: Database::new(),
-            delta_new: Database::new(),
+            delta_sets: Vec::new(),
             use_indexes,
             epoch: 0,
         }
@@ -163,14 +180,13 @@ impl StorageManager {
         self.use_indexes
     }
 
-    /// Registers a relation in all three databases and returns its id.
+    /// Registers a relation and returns its id.
     pub fn register(&mut self, name: impl Into<String>, arity: usize, is_edb: bool) -> RelId {
         let id = RelId(u32::try_from(self.schemas.len()).expect("too many relations"));
         let schema = RelationSchema::new(id, name, arity, is_edb);
         self.schemas.push(schema.clone());
-        self.derived.register(schema.clone());
-        self.delta_known.register(schema.clone());
-        self.delta_new.register(schema);
+        self.delta_sets.push(Relation::new(schema.clone()));
+        self.derived.register(schema);
         id
     }
 
@@ -200,53 +216,42 @@ impl StorageManager {
         self.schemas.len()
     }
 
-    /// Requests a hash index on `(rel, column)` in the derived and
-    /// delta-known databases (the two read-side databases).  No-op when the
-    /// manager was created with indexes disabled.
+    /// Requests a hash index on `(rel, column)`.  The one index serves
+    /// every database of the relation (see the module docs).  No-op when
+    /// the manager was created with indexes disabled.
     pub fn add_index(&mut self, rel: RelId, column: usize) -> Result<()> {
         if !self.use_indexes {
             return Ok(());
         }
-        self.derived.relation_mut(rel)?.add_index(column)?;
-        self.delta_known.relation_mut(rel)?.add_index(column)?;
-        Ok(())
+        self.derived.relation_mut(rel)?.add_index(column)
     }
 
-    /// Requests a composite hash index on `(rel, columns)` in the two
-    /// read-side databases.  No-op when indexes are disabled.
+    /// Requests a composite hash index on `(rel, columns)`, serving every
+    /// database of the relation.  No-op when indexes are disabled.
     pub fn add_composite_index(&mut self, rel: RelId, columns: &[usize]) -> Result<()> {
         if !self.use_indexes {
             return Ok(());
         }
-        self.derived
-            .relation_mut(rel)?
-            .add_composite_index(columns)?;
-        self.delta_known
-            .relation_mut(rel)?
-            .add_composite_index(columns)?;
-        Ok(())
+        self.derived.relation_mut(rel)?.add_composite_index(columns)
     }
 
-    /// Shards every relation (in all three databases) into `shard_count`
-    /// hash partitions keyed on the first column, the default join key.
-    /// `shard_count <= 1` disables sharding.  Nullary relations are left
-    /// unsharded — there is nothing to partition by.
+    /// Shards every relation into `shard_count` hash partitions keyed on
+    /// the first column, the default join key.  `shard_count <= 1` disables
+    /// sharding.  Nullary relations are left unsharded — there is nothing
+    /// to partition by.  The partitions serve derived and delta-known alike;
+    /// explicit delta sets stay unsharded.
     ///
     /// Sharding only adds a partition view over the row offsets; scans,
     /// lookups and insertion order are unaffected, so serial evaluation on a
     /// sharded manager is identical to evaluation on an unsharded one.
     pub fn set_sharding(&mut self, shard_count: usize) -> Result<()> {
-        for db in [
-            &mut self.derived,
-            &mut self.delta_known,
-            &mut self.delta_new,
-        ] {
-            for schema in &self.schemas {
-                if schema.arity == 0 {
-                    continue;
-                }
-                db.relation_mut(schema.id)?.set_sharding(shard_count, 0)?;
+        for schema in &self.schemas {
+            if schema.arity == 0 {
+                continue;
             }
+            self.derived
+                .relation_mut(schema.id)?
+                .set_sharding(shard_count, 0)?;
         }
         Ok(())
     }
@@ -256,50 +261,67 @@ impl StorageManager {
         self.derived.relation(rel).map_or(1, Relation::shard_count)
     }
 
-    /// Read access to one of the three databases.
-    pub fn db(&self, kind: DbKind) -> &Database {
-        match kind {
-            DbKind::Derived => &self.derived,
-            DbKind::DeltaKnown => &self.delta_known,
-            DbKind::DeltaNew => &self.delta_new,
-        }
+    /// The rows of `rel` in database `kind`: the relation with the slot
+    /// range of that database (see the module docs), or the explicit delta
+    /// set loaded for it.
+    #[inline]
+    pub fn relation(&self, kind: DbKind, rel: RelId) -> Result<RelationView<'_>> {
+        let relation = self.derived.relation(rel)?;
+        Ok(match kind {
+            DbKind::Derived => relation.view(),
+            DbKind::DeltaKnown => match self.delta_sets.get(rel.index()) {
+                Some(set) if !set.is_empty() => set.view(),
+                _ => relation.run_view(),
+            },
+            DbKind::DeltaNew => relation.pending_view(),
+        })
     }
 
-    /// Mutable access to one of the three databases.
-    pub fn db_mut(&mut self, kind: DbKind) -> &mut Database {
-        match kind {
-            DbKind::Derived => &mut self.derived,
-            DbKind::DeltaKnown => &mut self.delta_known,
-            DbKind::DeltaNew => &mut self.delta_new,
-        }
+    /// Live rows of `rel` in database `kind`, 0 if the relation is unknown
+    /// (defensive for stats paths).
+    pub fn cardinality(&self, kind: DbKind, rel: RelId) -> usize {
+        self.relation(kind, rel).map_or(0, |view| view.len())
     }
 
-    /// Convenience accessor: relation `rel` in database `kind`.
-    pub fn relation(&self, kind: DbKind, rel: RelId) -> Result<&Relation> {
-        self.db(kind).relation(rel)
+    /// Relation `rel` itself: its published rows are the derived database.
+    pub fn derived(&self, rel: RelId) -> Result<&Relation> {
+        self.derived.relation(rel)
     }
 
-    /// Inserts an EDB fact: the tuple lands in both the derived database and
-    /// the delta-known database so that the first semi-naive iteration sees
-    /// every base fact as "new".
+    /// Mutable access to relation `rel` — the restore path of the snapshot
+    /// subsystem and the stratum recompute of the incremental layer rebuild
+    /// rows through this.  Writing rows straight into it while rows are
+    /// pending is a [`StorageError::PendingRows`].
+    pub fn derived_mut(&mut self, rel: RelId) -> Result<&mut Relation> {
+        self.derived.relation_mut(rel)
+    }
+
+    /// Inserts an EDB fact: the tuple lands in derived and joins
+    /// delta-known, so that the first semi-naive iteration sees every base
+    /// fact as "new".
     pub fn insert_fact(&mut self, rel: RelId, tuple: Tuple) -> Result<bool> {
         self.insert_fact_row(rel, tuple.values())
     }
 
     /// [`StorageManager::insert_fact`] over a raw row slice: one pooled
-    /// append per database, no tuple clones anywhere on the path.
+    /// append, no tuple clones anywhere on the path.  The delta-known run
+    /// grows over the row; where it cannot (the run does not end where the
+    /// row lands), delta-known continues as an explicit set.
     pub fn insert_fact_row(&mut self, rel: RelId, values: &[Value]) -> Result<bool> {
         let fresh = self.append_derived_row(rel, values)?;
-        if fresh {
-            self.delta_known.relation_mut(rel)?.insert_row(values)?;
+        if fresh
+            && (!self.delta_sets[rel.index()].is_empty()
+                || !self.derived.relation_mut(rel)?.extend_run())
+        {
+            self.delta_set_mut(rel)?.insert_row(values)?;
         }
         Ok(fresh)
     }
 
     /// Inserts a derived fact produced during the current iteration.  The
-    /// fact is recorded in delta-new only if it is not already present in
-    /// the derived database (semi-naive deduplication); the derived database
-    /// itself is only extended at the next [`swap_and_clear`].
+    /// fact becomes a pending row of `rel` (delta-new) only if it is neither
+    /// derived nor already pending (semi-naive deduplication); the derived
+    /// database itself only sees it after the next [`swap_and_clear`].
     ///
     /// Returns `true` if the fact was genuinely new.
     ///
@@ -309,27 +331,19 @@ impl StorageManager {
     }
 
     /// [`StorageManager::insert_derived`] over a raw row slice — the form
-    /// the join kernels emit through.  The row hash is computed once and
-    /// shared between the derived-database membership test and the
-    /// delta-new insert; a duplicate (already in derived, or already emitted
-    /// this iteration) costs one probe of each and writes nothing.
+    /// the join kernels emit through: one find-or-insert into the
+    /// relation's pool, whose dedup table holds the derived and the pending
+    /// rows alike.  A duplicate costs that one probe and writes nothing.
     pub fn insert_derived_row(&mut self, rel: RelId, values: &[Value]) -> Result<bool> {
-        let hash = crate::pool::row_hash(values);
-        let derived = self.derived.relation(rel)?;
-        if values.len() != derived.arity() {
+        let relation = self.derived.relation_mut(rel)?;
+        if values.len() != relation.arity() {
             return Err(StorageError::ArityMismatch {
-                relation: derived.name().to_string(),
-                expected: derived.arity(),
+                relation: relation.name().to_string(),
+                expected: relation.arity(),
                 actual: values.len(),
             });
         }
-        if derived.contains_row_hashed(values, hash) {
-            return Ok(false);
-        }
-        Ok(self
-            .delta_new
-            .relation_mut(rel)?
-            .insert_row_hashed(values, hash))
+        Ok(relation.insert_pending(values))
     }
 
     /// Appends a row to the derived database only, in the current epoch —
@@ -356,38 +370,21 @@ impl StorageManager {
         self.derived.relation_mut(rel)?.retract_row(values)
     }
 
-    /// Iteration boundary: merge delta-new into derived, move delta-new into
-    /// delta-known (replacing the previous contents) and leave delta-new
-    /// empty for the next iteration.
+    /// Iteration boundary: every listed relation publishes its pending rows
+    /// — indexes and shards them and stamps them with a new epoch
+    /// ([`StorageManager::advance_epoch`]) as one run — and that run
+    /// becomes its delta-known (an explicit delta set is emptied).  No row
+    /// is copied or rehashed: delta-new is empty again because its rows are
+    /// now published.
     ///
-    /// The merge appends rows straight from delta-new's pool, reusing its
-    /// retained row hashes; the rotation itself is an O(1) swap of pool
-    /// internals (no row is copied, reinserted or rehashed).  The merged
-    /// rows open a new epoch ([`StorageManager::advance_epoch`]).
-    ///
-    /// Returns the number of facts merged into the derived database across
-    /// all listed relations; the caller uses "0" as the fixpoint signal.
+    /// Returns the number of facts published across all listed relations;
+    /// the caller uses "0" as the fixpoint signal.
     pub fn swap_and_clear(&mut self, relations: &[RelId]) -> Result<usize> {
         let mut merged = 0;
         let epoch = self.advance_epoch();
         for &rel in relations {
-            // Merge the freshly discovered facts into the derived database
-            // (split field borrows: derived is written, delta-new only read).
-            {
-                let (derived_db, new_db) = (&mut self.derived, &self.delta_new);
-                let new_rel = new_db.relation(rel)?;
-                let derived = derived_db.relation_mut(rel)?;
-                derived.begin_epoch(epoch);
-                merged += derived.union_in_place(new_rel)?;
-            }
-            // delta-known <- delta-new ; delta-new <- empty.  The swap moves
-            // the pools in O(1); only the (already-consumed) old read side
-            // is cleared, and `clear` keeps its capacity for the next fill.
-            let (known_db, new_db) = (&mut self.delta_known, &mut self.delta_new);
-            let known = known_db.relation_mut(rel)?;
-            let new = new_db.relation_mut(rel)?;
-            known.clear();
-            known.swap_contents(new);
+            merged += self.derived.relation_mut(rel)?.publish(epoch);
+            self.empty_delta_set(rel);
         }
         Ok(merged)
     }
@@ -396,21 +393,54 @@ impl StorageManager {
     /// fixpoint test used by `DoWhileOp`.
     pub fn deltas_empty(&self, relations: &[RelId]) -> Result<bool> {
         for &rel in relations {
-            if !self.delta_known.relation(rel)?.is_empty() {
+            if !self.relation(DbKind::DeltaKnown, rel)?.is_empty() {
                 return Ok(false);
             }
         }
         Ok(true)
     }
 
-    /// Clears the delta databases of the given relations (used when
-    /// re-running a program on the same manager).
+    /// Clears the delta databases of the given relations: pending rows are
+    /// dropped, and the delta-known run and explicit delta sets are
+    /// emptied.
     pub fn clear_deltas(&mut self, relations: &[RelId]) -> Result<()> {
         for &rel in relations {
-            self.delta_known.relation_mut(rel)?.clear();
-            self.delta_new.relation_mut(rel)?.clear();
+            self.derived.relation_mut(rel)?.clear_delta();
+            self.empty_delta_set(rel);
         }
         Ok(())
+    }
+
+    /// Empties `rel`'s explicit delta set (a known id), so delta-known is
+    /// its run again.
+    fn empty_delta_set(&mut self, rel: RelId) {
+        let set = &mut self.delta_sets[rel.index()];
+        if !set.is_empty() {
+            set.clear();
+        }
+    }
+
+    /// Adds the rows of `facts` to `rel`'s delta-known database as an
+    /// explicit delta set — how the incremental layer hands its seeds,
+    /// frontiers and driver sets (arbitrary fact sets, not runs) to the
+    /// join kernels.  The set is unindexed (a maintenance query reads its
+    /// delta at join level 0, by a scan); a first set starts from the rows
+    /// of the current run, so delta-known only ever grows.  Returns the
+    /// number of rows added.
+    pub fn load_delta(&mut self, rel: RelId, facts: &Relation) -> Result<usize> {
+        self.delta_set_mut(rel)?.union_in_place(facts)
+    }
+
+    /// `rel`'s explicit delta set, seeded with its current run if empty.
+    fn delta_set_mut(&mut self, rel: RelId) -> Result<&mut Relation> {
+        let relation = self.derived.relation(rel)?;
+        let set = &mut self.delta_sets[rel.index()];
+        if set.is_empty() {
+            for row in relation.run_view().iter_rows() {
+                set.insert_row(row)?;
+            }
+        }
+        Ok(set)
     }
 
     /// Stratum-boundary aggregation: groups the rows of `input`'s *derived*
@@ -609,13 +639,6 @@ impl StorageManager {
         Ok((group_cols, groups, order))
     }
 
-    /// Mutable access to `rel`'s derived relation — the restore path of the
-    /// snapshot subsystem rebuilds rows, epochs and the generation counter
-    /// through this.
-    pub(crate) fn derived_relation_mut(&mut self, rel: RelId) -> Result<&mut Relation> {
-        self.derived.relation_mut(rel)
-    }
-
     /// The compaction generation of `rel`'s derived row pool (see
     /// [`Relation::generation`]): callers holding [`crate::RowId`]s across
     /// statements snapshot this and validate it on re-access
@@ -654,13 +677,13 @@ impl StorageManager {
     }
 
     /// Aggregate row-pool statistics (rows, resident bytes, dedup-table
-    /// rehashes) across every relation of all three evaluation databases —
-    /// the numbers the benchmark harness reports to make the flat-pool
-    /// memory behavior measurable.
+    /// rehashes) across every relation and explicit delta set — the numbers
+    /// the benchmark harness reports to make the flat-pool memory behavior
+    /// measurable.
     pub fn pool_stats(&self) -> crate::pool::PoolStats {
-        [&self.derived, &self.delta_known, &self.delta_new]
-            .into_iter()
-            .flat_map(Database::relations)
+        self.derived
+            .relations()
+            .chain(&self.delta_sets)
             .map(Relation::pool_stats)
             .fold(
                 crate::pool::PoolStats::default(),
@@ -678,6 +701,7 @@ impl StorageManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::RowId;
 
     fn manager() -> (StorageManager, RelId, RelId) {
         let mut sm = StorageManager::new(true);
@@ -736,23 +760,36 @@ mod tests {
     }
 
     #[test]
-    fn swap_and_clear_rotates_pools_in_place() {
-        // The O(1)-rotation contract at the manager level: the delta-new
-        // pool moves wholesale into delta-known — identical stats object
-        // (rows, resident bytes, lifetime rehash count), so nothing was
-        // copied, reinserted or rehashed on the way.
+    fn delta_known_probes_the_derived_indexes_at_every_boundary() {
+        // Regression: the delta used to be a pool of its own, and rotating
+        // the pools moved the index set to the write side at every
+        // boundary, so every second iteration probed delta-known by a
+        // filtered scan.  The run is a range of derived's pool now, probed
+        // through derived's index at every boundary.
         let (mut sm, _, path) = manager();
-        for i in 0..500u32 {
-            sm.insert_derived(path, Tuple::pair(i, i + 1)).unwrap();
+        sm.add_index(path, 0).unwrap();
+        let mut scratch = Vec::new();
+        for boundary in 0..4u32 {
+            let emitted: Vec<[Value; 2]> = (0..12u32)
+                .map(|i| [Value::int(i % 3), Value::int(100 * boundary + i)])
+                .collect();
+            for row in &emitted {
+                assert!(sm.insert_derived_row(path, row).unwrap());
+            }
+            sm.swap_and_clear(&[path]).unwrap();
+            let known = sm.relation(DbKind::DeltaKnown, path).unwrap();
+            assert!(known.has_index(0), "boundary {boundary}: no index");
+            for key in 0..3u32 {
+                let probe = known.probe_rows(&[(0, Value::int(key))], &mut scratch);
+                let got: Vec<Vec<Value>> = probe.iter().map(|r| known.row(r).to_vec()).collect();
+                let expected: Vec<Vec<Value>> = emitted
+                    .iter()
+                    .filter(|row| row[0] == Value::int(key))
+                    .map(|row| row.to_vec())
+                    .collect();
+                assert_eq!(got, expected, "boundary {boundary}, key {key}");
+            }
         }
-        let before = sm.relation(DbKind::DeltaNew, path).unwrap().pool_stats();
-        assert_eq!(before.rows, 500);
-        let merged = sm.swap_and_clear(&[path]).unwrap();
-        assert_eq!(merged, 500);
-        let after = sm.relation(DbKind::DeltaKnown, path).unwrap().pool_stats();
-        assert_eq!(before, after);
-        assert!(sm.relation(DbKind::DeltaNew, path).unwrap().is_empty());
-        assert_eq!(sm.relation(DbKind::Derived, path).unwrap().len(), 500);
     }
 
     #[test]
@@ -767,9 +804,9 @@ mod tests {
             .retract_fact_row(edge, &[Value::int(1), Value::int(2)])
             .unwrap());
         assert_eq!(sm.relation(DbKind::Derived, edge).unwrap().len(), 1);
-        // The delta copy made by insert_fact is untouched (callers clear
-        // deltas before incremental maintenance).
-        assert_eq!(sm.relation(DbKind::DeltaKnown, edge).unwrap().len(), 2);
+        // Delta-known is a range of the same pool, so the fact leaves it
+        // too; nothing derived from it is touched.
+        assert_eq!(sm.relation(DbKind::DeltaKnown, edge).unwrap().len(), 1);
     }
 
     #[test]
@@ -786,26 +823,32 @@ mod tests {
     }
 
     #[test]
-    fn sharding_applies_to_all_databases_and_survives_swap() {
+    fn shard_partitions_serve_derived_and_the_run() {
         let (mut sm, edge, path) = manager();
         sm.set_sharding(4).unwrap();
         assert_eq!(sm.shard_count(edge), 4);
-        for i in 0..32u32 {
-            sm.insert_fact(edge, Tuple::pair(i, i + 1)).unwrap();
-            sm.insert_derived(path, Tuple::pair(i, i + 1)).unwrap();
+        let shard_rows = |sm: &StorageManager, kind| {
+            let view = sm.relation(kind, path).unwrap();
+            let mut rows: Vec<RowId> = (0..4).flat_map(|s| view.shard_rows(s).to_vec()).collect();
+            rows.sort_unstable();
+            rows
+        };
+        for round in 0..2u32 {
+            for i in 0..32u32 {
+                sm.insert_fact(edge, Tuple::pair(i, i + 1)).unwrap();
+                sm.insert_derived(path, Tuple::pair(i, round)).unwrap();
+            }
+            // Pending rows are in no partition until the boundary...
+            assert!(!sm.relation(DbKind::DeltaNew, path).unwrap().is_sharded());
+            assert!(shard_rows(&sm, DbKind::DeltaNew).is_empty());
+            sm.swap_and_clear(&[path]).unwrap();
+            // ...which partitions them: the run's partitions are exactly
+            // the run, derived's exactly every row.
+            let run = 32 * round..32 * (round + 1);
+            assert_eq!(shard_rows(&sm, DbKind::DeltaKnown), run.collect::<Vec<_>>());
+            let all = 0..32 * (round + 1);
+            assert_eq!(shard_rows(&sm, DbKind::Derived), all.collect::<Vec<_>>());
         }
-        let delta = sm.relation(DbKind::DeltaNew, path).unwrap();
-        let partitioned: usize = (0..4).map(|s| delta.shard_rows(s).len()).sum();
-        assert_eq!(partitioned, 32);
-        sm.swap_and_clear(&[path]).unwrap();
-        // After the swap the read side carries the partitions...
-        let known = sm.relation(DbKind::DeltaKnown, path).unwrap();
-        let partitioned: usize = (0..4).map(|s| known.shard_rows(s).len()).sum();
-        assert_eq!(partitioned, 32);
-        // ...and the fresh write side is empty but still sharded.
-        let new = sm.relation(DbKind::DeltaNew, path).unwrap();
-        assert!(new.is_empty());
-        assert_eq!(new.shard_count(), 4);
     }
 
     #[test]

@@ -53,6 +53,14 @@ pub enum StorageError {
         /// The pool's current generation.
         current: u64,
     },
+    /// A row was written straight into a relation's published rows while
+    /// rows derived this iteration were still pending there (they would
+    /// end up published out of slot order); the caller must close the
+    /// iteration first.
+    PendingRows {
+        /// Relation holding pending rows.
+        relation: String,
+    },
 }
 
 impl fmt::Display for StorageError {
@@ -90,6 +98,11 @@ impl fmt::Display for StorageError {
                 f,
                 "stale row id {row} on relation `{relation}`: obtained under compaction \
                  generation {held}, pool is now at generation {current}"
+            ),
+            StorageError::PendingRows { relation } => write!(
+                f,
+                "relation `{relation}` has rows pending the next iteration boundary; \
+                 publish or clear them before writing to it directly"
             ),
         }
     }

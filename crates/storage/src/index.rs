@@ -16,11 +16,14 @@
 //! Both index kinds store [`PostingList`]s of [`RowId`]s into the owning
 //! relation's flat row pool — up to a few rows inline, spilling to the heap
 //! only for high-fanout keys — and never store row values themselves.  They
-//! share the incremental-maintenance contract: `insert`, `clear` and
-//! `rebuild` keep them in sync with the owning pool.
+//! share the incremental-maintenance contract: `insert`, `remove`, `clear`
+//! and `rebuild` keep them in sync with the owning relation's published rows.
+//! Every posting list is in slot order (rows are appended in slot order,
+//! `remove` keeps the order, `rebuild` runs in slot order), so the rows of a
+//! slot range are a contiguous run of any list, found by binary search.
 
 use crate::hasher::FxHashMap;
-use crate::pool::{mix_hash, value_hash, PostingList, RowId, RowPool};
+use crate::pool::{mix_hash, value_hash, PostingList, RowId};
 use crate::value::Value;
 
 /// A hash index over one column of a relation.
@@ -90,10 +93,11 @@ impl ColumnIndex {
         self.entries.clear();
     }
 
-    /// Rebuilds the index from scratch over the live rows of `pool`.
-    pub fn rebuild(&mut self, pool: &RowPool) {
+    /// Rebuilds the index from scratch over `rows` (`(id, values)` in slot
+    /// order, e.g. [`RowPool::live_rows`](crate::pool::RowPool::live_rows)).
+    pub fn rebuild<'v>(&mut self, rows: impl IntoIterator<Item = (RowId, &'v [Value])>) {
         self.entries.clear();
-        for (row, values) in pool.live_rows() {
+        for (row, values) in rows {
             self.insert(values, row);
         }
     }
@@ -229,10 +233,11 @@ impl CompositeIndex {
         self.entries.clear();
     }
 
-    /// Rebuilds the index from scratch over the live rows of `pool`.
-    pub fn rebuild(&mut self, pool: &RowPool) {
+    /// Rebuilds the index from scratch over `rows` (`(id, values)` in slot
+    /// order, e.g. [`RowPool::live_rows`](crate::pool::RowPool::live_rows)).
+    pub fn rebuild<'v>(&mut self, rows: impl IntoIterator<Item = (RowId, &'v [Value])>) {
         self.entries.clear();
-        for (row, values) in pool.live_rows() {
+        for (row, values) in rows {
             self.insert(values, row);
         }
     }
@@ -253,6 +258,7 @@ impl CompositeIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pool::RowPool;
 
     fn pool_of(rows: &[&[u32]]) -> RowPool {
         let arity = rows.first().map_or(0, |r| r.len());
@@ -272,7 +278,7 @@ mod tests {
     fn lookup_returns_matching_rows() {
         let pool = sample();
         let mut idx = ColumnIndex::new(0);
-        idx.rebuild(&pool);
+        idx.rebuild(pool.live_rows());
         assert_eq!(idx.lookup(Value::int(1)), &[0, 2]);
         assert_eq!(idx.lookup(Value::int(3)), &[3]);
         assert!(idx.lookup(Value::int(9)).is_empty());
@@ -282,7 +288,7 @@ mod tests {
     fn indexes_second_column() {
         let pool = sample();
         let mut idx = ColumnIndex::new(1);
-        idx.rebuild(&pool);
+        idx.rebuild(pool.live_rows());
         assert_eq!(idx.lookup(Value::int(10)), &[0, 1]);
         assert_eq!(idx.distinct_values(), 3);
     }
@@ -295,7 +301,7 @@ mod tests {
             incr.insert(values, row as RowId);
         }
         let mut rebuilt = ColumnIndex::new(0);
-        rebuilt.rebuild(&pool);
+        rebuilt.rebuild(pool.live_rows());
         assert_eq!(incr.lookup(Value::int(1)), rebuilt.lookup(Value::int(1)));
         assert_eq!(incr.distinct_values(), rebuilt.distinct_values());
     }
@@ -313,7 +319,7 @@ mod tests {
     fn composite_lookup_matches_filtered_scan() {
         let pool = pool_of(&[&[1, 10, 5], &[1, 10, 6], &[1, 20, 5], &[2, 10, 5]]);
         let mut idx = CompositeIndex::new(&[0, 1]);
-        idx.rebuild(&pool);
+        idx.rebuild(pool.live_rows());
         assert_eq!(idx.lookup(&[Value::int(1), Value::int(10)]), &[0, 1]);
         assert_eq!(idx.lookup(&[Value::int(2), Value::int(10)]), &[3]);
         assert!(idx.lookup(&[Value::int(2), Value::int(20)]).is_empty());
@@ -342,7 +348,7 @@ mod tests {
             incr.insert(values, row as RowId);
         }
         let mut rebuilt = CompositeIndex::new(&[0, 2]);
-        rebuilt.rebuild(&pool);
+        rebuilt.rebuild(pool.live_rows());
         let key = [Value::int(1), Value::int(3)];
         assert_eq!(incr.lookup(&key), rebuilt.lookup(&key));
         assert_eq!(incr.distinct_keys(), rebuilt.distinct_keys());
@@ -356,7 +362,7 @@ mod tests {
         let row_refs: Vec<&[u32]> = rows.iter().map(Vec::as_slice).collect();
         let pool = pool_of(&row_refs);
         let mut idx = ColumnIndex::new(0);
-        idx.rebuild(&pool);
+        idx.rebuild(pool.live_rows());
         let expected: Vec<RowId> = (0..20).collect();
         assert_eq!(idx.lookup(Value::int(1)), &expected[..]);
         assert!(idx.resident_bytes() > 0);

@@ -16,11 +16,13 @@
 //!   allocation-free [`Relation::probe_rows`] access path, and the epoch of
 //!   every row ([`Relation::epoch_of`]: which iteration boundary appended
 //!   it) as a run table,
+//! * [`RelationView`] — a relation restricted to a slot range: how the
+//!   three evaluation databases of semi-naive evaluation (*derived*,
+//!   *delta-known*, *delta-new*) are read out of one pool per relation,
 //! * [`Database`] — a collection of relations addressed by [`RelId`],
-//! * [`StorageManager`] — the three evaluation databases used by semi-naive
-//!   evaluation (*derived*, *delta-known*, *delta-new*) together with the
-//!   `swap`, `clear`, `merge` and `diff` operations the execution layer
-//!   needs at iteration boundaries,
+//! * [`StorageManager`] — the relations plus the iteration-boundary
+//!   operations the execution layer needs (publish the pending rows as the
+//!   next delta, clear the deltas, load an explicit delta set),
 //! * [`ops`] — basic relational operators (select, project, join, union,
 //!   difference) usable both directly and as building blocks for the
 //!   execution backends,
@@ -58,7 +60,7 @@ pub use index::{ColumnIndex, CompositeIndex};
 pub use journal::{read_journal, JournalContents, JournalRecord, JournalWriter};
 pub use ops::{AggFunc, CmpOp, DeltaSign};
 pub use pool::{PoolStats, PostingList, RowId, RowPool};
-pub use relation::{ProbeIter, ProbeRows, Relation};
+pub use relation::{ProbeIter, ProbeRows, Relation, RelationView};
 pub use schema::{RelId, RelationSchema};
 pub use snapshot::{read_snapshot, write_snapshot, PersistError, RelationSnapshot, Snapshot};
 pub use stats::{RelationStats, StatsSnapshot};

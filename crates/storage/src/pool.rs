@@ -13,8 +13,9 @@
 //! * duplicate elimination goes through a single `FxHashMap<u64, PostingList>`
 //!   keyed by a 64-bit row hash; a hit is confirmed by comparing the actual
 //!   row slice, so hash collisions cost a comparison, never a wrong answer,
-//! * the per-row hash is retained in a side vector, so merging one pool into
-//!   another ([`RowPool::insert_hashed`]) never rehashes a row.
+//! * the per-row hash is retained in a side vector, so copying a row into
+//!   another pool ([`RowPool::insert_hashed`]) or compacting never rehashes
+//!   it.
 //!
 //! The same per-value mixing ([`value_hash`]) feeds the row hash *and* the
 //! shard assignment of the parallel evaluation layer, so one hash pass per
@@ -391,18 +392,21 @@ impl RowPool {
     /// The live row equal to `values` (hash precomputed), if any.
     #[inline]
     pub fn find_hashed(&self, values: &[Value], hash: u64) -> Option<RowId> {
-        match self.dedup.get(&hash) {
-            Some(&first) => {
-                if self.row(first) == values {
-                    Some(first)
-                } else {
-                    self.overflow
-                        .get(&hash)
-                        .and_then(|rows| rows.iter().copied().find(|&r| self.row(r) == values))
-                }
-            }
-            None => None,
+        self.find_by(hash, |row| row == values)
+    }
+
+    /// The live row with row hash `hash` that `matches` accepts, if any —
+    /// [`RowPool::find_hashed`] for callers that hold the row's values
+    /// scattered (e.g. as `(column, value)` filters) rather than as a slice.
+    #[inline]
+    pub(crate) fn find_by(&self, hash: u64, matches: impl Fn(&[Value]) -> bool) -> Option<RowId> {
+        let &first = self.dedup.get(&hash)?;
+        if matches(self.row(first)) {
+            return Some(first);
         }
+        self.overflow
+            .get(&hash)
+            .and_then(|rows| rows.iter().copied().find(|&r| matches(self.row(r))))
     }
 
     /// Tombstones the live row equal to `values` (hash precomputed by the
@@ -435,8 +439,40 @@ impl RowPool {
     pub(crate) fn retract_hashed_retained(&mut self, values: &[Value], hash: u64) -> Option<RowId> {
         debug_assert_eq!(hash, row_hash(values), "caller-supplied hash mismatch");
         let row = self.find_hashed(values, hash)?;
-        // Unlink from the dedup table, promoting a colliding overflow row
-        // into the primary slot when one exists.
+        self.retract_at(row, hash);
+        Some(row)
+    }
+
+    /// Tombstones the live slot `row`, whose retained hash is `hash` (the
+    /// caller found it through [`RowPool::find_hashed`]).
+    pub(crate) fn retract_at(&mut self, row: RowId, hash: u64) {
+        self.unlink(row, hash);
+        if self.dead.is_empty() {
+            self.dead = vec![false; self.hashes.len()];
+        }
+        self.dead[row as usize] = true;
+        self.dead_count += 1;
+    }
+
+    /// Drops every slot from `len` on, as if those rows had never been
+    /// inserted: they leave the dedup table and their ids are handed out
+    /// again.  A no-op when the pool holds no more than `len` slots.
+    pub(crate) fn truncate(&mut self, len: usize) {
+        for row in (len..self.slots()).rev() {
+            if self.is_live(row as RowId) {
+                self.unlink(row as RowId, self.hashes[row]);
+            } else {
+                self.dead_count -= 1;
+            }
+        }
+        self.values.truncate(len * self.arity);
+        self.hashes.truncate(len);
+        self.dead.truncate(len);
+    }
+
+    /// Removes the live slot `row` from the dedup table, promoting a
+    /// colliding overflow row into the primary slot when one exists.
+    fn unlink(&mut self, row: RowId, hash: u64) {
         if self.dedup.get(&hash) == Some(&row) {
             let promoted = self
                 .overflow
@@ -460,12 +496,6 @@ impl RowPool {
                 self.overflow.remove(&hash);
             }
         }
-        if self.dead.is_empty() {
-            self.dead = vec![false; self.hashes.len()];
-        }
-        self.dead[row as usize] = true;
-        self.dead_count += 1;
-        Some(row)
     }
 
     /// Inserts a row, returning its new [`RowId`], or `None` when an equal
@@ -484,11 +514,8 @@ impl RowPool {
     /// silently breaking deduplication (rows stored twice, membership tests
     /// lying) — exactly the corruption a `debug_assert` used to let through
     /// in release builds.  The validation is unconditional here; the
-    /// crate-internal merge path ([`Relation::union_in_place`]) goes
-    /// through the unchecked variant with hashes retained by the pool
-    /// itself, so iteration boundaries still never rehash a row.
-    ///
-    /// [`Relation::union_in_place`]: crate::relation::Relation::union_in_place
+    /// crate-internal append paths go through the unchecked variant with
+    /// hashes the storage layer computed or retained itself.
     pub fn insert_hashed(&mut self, values: &[Value], hash: u64) -> Option<RowId> {
         assert_eq!(
             hash,
@@ -800,6 +827,25 @@ mod tests {
         assert_eq!(pool.insert(&vals(&[3, 4])), Some(3));
         assert_eq!(pool.len(), 3);
         assert!(pool.contains(&vals(&[3, 4])));
+    }
+
+    #[test]
+    fn truncate_forgets_the_dropped_rows() {
+        let mut pool = RowPool::new(2);
+        for i in 0..6u32 {
+            pool.insert(&vals(&[i, i]));
+        }
+        pool.retract_hashed(&vals(&[1, 1]), row_hash(&vals(&[1, 1])));
+        pool.retract_hashed(&vals(&[4, 4]), row_hash(&vals(&[4, 4])));
+        pool.truncate(3);
+        assert_eq!((pool.slots(), pool.len()), (3, 2));
+        assert!(pool.contains(&vals(&[2, 2])));
+        assert!(!pool.contains(&vals(&[3, 3])));
+        // Dropped ids are handed out again, and nothing dedups against them.
+        assert_eq!(pool.insert(&vals(&[5, 5])), Some(3));
+        assert_eq!(pool.insert(&vals(&[3, 3])), Some(4));
+        assert!(!pool.is_live(1));
+        assert!(pool.is_live(4));
     }
 
     #[test]

@@ -1,9 +1,10 @@
-//! In-memory relations with set semantics over a flat row pool.
+//! In-memory relations with set semantics over a flat row pool, and the
+//! slot-range views semi-naive evaluation reads them through.
 
 use crate::epoch::EpochRuns;
 use crate::error::StorageError;
 use crate::index::{ColumnIndex, CompositeIndex};
-use crate::pool::{mix_hash, shard_of_hash, value_hash, PoolStats, RowId, RowPool};
+use crate::pool::{mix_hash, row_hash, shard_of_hash, value_hash, PoolStats, RowId, RowPool};
 use crate::schema::RelationSchema;
 use crate::tuple::Tuple;
 use crate::value::Value;
@@ -19,12 +20,24 @@ use crate::Result;
 /// * `indexes` — optional per-column hash indexes used by index-nested-loop
 ///   joins when the engine runs in "indexed" mode,
 /// * `composites` — optional multi-column hash indexes for atoms probed on
-///   several bound columns at once,
+///   several bound columns at once (a composite index over *every* column is
+///   the pool's dedup table itself, so it costs nothing to maintain),
 /// * `shards` — optional hash partitions of the row ids by shard-key value,
 ///   enabling independent parallel scans of disjoint row subsets (see
 ///   [`Relation::set_sharding`]),
 /// * `epochs` — which iteration boundary appended each row, as a run table
 ///   over the slots ([`Relation::epoch_of`]); no per-row field.
+///
+/// **Published and pending rows.**  The rows every read of a relation sees
+/// are its *published* slots `0..slot_count()`: indexed, sharded and
+/// stamped with an epoch.  Semi-naive evaluation appends the facts an
+/// iteration derives *past* them, as *pending* rows: the pool's dedup table
+/// already holds them (so a second derivation of the same fact is one
+/// failed insert), but no read of the relation — `len`, scans, probes,
+/// membership tests — sees them until the iteration boundary publishes them
+/// in one go, as one epoch run.  That run is what the next iteration reads
+/// as its delta ([`RelationView`]).  A relation used on its own, outside a
+/// [`StorageManager`](crate::StorageManager), never holds pending rows.
 ///
 /// [`Tuple`] remains the boundary type for loading facts and reading
 /// results; the evaluation hot paths speak `&[Value]` row slices and
@@ -54,6 +67,10 @@ pub struct Relation {
     pool: RowPool,
     indexes: Vec<ColumnIndex>,
     composites: Vec<CompositeIndex>,
+    /// Whether a composite index over every column was declared: the
+    /// pool's dedup table answers it (a probe binding every column is a
+    /// membership test), so it has no map of its own.
+    row_index: bool,
     /// Number of shard partitions; `1` disables sharding.
     shard_count: usize,
     /// Column whose value hashes a row into its shard.
@@ -63,6 +80,12 @@ pub struct Relation {
     shards: Vec<Vec<RowId>>,
     /// `(first slot, epoch)` runs; see [`Relation::epoch_of`].
     epochs: EpochRuns,
+    /// Slots below this are published; the pool's slots from here on are
+    /// pending (see the type docs).
+    published: RowId,
+    /// The published slots `run.0..run.1` that the last iteration boundary
+    /// published — the relation's delta-known rows.
+    run: (RowId, RowId),
 }
 
 /// Deterministic shard assignment for a value: the shard-key value is run
@@ -78,23 +101,24 @@ pub(crate) fn shard_of(value: Value, shard_count: usize) -> usize {
 /// Borrowed candidate rows answering one probe — the allocation-free
 /// replacement for collecting `Vec<usize>` candidate lists.
 ///
-/// Produced by [`Relation::probe_rows`].  Candidates obtained through a
-/// composite index (or any access path that did not cover every filter) may
-/// include rows that fail some filters; callers re-check filters per row,
-/// which the execution kernels do anyway.
+/// Produced by [`Relation::probe_rows`] and [`RelationView::probe_rows`].
+/// Candidates obtained through a composite index (or any access path that
+/// did not cover every filter) may include rows that fail some filters;
+/// callers re-check filters per row, which the execution kernels do anyway.
 #[derive(Debug)]
 pub struct ProbeRows<'a> {
     rows: ProbeSource<'a>,
     via_composite: bool,
+    scanned: usize,
 }
 
 #[derive(Debug)]
 enum ProbeSource<'a> {
-    /// An explicit row-id list: an index posting list or the caller's
-    /// scratch buffer.
+    /// An explicit row-id list: (part of) an index posting list or the
+    /// caller's scratch buffer.
     Slice(&'a [RowId]),
-    /// Every row of the relation (no usable access path).
-    All(RowId),
+    /// Every slot of `start..end`, all of them live (no usable access path).
+    Range(RowId, RowId),
 }
 
 impl<'a> ProbeRows<'a> {
@@ -102,7 +126,7 @@ impl<'a> ProbeRows<'a> {
     pub fn len(&self) -> usize {
         match self.rows {
             ProbeSource::Slice(s) => s.len(),
-            ProbeSource::All(n) => n as usize,
+            ProbeSource::Range(start, end) => (end - start) as usize,
         }
     }
 
@@ -116,11 +140,18 @@ impl<'a> ProbeRows<'a> {
         self.via_composite
     }
 
-    /// Iterator over the candidate row ids, in insertion order.
+    /// Rows a filtered scan visited to answer the probe: 0 whenever an index
+    /// answered it or no filter was given (a full scan is the access path
+    /// then, not a fallback).
+    pub fn scanned_rows(&self) -> usize {
+        self.scanned
+    }
+
+    /// Iterator over the candidate row ids, in slot order.
     pub fn iter(&self) -> ProbeIter<'a> {
         match self.rows {
             ProbeSource::Slice(s) => ProbeIter::Slice(s.iter()),
-            ProbeSource::All(n) => ProbeIter::Range(0..n),
+            ProbeSource::Range(start, end) => ProbeIter::Range(start..end),
         }
     }
 }
@@ -139,7 +170,7 @@ impl<'a> IntoIterator for &ProbeRows<'a> {
 pub enum ProbeIter<'a> {
     /// Iterating an explicit row-id slice.
     Slice(std::slice::Iter<'a, RowId>),
-    /// Iterating a full scan `0..n`.
+    /// Iterating a full scan of a slot range.
     Range(std::ops::Range<RowId>),
 }
 
@@ -162,6 +193,38 @@ impl Iterator for ProbeIter<'_> {
     }
 }
 
+/// The live rows of a slot range, in slot order (behind
+/// [`Relation::iter_rows`] and [`RelationView::iter_rows`]).
+struct SlotRows<'a> {
+    pool: &'a RowPool,
+    next: RowId,
+    end: RowId,
+    remaining: usize,
+}
+
+impl<'a> Iterator for SlotRows<'a> {
+    type Item = &'a [Value];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [Value]> {
+        while self.next < self.end {
+            let row = self.next;
+            self.next += 1;
+            if self.pool.is_live(row) {
+                self.remaining -= 1;
+                return Some(self.pool.row(row));
+            }
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.remaining, Some(self.remaining))
+    }
+}
+
+impl ExactSizeIterator for SlotRows<'_> {}
+
 impl Relation {
     /// Creates an empty relation with the given schema.
     pub fn new(schema: RelationSchema) -> Self {
@@ -171,10 +234,13 @@ impl Relation {
             pool: RowPool::new(arity),
             indexes: Vec::new(),
             composites: Vec::new(),
+            row_index: false,
             shard_count: 1,
             shard_key: 0,
             shards: Vec::new(),
             epochs: EpochRuns::default(),
+            published: 0,
+            run: (0, 0),
         }
     }
 
@@ -196,16 +262,52 @@ impl Relation {
         self.schema.arity
     }
 
-    /// Number of rows currently stored.
+    /// Number of (published, live) rows currently stored.
     #[inline]
     pub fn len(&self) -> usize {
-        self.pool.len()
+        self.pool.len() - self.pending_count()
     }
 
     /// Whether the relation holds no rows.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.pool.is_empty()
+        self.len() == 0
+    }
+
+    /// Rows appended past the published slots (see the type docs).
+    #[inline]
+    fn pending_count(&self) -> usize {
+        self.pool.slots() - self.published as usize
+    }
+
+    /// All published rows (what the relation's own read methods answer).
+    #[inline]
+    pub(crate) fn view(&self) -> RelationView<'_> {
+        RelationView {
+            relation: self,
+            start: 0,
+            end: self.published,
+        }
+    }
+
+    /// The rows the last iteration boundary published (delta-known).
+    #[inline]
+    pub(crate) fn run_view(&self) -> RelationView<'_> {
+        RelationView {
+            relation: self,
+            start: self.run.0,
+            end: self.run.1,
+        }
+    }
+
+    /// The pending rows (delta-new).
+    #[inline]
+    pub(crate) fn pending_view(&self) -> RelationView<'_> {
+        RelationView {
+            relation: self,
+            start: self.published,
+            end: self.pool.slots() as RowId,
+        }
     }
 
     /// Declares a hash index on `column`.  Idempotent; existing rows are
@@ -222,7 +324,7 @@ impl Relation {
             return Ok(());
         }
         let mut index = ColumnIndex::new(column);
-        index.rebuild(&self.pool);
+        index.rebuild(self.live_in(0, self.published));
         self.indexes.push(index);
         Ok(())
     }
@@ -259,8 +361,9 @@ impl Relation {
 
     /// Declares a composite hash index over `columns` (at least two distinct
     /// columns; a single column degrades to [`Relation::add_index`]).
-    /// Idempotent; existing rows are back-filled.  Returns an error if any
-    /// column is out of bounds.
+    /// Idempotent; existing rows are back-filled — except for an index over
+    /// every column, which the pool's dedup table already is.  Returns an
+    /// error if any column is out of bounds.
     pub fn add_composite_index(&mut self, columns: &[usize]) -> Result<()> {
         let mut canonical = columns.to_vec();
         canonical.sort_unstable();
@@ -277,12 +380,16 @@ impl Relation {
         match canonical.as_slice() {
             [] => Ok(()),
             [single] => self.add_index(*single),
+            _ if canonical.len() == self.schema.arity => {
+                self.row_index = true;
+                Ok(())
+            }
             _ => {
                 if self.composites.iter().any(|ix| ix.columns() == canonical) {
                     return Ok(());
                 }
                 let mut index = CompositeIndex::new(&canonical);
-                index.rebuild(&self.pool);
+                index.rebuild(self.live_in(0, self.published));
                 self.composites.push(index);
                 Ok(())
             }
@@ -291,9 +398,11 @@ impl Relation {
 
     /// The column sets currently covered by composite indexes.
     pub fn composite_indexed_columns(&self) -> Vec<Vec<usize>> {
+        let every = self.row_index.then(|| (0..self.schema.arity).collect());
         self.composites
             .iter()
             .map(|ix| ix.columns().to_vec())
+            .chain(every)
             .collect()
     }
 
@@ -303,7 +412,8 @@ impl Relation {
         let mut canonical = columns.to_vec();
         canonical.sort_unstable();
         canonical.dedup();
-        self.composites.iter().any(|ix| ix.columns() == canonical)
+        let every = canonical.len() >= 2 && canonical.iter().copied().eq(0..self.schema.arity);
+        (self.row_index && every) || self.composites.iter().any(|ix| ix.columns() == canonical)
     }
 
     /// Partitions the relation's rows into `shard_count` hash shards keyed
@@ -341,8 +451,8 @@ impl Relation {
         self.shard_count > 1
     }
 
-    /// Row ids belonging to shard `shard` (insertion order within the
-    /// shard).  Empty for out-of-range shards or when sharding is disabled.
+    /// Row ids belonging to shard `shard` (slot order within the shard).
+    /// Empty for out-of-range shards or when sharding is disabled.
     pub fn shard_rows(&self, shard: usize) -> &[RowId] {
         self.shards.get(shard).map_or(&[], Vec::as_slice)
     }
@@ -353,9 +463,28 @@ impl Relation {
             return;
         }
         self.shards.resize(self.shard_count, Vec::new());
-        for (row, values) in self.pool.live_rows() {
-            let value = values.get(self.shard_key).copied().unwrap_or_default();
-            self.shards[shard_of(value, self.shard_count)].push(row);
+        for row in 0..self.published {
+            if self.pool.is_live(row) {
+                let value = self.shard_value(self.pool.row(row));
+                self.shards[shard_of(value, self.shard_count)].push(row);
+            }
+        }
+    }
+
+    #[inline]
+    fn shard_value(&self, values: &[Value]) -> Value {
+        values.get(self.shard_key).copied().unwrap_or_default()
+    }
+
+    /// `Ok` unless rows are pending: published rows may only be appended
+    /// directly while nothing waits for the iteration boundary.
+    fn ensure_no_pending(&self) -> Result<()> {
+        if self.pending_count() == 0 {
+            Ok(())
+        } else {
+            Err(StorageError::PendingRows {
+                relation: self.schema.name.clone(),
+            })
         }
     }
 
@@ -367,9 +496,10 @@ impl Relation {
 
     /// Inserts one row given as a value slice, returning `true` if it was
     /// new.  Duplicate rows are silently ignored (set semantics); arity is
-    /// validated against the schema.  This is the single append path: one
+    /// validated against the schema.  The row is published at once: one
     /// hash pass over the values feeds the dedup table, every index and the
-    /// shard assignment.
+    /// shard assignment.  A [`StorageError::PendingRows`] while rows of the
+    /// current iteration are pending.
     pub fn insert_row(&mut self, values: &[Value]) -> Result<bool> {
         if values.len() != self.schema.arity {
             return Err(StorageError::ArityMismatch {
@@ -378,6 +508,7 @@ impl Relation {
                 actual: values.len(),
             });
         }
+        self.ensure_no_pending()?;
         // One pass over the values: the per-value hashes fold into the row
         // hash and the shard key's unit is captured on the way.
         let mut hash = crate::pool::ROW_HASH_INIT;
@@ -392,20 +523,8 @@ impl Relation {
         Ok(self.insert_prehashed_row(values, hash, key_unit).is_some())
     }
 
-    /// [`Relation::insert_row`] with the row hash precomputed by the caller
-    /// (arity must already match; used by the merge and derived-insert paths
-    /// so iteration boundaries never rehash a row).  Returns `true` if the
-    /// row was new.
-    #[inline]
-    pub(crate) fn insert_row_hashed(&mut self, values: &[Value], hash: u64) -> bool {
-        let key_unit = if self.shard_count > 1 {
-            value_hash(values.get(self.shard_key).copied().unwrap_or_default())
-        } else {
-            0
-        };
-        self.insert_prehashed_row(values, hash, key_unit).is_some()
-    }
-
+    /// Publishes one row with its row hash and shard-key hash precomputed
+    /// (no rows may be pending).
     #[inline]
     fn insert_prehashed_row(
         &mut self,
@@ -415,8 +534,7 @@ impl Relation {
     ) -> Option<RowId> {
         // Retained-hash fast path: every hash reaching here was computed by
         // this crate (the single-pass insert fold) or retained by a pool
-        // (merge, derived-insert), so the public always-on validation is
-        // skipped and iteration boundaries never rehash a row.
+        // (union), so the public always-on validation is skipped.
         let row = self.pool.insert_hashed_retained(values, hash)?;
         for index in &mut self.indexes {
             index.insert(values, row);
@@ -427,7 +545,63 @@ impl Relation {
         if self.shard_count > 1 {
             self.shards[shard_of_hash(key_unit, self.shard_count)].push(row);
         }
+        self.published = row + 1;
         Some(row)
+    }
+
+    /// Appends `values` as a pending row (arity already checked): one
+    /// find-or-insert in the dedup table, nothing else.  Returns `false`
+    /// when an equal row is published or already pending.
+    #[inline]
+    pub(crate) fn insert_pending(&mut self, values: &[Value]) -> bool {
+        self.pool
+            .insert_hashed_retained(values, row_hash(values))
+            .is_some()
+    }
+
+    /// The iteration boundary of this relation: indexes and shards the
+    /// pending rows, stamps them with `epoch` as one run, and makes that
+    /// run the delta-known rows.  Returns how many rows it published.
+    pub(crate) fn publish(&mut self, epoch: u32) -> usize {
+        let (first, end) = (self.published, self.pool.slots() as RowId);
+        self.epochs.begin(first, epoch);
+        for row in first..end {
+            let values = self.pool.row(row);
+            for index in &mut self.indexes {
+                index.insert(values, row);
+            }
+            for index in &mut self.composites {
+                index.insert(values, row);
+            }
+            if self.shard_count > 1 {
+                let value = values.get(self.shard_key).copied().unwrap_or_default();
+                self.shards[shard_of(value, self.shard_count)].push(row);
+            }
+        }
+        self.published = end;
+        self.run = (first, end);
+        (end - first) as usize
+    }
+
+    /// Drops the pending rows and empties the delta-known run.
+    pub(crate) fn clear_delta(&mut self) {
+        self.pool.truncate(self.published as usize);
+        self.run = (self.published, self.published);
+    }
+
+    /// Extends the delta-known run over the row just published directly (an
+    /// EDB fact joining the current delta).  `false` when the run does not
+    /// end where that row begins, so it cannot cover it.
+    pub(crate) fn extend_run(&mut self) -> bool {
+        let row = self.published - 1;
+        if self.run.1 == row {
+            self.run.1 = self.published;
+        } else if self.run.0 == self.run.1 {
+            self.run = (row, self.published);
+        } else {
+            return false;
+        }
+        true
     }
 
     /// Retracts the row equal to `tuple`, returning `true` if it was
@@ -436,11 +610,12 @@ impl Relation {
         self.retract_row(tuple.values())
     }
 
-    /// Retracts one row given as a value slice: the row is tombstoned in the
-    /// pool (its [`RowId`] stays allocated but leaves membership, iteration
-    /// and cardinality) and unlinked from every posting list — single-column
-    /// indexes, composite indexes and the shard partitions.  Returns `true`
-    /// if an equal live row existed.
+    /// Retracts one published row given as a value slice: the row is
+    /// tombstoned in the pool (its [`RowId`] stays allocated but leaves
+    /// membership, iteration and cardinality) and unlinked from every
+    /// posting list — single-column indexes, composite indexes and the shard
+    /// partitions.  Returns `true` if an equal live row was published (a
+    /// pending row is left alone).
     pub fn retract_row(&mut self, values: &[Value]) -> Result<bool> {
         if values.len() != self.schema.arity {
             return Err(StorageError::ArityMismatch {
@@ -449,10 +624,11 @@ impl Relation {
                 actual: values.len(),
             });
         }
-        let hash = crate::pool::row_hash(values);
-        let Some(row) = self.pool.retract_hashed_retained(values, hash) else {
+        let hash = row_hash(values);
+        let Some(row) = self.find_row_hashed(values, hash) else {
             return Ok(false);
         };
+        self.pool.retract_at(row, hash);
         for index in &mut self.indexes {
             index.remove(values, row);
         }
@@ -460,7 +636,7 @@ impl Relation {
             index.remove(values, row);
         }
         if self.shard_count > 1 {
-            let key = values.get(self.shard_key).copied().unwrap_or_default();
+            let key = self.shard_value(values);
             let shard = &mut self.shards[shard_of(key, self.shard_count)];
             if let Some(pos) = shard.iter().position(|&r| r == row) {
                 shard.remove(pos);
@@ -469,12 +645,14 @@ impl Relation {
         Ok(true)
     }
 
-    /// The live row equal to `values`, if any (hash precomputed by the
-    /// caller) — the row-id-returning variant of
+    /// The live published row equal to `values`, if any (hash precomputed
+    /// by the caller) — the row-id-returning variant of
     /// [`Relation::contains_row_hashed`], e.g. for reading a fact's epoch.
     #[inline]
     pub fn find_row_hashed(&self, values: &[Value], hash: u64) -> Option<RowId> {
-        self.pool.find_hashed(values, hash)
+        self.pool
+            .find_hashed(values, hash)
+            .filter(|&row| row < self.published)
     }
 
     /// Whether the slot `row` holds a live (non-retracted) row.
@@ -503,11 +681,11 @@ impl Relation {
     /// which trusts the caller and, after a compaction, would silently
     /// return whatever row was renumbered into the slot — this returns a
     /// typed [`StorageError::StaleRowId`] when the generation has moved on,
-    /// when the slot was never allocated, or when the row was retracted in
+    /// when the slot was never published, or when the row was retracted in
     /// the meantime.
     pub fn row_checked(&self, row: RowId, generation: u64) -> Result<&[Value]> {
         let current = self.pool.generation();
-        if generation != current || (row as usize) >= self.pool.slots() || !self.pool.is_live(row) {
+        if generation != current || row >= self.published || !self.pool.is_live(row) {
             return Err(StorageError::StaleRowId {
                 relation: self.schema.name.clone(),
                 row,
@@ -518,12 +696,13 @@ impl Relation {
         Ok(self.pool.row(row))
     }
 
-    /// Number of row slots ever allocated (including tombstoned ones) — the
-    /// exclusive upper bound of valid [`RowId`]s, used as a high-water mark
-    /// by the incremental subsystem to read off newly appended rows.
+    /// Number of published row slots (including tombstoned ones) — the
+    /// exclusive upper bound of the [`RowId`]s reads hand out, used as a
+    /// high-water mark by the incremental subsystem to read off newly
+    /// appended rows.
     #[inline]
     pub fn slot_count(&self) -> usize {
-        self.pool.slots()
+        self.published as usize
     }
 
     /// Rows appended from now on carry `epoch` (until a higher one begins).
@@ -532,7 +711,7 @@ impl Relation {
     /// changes nothing, so epochs never decrease in slot order.
     #[inline]
     pub fn begin_epoch(&mut self, epoch: u32) {
-        self.epochs.begin(self.pool.slots() as RowId, epoch);
+        self.epochs.begin(self.published, epoch);
     }
 
     /// The epoch of row `row`: the value of the storage manager's counter
@@ -564,7 +743,7 @@ impl Relation {
     /// Replaces the run table with one read from a snapshot; `false` (and
     /// no change) when `runs` is not a valid table for the stored rows.
     pub(crate) fn restore_epoch_runs(&mut self, runs: &[(RowId, u32)]) -> bool {
-        match EpochRuns::checked(runs, self.pool.slots()) {
+        match EpochRuns::checked(runs, self.slot_count()) {
             Some(epochs) => {
                 self.epochs = epochs;
                 true
@@ -576,19 +755,19 @@ impl Relation {
     /// Membership test for a boundary tuple.
     #[inline]
     pub fn contains(&self, tuple: &Tuple) -> bool {
-        self.pool.contains(tuple.values())
+        self.contains_row(tuple.values())
     }
 
     /// Membership test for a row slice (the hot-path variant).
     #[inline]
     pub fn contains_row(&self, values: &[Value]) -> bool {
-        self.pool.contains(values)
+        self.contains_row_hashed(values, row_hash(values))
     }
 
     /// [`Relation::contains_row`] with the row hash precomputed.
     #[inline]
     pub fn contains_row_hashed(&self, values: &[Value], hash: u64) -> bool {
-        self.pool.contains_hashed(values, hash)
+        self.find_row_hashed(values, hash).is_some()
     }
 
     /// The values of the row with id `row`.  Tombstoned slots keep their
@@ -609,7 +788,7 @@ impl Relation {
     /// Iterator over all rows (as value slices) in insertion order.
     #[inline]
     pub fn iter_rows(&self) -> impl ExactSizeIterator<Item = &[Value]> + '_ {
-        self.pool.rows()
+        self.view().iter_rows()
     }
 
     /// Materializes the row with id `row` as a boundary [`Tuple`]
@@ -623,7 +802,27 @@ impl Relation {
     /// Materializes every row as a boundary [`Tuple`], in insertion order
     /// (allocates; result extraction and tests only).
     pub fn to_tuples(&self) -> Vec<Tuple> {
-        self.pool.rows().map(Tuple::from_row).collect()
+        self.iter_rows().map(Tuple::from_row).collect()
+    }
+
+    /// `(id, values)` of the live rows among the slots `start..end`.
+    #[inline]
+    fn live_in(&self, start: RowId, end: RowId) -> impl Iterator<Item = (RowId, &[Value])> + '_ {
+        (start..end)
+            .filter(move |&row| self.pool.is_live(row))
+            .map(move |row| (row, self.pool.row(row)))
+    }
+
+    /// Number of live rows among the slots `start..end` (published ones,
+    /// or the pending ones, which are never dead).
+    fn live_count(&self, start: RowId, end: RowId) -> usize {
+        if !self.pool.has_dead() || start >= self.published {
+            (end - start) as usize
+        } else if start == 0 && end == self.published {
+            self.len()
+        } else {
+            self.live_in(start, end).count()
+        }
     }
 
     /// Row ids of the rows whose `column` equals `value`, using the hash
@@ -633,8 +832,7 @@ impl Relation {
         if let Some(index) = self.indexes.iter().find(|ix| ix.column() == column) {
             index.lookup(value).to_vec()
         } else {
-            self.pool
-                .live_rows()
+            self.live_in(0, self.published)
                 .filter(|(_, r)| r.get(column) == Some(&value))
                 .map(|(i, _)| i)
                 .collect()
@@ -651,6 +849,14 @@ impl Relation {
     /// exact.  Callers fall back to a single-column
     /// [`Relation::lookup_rows`] or a scan when this returns `None`.
     pub fn lookup_rows_composite(&self, filters: &[(usize, Value)]) -> Option<Vec<RowId>> {
+        if let Some(found) = self.probe_every_column(filters) {
+            return Some(
+                found
+                    .filter(|&row| row < self.published)
+                    .into_iter()
+                    .collect(),
+            );
+        }
         let best = self.best_composite(filters)?;
         let hash = composite_probe_hash(best, filters);
         Some(
@@ -681,78 +887,41 @@ impl Relation {
             .max_by_key(|ix| ix.columns().len())
     }
 
+    /// The answer of the composite index over every column (the dedup
+    /// table) to `filters`: `None` unless that index is declared and the
+    /// filters bind every column, else the live row matching all of them, if
+    /// any (pending rows included; callers clip to their range).
+    fn probe_every_column(&self, filters: &[(usize, Value)]) -> Option<Option<RowId>> {
+        if !self.row_index || filters.len() < self.schema.arity {
+            return None;
+        }
+        let mut hash = crate::pool::ROW_HASH_INIT;
+        for column in 0..self.schema.arity {
+            let &(_, value) = filters.iter().find(|(col, _)| *col == column)?;
+            hash = mix_hash(hash, value_hash(value));
+        }
+        let matches = |row: &[Value]| filters.iter().all(|&(col, v)| row.get(col) == Some(&v));
+        Some(self.pool.find_by(hash, matches))
+    }
+
     /// Whether any composite index is defined (cheap gate for callers that
     /// want to skip building a resolved-filter list when it cannot pay off).
     #[inline]
     pub fn has_composite_indexes(&self) -> bool {
-        !self.composites.is_empty()
+        self.row_index || !self.composites.is_empty()
     }
 
     /// Candidate rows for a set of resolved `(column, value)` equality
     /// filters, **without allocating**: the engine-wide access-path policy
     /// shared by the specialized kernel, the interpreter and the bytecode
-    /// VM.
-    ///
-    /// Access paths, in order of preference: a composite index covering
-    /// several filtered columns, else a single-column index on any filtered
-    /// column, else a scan on the first filter (collected into the caller's
-    /// reusable `scratch` buffer), else a full scan.  The returned candidate
-    /// list borrows either an index posting list or `scratch`; **rows may
-    /// still need re-checking against filters the chosen access path did not
-    /// cover** (composite candidates are hash-keyed and may include
-    /// collision false positives).
+    /// VM, over every published row (see [`RelationView::probe_rows`]).
+    #[inline]
     pub fn probe_rows<'a>(
         &'a self,
         filters: &[(usize, Value)],
         scratch: &'a mut Vec<RowId>,
     ) -> ProbeRows<'a> {
-        if filters.len() >= 2 {
-            if let Some(best) = self.best_composite(filters) {
-                let hash = composite_probe_hash(best, filters);
-                return ProbeRows {
-                    rows: ProbeSource::Slice(best.lookup_hash(hash)),
-                    via_composite: true,
-                };
-            }
-        }
-        if let Some(&(col, value)) = filters.iter().find(|(col, _)| self.has_index(*col)) {
-            let index = self
-                .indexes
-                .iter()
-                .find(|ix| ix.column() == col)
-                .expect("has_index checked");
-            return ProbeRows {
-                rows: ProbeSource::Slice(index.lookup(value)),
-                via_composite: false,
-            };
-        }
-        if let Some(&(col, value)) = filters.first() {
-            scratch.clear();
-            for (row, values) in self.pool.live_rows() {
-                if values.get(col) == Some(&value) {
-                    scratch.push(row);
-                }
-            }
-            return ProbeRows {
-                rows: ProbeSource::Slice(scratch),
-                via_composite: false,
-            };
-        }
-        if self.pool.has_dead() {
-            // Tombstoned slots exist: a plain `0..slots` range would revive
-            // retracted rows, so collect the live ids into the caller's
-            // reusable scratch (still allocation-free once warm).
-            scratch.clear();
-            scratch.extend(self.pool.live_rows().map(|(row, _)| row));
-            return ProbeRows {
-                rows: ProbeSource::Slice(scratch),
-                via_composite: false,
-            };
-        }
-        ProbeRows {
-            rows: ProbeSource::All(self.pool.slots() as RowId),
-            via_composite: false,
-        }
+        self.view().probe_rows(filters, scratch)
     }
 
     /// Allocating convenience wrapper around [`Relation::probe_rows`]
@@ -766,22 +935,27 @@ impl Relation {
 
     /// Compacts tombstoned slots away (see [`RowPool::compact`]): live rows
     /// are renumbered densely and every id-bearing structure — single-column
-    /// and composite indexes, shard partitions — is rebuilt; the epoch runs
-    /// are renumbered with the rows.  A no-op (and free) when nothing is
-    /// dead.  **Invalidates previously obtained [`RowId`]s**, so callers
-    /// only compact at points where none are held (the incremental engine
-    /// compacts between update batches).
+    /// and composite indexes, shard partitions — is rebuilt; the epoch runs,
+    /// the delta-known run and the pending rows are renumbered with the
+    /// rows.  A no-op (and free) when nothing is dead.  **Invalidates
+    /// previously obtained [`RowId`]s**, so callers only compact at points
+    /// where none are held (the incremental engine compacts between update
+    /// batches).
     pub fn compact(&mut self) {
         if !self.pool.has_dead() {
             return;
         }
+        let live_before = |slot: RowId| self.live_count(0, slot) as RowId;
+        let run = (live_before(self.run.0), live_before(self.run.1));
+        let published = live_before(self.published);
+        (self.run, self.published) = (run, published);
         self.epochs = self.epochs.renumbered(|row| self.pool.is_live(row));
         self.pool.compact();
         for index in &mut self.indexes {
-            index.rebuild(&self.pool);
+            index.rebuild((0..self.published).map(|row| (row, self.pool.row(row))));
         }
         for index in &mut self.composites {
-            index.rebuild(&self.pool);
+            index.rebuild((0..self.published).map(|row| (row, self.pool.row(row))));
         }
         self.rebuild_shards();
     }
@@ -793,9 +967,9 @@ impl Relation {
         self.pool.slots() - self.pool.len()
     }
 
-    /// Removes every row (and with them the epoch runs) but keeps schema,
-    /// index and shard definitions (and allocated capacity, so refills do
-    /// not reallocate).
+    /// Removes every row, pending ones included (and with them the epoch
+    /// runs and the delta-known run), but keeps schema, index and shard
+    /// definitions (and allocated capacity, so refills do not reallocate).
     pub fn clear(&mut self) {
         self.pool.clear();
         for index in &mut self.indexes {
@@ -808,6 +982,8 @@ impl Relation {
             shard.clear();
         }
         self.epochs.clear();
+        self.published = 0;
+        self.run = (0, 0);
     }
 
     /// Moves all rows of `other` into `self` (deduplicating), leaving
@@ -826,7 +1002,8 @@ impl Relation {
         Ok(added)
     }
 
-    /// Copies all rows of `other` into `self` without modifying `other`.
+    /// Copies all (published) rows of `other` into `self` without modifying
+    /// `other`.
     ///
     /// Rows are appended straight from `other`'s pool using its retained row
     /// hashes — no tuples are constructed and nothing is rehashed.
@@ -839,33 +1016,22 @@ impl Relation {
                 ),
             });
         }
+        self.ensure_no_pending()?;
         let mut added = 0;
-        for row in 0..other.pool.slots() {
-            let row = row as RowId;
-            if !other.pool.is_live(row) {
-                continue;
-            }
-            let values = other.pool.row(row);
-            if self.insert_row_hashed(values, other.pool.hash_of(row)) {
+        for (row, values) in other.live_in(0, other.published) {
+            let key_unit = if self.shard_count > 1 {
+                value_hash(self.shard_value(values))
+            } else {
+                0
+            };
+            if self
+                .insert_prehashed_row(values, other.pool.hash_of(row), key_unit)
+                .is_some()
+            {
                 added += 1;
             }
         }
         Ok(added)
-    }
-
-    /// Swaps the *contents* of two relations (row pool, indexes, composite
-    /// indexes, shard partitions and epoch runs) while leaving their schemas
-    /// in place,
-    /// in O(1) — this is the primitive behind `SwapClearOp`'s delta
-    /// rotation: no row is copied, reinserted or rehashed.
-    pub fn swap_contents(&mut self, other: &mut Relation) {
-        std::mem::swap(&mut self.pool, &mut other.pool);
-        std::mem::swap(&mut self.indexes, &mut other.indexes);
-        std::mem::swap(&mut self.composites, &mut other.composites);
-        std::mem::swap(&mut self.shard_count, &mut other.shard_count);
-        std::mem::swap(&mut self.shard_key, &mut other.shard_key);
-        std::mem::swap(&mut self.shards, &mut other.shards);
-        std::mem::swap(&mut self.epochs, &mut other.epochs);
     }
 
     /// Resident-memory snapshot: the pool's stats plus the resident bytes of
@@ -889,6 +1055,234 @@ impl Relation {
             .sum::<usize>();
         stats.bytes += self.epochs.heap_bytes();
         stats
+    }
+}
+
+/// One evaluation database's rows of a relation: the relation plus a slot
+/// range ([`StorageManager::relation`](crate::StorageManager::relation)).
+///
+/// * *derived* is every published slot,
+/// * *delta-known* is the run the last iteration boundary published — a
+///   suffix of the published slots — or an explicit delta set loaded by the
+///   incremental layer (a relation of its own, viewed whole),
+/// * *delta-new* is the pending slots.
+///
+/// Reads answer for the live rows of the range only.  The ranges of derived
+/// and delta-known share the relation's indexes and shard partitions:
+/// posting lists are in slot order, so the rows of a range are a contiguous
+/// part of any list and a probe of the delta is a binary search into the
+/// derived posting list ([`RelationView::probe_rows`]), not a scan.  The
+/// pending range has no posting lists; probes of it scan.
+#[derive(Debug, Clone, Copy)]
+pub struct RelationView<'a> {
+    relation: &'a Relation,
+    start: RowId,
+    end: RowId,
+}
+
+impl<'a> RelationView<'a> {
+    /// Whether the range is covered by the relation's posting lists.
+    #[inline]
+    fn posted(&self) -> bool {
+        self.end <= self.relation.published
+    }
+
+    /// Number of live rows in the range.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.relation.live_count(self.start, self.end)
+    }
+
+    /// Whether the range holds no live row.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        if self.relation.pool.has_dead() {
+            self.relation.live_in(self.start, self.end).next().is_none()
+        } else {
+            self.start == self.end
+        }
+    }
+
+    /// The values of row `row` (any allocated id; see [`Relation::row`]).
+    #[inline]
+    pub fn row(&self, row: RowId) -> &'a [Value] {
+        self.relation.pool.row(row)
+    }
+
+    /// Whether a live row of the range equals `values`.
+    #[inline]
+    pub fn contains_row(&self, values: &[Value]) -> bool {
+        self.relation
+            .pool
+            .find_hashed(values, row_hash(values))
+            .is_some_and(|row| self.start <= row && row < self.end)
+    }
+
+    /// Membership test for a boundary tuple.
+    #[inline]
+    pub fn contains(&self, tuple: &Tuple) -> bool {
+        self.contains_row(tuple.values())
+    }
+
+    /// The live rows of the range, in slot order.
+    pub fn iter_rows(&self) -> impl ExactSizeIterator<Item = &'a [Value]> + 'a {
+        SlotRows {
+            pool: &self.relation.pool,
+            next: self.start,
+            end: self.end,
+            remaining: self.len(),
+        }
+    }
+
+    /// Materializes the live rows of the range as boundary [`Tuple`]s, in
+    /// slot order (allocates; result extraction and tests only).
+    pub fn to_tuples(&self) -> Vec<Tuple> {
+        self.iter_rows().map(Tuple::from_row).collect()
+    }
+
+    /// Whether the range is probed through a single-column index on
+    /// `column`.
+    pub fn has_index(&self, column: usize) -> bool {
+        self.posted() && self.relation.has_index(column)
+    }
+
+    /// Whether the range is probed through a composite index over exactly
+    /// `columns`.
+    pub fn has_composite_index(&self, columns: &[usize]) -> bool {
+        self.posted() && self.relation.has_composite_index(columns)
+    }
+
+    /// Number of shard partitions of the range (1 when it is not sharded).
+    #[inline]
+    pub fn shard_count(&self) -> usize {
+        if self.posted() {
+            self.relation.shard_count()
+        } else {
+            1
+        }
+    }
+
+    /// Whether the range is partitioned into hash shards.
+    #[inline]
+    pub fn is_sharded(&self) -> bool {
+        self.shard_count() > 1
+    }
+
+    /// The live rows of the range in shard `shard`, in slot order: the part
+    /// of the relation's shard list inside the range (empty for
+    /// out-of-range shards or an unsharded range).
+    pub fn shard_rows(&self, shard: usize) -> &'a [RowId] {
+        if !self.posted() {
+            return &[];
+        }
+        self.clip(self.relation.shard_rows(shard))
+    }
+
+    /// Candidate rows of the range for a set of resolved `(column, value)`
+    /// equality filters, **without allocating**: the engine-wide access-path
+    /// policy shared by the specialized kernel, the interpreter and the
+    /// bytecode VM.
+    ///
+    /// Access paths, in order of preference: a composite index covering
+    /// several filtered columns, else a single-column index on any filtered
+    /// column — in both cases the part of the relation's posting list
+    /// inside the range ([`ProbeRows::scanned_rows`] is 0) — else a scan of
+    /// the range on the first filter (collected into the caller's reusable
+    /// `scratch` buffer; [`ProbeRows::scanned_rows`] counts the rows it
+    /// visited), else the whole range.  The candidates come in slot order
+    /// and **may still need re-checking against filters the chosen access
+    /// path did not cover** (composite candidates are hash-keyed and may
+    /// include collision false positives).
+    pub fn probe_rows<'s>(
+        &self,
+        filters: &[(usize, Value)],
+        scratch: &'s mut Vec<RowId>,
+    ) -> ProbeRows<'s>
+    where
+        'a: 's,
+    {
+        let (relation, start, end) = (self.relation, self.start, self.end);
+        // Posting lists hold exactly the published rows; a pending range
+        // has none of its own.
+        if self.posted() {
+            if filters.len() >= 2 {
+                if let Some(found) = relation.probe_every_column(filters) {
+                    scratch.clear();
+                    scratch.extend(found.filter(|&row| start <= row && row < end));
+                    return ProbeRows {
+                        rows: ProbeSource::Slice(scratch),
+                        via_composite: true,
+                        scanned: 0,
+                    };
+                }
+                if let Some(best) = relation.best_composite(filters) {
+                    let hash = composite_probe_hash(best, filters);
+                    return ProbeRows {
+                        rows: ProbeSource::Slice(self.clip(best.lookup_hash(hash))),
+                        via_composite: true,
+                        scanned: 0,
+                    };
+                }
+            }
+            for &(col, value) in filters {
+                if let Some(index) = relation.indexes.iter().find(|ix| ix.column() == col) {
+                    return ProbeRows {
+                        rows: ProbeSource::Slice(self.clip(index.lookup(value))),
+                        via_composite: false,
+                        scanned: 0,
+                    };
+                }
+            }
+        }
+        scratch.clear();
+        if let Some(&(col, value)) = filters.first() {
+            let mut scanned = 0;
+            for (row, values) in relation.live_in(start, end) {
+                scanned += 1;
+                if values.get(col) == Some(&value) {
+                    scratch.push(row);
+                }
+            }
+            return ProbeRows {
+                rows: ProbeSource::Slice(scratch),
+                via_composite: false,
+                scanned,
+            };
+        }
+        if relation.pool.has_dead() {
+            // Tombstoned slots exist: a plain slot range would revive
+            // retracted rows, so collect the live ids into the caller's
+            // reusable scratch (still allocation-free once warm).
+            scratch.extend(relation.live_in(start, end).map(|(row, _)| row));
+            return ProbeRows {
+                rows: ProbeSource::Slice(scratch),
+                via_composite: false,
+                scanned: 0,
+            };
+        }
+        ProbeRows {
+            rows: ProbeSource::Range(start, end),
+            via_composite: false,
+            scanned: 0,
+        }
+    }
+
+    /// The part of a slot-ordered posting list that falls in the range: two
+    /// binary searches (one when the range runs to the last published slot,
+    /// none for the whole relation), never a scan.
+    #[inline]
+    fn clip<'l>(&self, rows: &'l [RowId]) -> &'l [RowId] {
+        let lo = if self.start == 0 {
+            0
+        } else {
+            rows.partition_point(|&row| row < self.start)
+        };
+        let hi = if self.end == self.relation.published {
+            rows.len()
+        } else {
+            lo + rows[lo..].partition_point(|&row| row < self.end)
+        };
+        &rows[lo..hi]
     }
 }
 
@@ -992,40 +1386,6 @@ mod tests {
         assert_eq!(added, 1);
         assert_eq!(a.len(), 2);
         assert!(b.is_empty());
-    }
-
-    #[test]
-    fn swap_contents_exchanges_rows() {
-        let mut a = Relation::new(edge_schema());
-        let mut b = Relation::new(edge_schema());
-        a.insert(Tuple::pair(1, 1)).unwrap();
-        b.insert(Tuple::pair(2, 2)).unwrap();
-        b.insert(Tuple::pair(3, 3)).unwrap();
-        a.swap_contents(&mut b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.len(), 1);
-        assert!(b.contains(&Tuple::pair(1, 1)));
-    }
-
-    #[test]
-    fn swap_contents_rotation_moves_no_rows() {
-        // The O(1) delta-rotation contract: after swapping, both sides serve
-        // reads from their exchanged pools without any reinsertion — the row
-        // ids and retained hashes travel with the pool.
-        let mut known = Relation::new(edge_schema());
-        let mut new = Relation::new(edge_schema());
-        for i in 0..1000u32 {
-            new.insert(Tuple::pair(i, i + 1)).unwrap();
-        }
-        let new_stats = new.pool_stats();
-        known.swap_contents(&mut new);
-        assert_eq!(known.len(), 1000);
-        assert!(new.is_empty());
-        // Identical stats object: same rows, same resident bytes, same
-        // lifetime rehash count — nothing was copied or rehashed.
-        assert_eq!(known.pool_stats(), new_stats);
-        assert_eq!(known.row(0), &[Value::int(0), Value::int(1)]);
-        assert_eq!(known.row(999), &[Value::int(999), Value::int(1000)]);
     }
 
     #[test]
@@ -1293,6 +1653,75 @@ mod tests {
         let added = a.union_in_place(&b).unwrap();
         assert_eq!(added, 1);
         assert_eq!(b.len(), 1);
+    }
+
+    #[test]
+    fn pending_rows_stay_invisible_until_published_as_the_run() {
+        let mut r = Relation::new(edge_schema());
+        r.add_index(0).unwrap();
+        r.insert(Tuple::pair(1, 1)).unwrap();
+        assert!(r.insert_pending(&[Value::int(1), Value::int(2)]));
+        assert!(!r.insert_pending(&[Value::int(1), Value::int(2)])); // pending
+        assert!(!r.insert_pending(&[Value::int(1), Value::int(1)])); // published
+                                                                     // Reads of the relation see the published row only.
+        assert_eq!(r.len(), 1);
+        assert_eq!(r.slot_count(), 1);
+        assert!(!r.contains(&Tuple::pair(1, 2)));
+        assert_eq!(r.lookup_rows(0, Value::int(1)), vec![0]);
+        assert_eq!(r.pending_view().len(), 1);
+        assert!(r.pending_view().contains(&Tuple::pair(1, 2)));
+        // Direct writes wait for the boundary; retracting a pending row is
+        // a no-op.
+        assert!(matches!(
+            r.insert(Tuple::pair(5, 5)),
+            Err(StorageError::PendingRows { .. })
+        ));
+        assert!(!r.retract(&Tuple::pair(1, 2)).unwrap());
+        assert_eq!(r.publish(3), 1);
+        assert_eq!(r.len(), 2);
+        assert_eq!(r.epoch_of(1), 3);
+        let run = r.run_view();
+        assert_eq!(run.to_tuples(), vec![Tuple::pair(1, 2)]);
+        let mut scratch = Vec::new();
+        let probe = run.probe_rows(&[(0, Value::int(1))], &mut scratch);
+        assert_eq!(probe.iter().collect::<Vec<_>>(), vec![1]);
+        assert_eq!(probe.scanned_rows(), 0);
+        // Dropping pending rows forgets them entirely.
+        r.insert_pending(&[Value::int(7), Value::int(7)]);
+        r.clear_delta();
+        assert!(r.run_view().is_empty() && r.pending_view().is_empty());
+        assert!(r.insert_pending(&[Value::int(7), Value::int(7)]));
+    }
+
+    #[test]
+    fn a_composite_index_over_every_column_is_the_dedup_table() {
+        let mut r = Relation::new(edge_schema());
+        r.add_composite_index(&[1, 0]).unwrap();
+        assert!(r.has_composite_index(&[0, 1]));
+        assert!(!r.has_composite_index(&[0, 5]));
+        assert_eq!(r.composite_indexed_columns(), vec![vec![0, 1]]);
+        for (a, b) in [(1, 2), (1, 3), (2, 2)] {
+            r.insert(Tuple::pair(a, b)).unwrap();
+        }
+        // No map of its own: the resident bytes are the pool's.
+        assert_eq!(r.pool_stats(), r.pool.stats());
+        let mut scratch = Vec::new();
+        let probe = r.probe_rows(&[(1, Value::int(3)), (0, Value::int(1))], &mut scratch);
+        assert!(probe.via_composite());
+        assert_eq!(probe.iter().collect::<Vec<_>>(), vec![1]);
+        assert!(r
+            .probe_rows(&[(0, Value::int(2)), (1, Value::int(3))], &mut scratch)
+            .is_empty());
+        // Ranges clip the answer like any posting list.
+        r.insert_pending(&[Value::int(9), Value::int(9)]);
+        r.publish(1);
+        let run = r.run_view();
+        let filters = [(0, Value::int(1)), (1, Value::int(2))];
+        assert!(run.probe_rows(&filters, &mut scratch).is_empty());
+        let filters = [(0, Value::int(9)), (1, Value::int(9))];
+        assert_eq!(run.probe_rows(&filters, &mut scratch).len(), 1);
+        assert!(r.retract(&Tuple::pair(9, 9)).unwrap());
+        assert_eq!(r.lookup_rows_composite(&filters), Some(vec![]));
     }
 
     #[test]

@@ -32,7 +32,7 @@ use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::Path;
 
-use crate::database::{DbKind, StorageManager};
+use crate::database::StorageManager;
 use crate::epoch::EpochRuns;
 use crate::error::StorageError;
 use crate::pool::RowId;
@@ -343,7 +343,7 @@ impl Snapshot {
         let all: Vec<RelId> = (0..self.relations.len()).map(|i| RelId(i as u32)).collect();
         storage.clear_deltas(&all)?;
         for (idx, snap) in self.relations.iter().enumerate() {
-            let rel = storage.derived_relation_mut(RelId(idx as u32))?;
+            let rel = storage.derived_mut(RelId(idx as u32))?;
             rel.clear();
             for row in 0..snap.rows {
                 let values = if snap.arity == 0 {
@@ -463,9 +463,7 @@ fn encode_snapshot(storage: &StorageManager, symbols: &SymbolTable, journal_seq:
     let mut rels = Vec::new();
     push_u32(&mut rels, storage.relation_count() as u32);
     for schema in storage.schemas() {
-        let rel = storage
-            .relation(DbKind::Derived, schema.id)
-            .expect("catalog ids are dense");
+        let rel = storage.derived(schema.id).expect("catalog ids are dense");
         push_str(&mut rels, &schema.name);
         push_u32(&mut rels, schema.arity as u32);
         rels.push(u8::from(schema.is_edb));
@@ -755,15 +753,13 @@ mod tests {
 
         let mut target = fresh_target();
         snap.apply(&mut target).unwrap();
-        let edge_rel = target.relation(DbKind::Derived, edge).unwrap();
+        let edge_rel = target.derived(edge).unwrap();
         assert_eq!(edge_rel.len(), 1);
         assert!(edge_rel.contains(&Tuple::new(vec![
             symbols.lookup("alpha").unwrap(),
             symbols.lookup("beta").unwrap()
         ])));
-        let path_rel = target
-            .relation(DbKind::Derived, target.rel_by_name("Path").unwrap())
-            .unwrap();
+        let path_rel = target.derived(target.rel_by_name("Path").unwrap()).unwrap();
         assert_eq!(path_rel.len(), 1);
         // The merged row kept its epoch, the base facts theirs, and rows
         // appended from here on rank above both.
@@ -780,7 +776,7 @@ mod tests {
         sm.retract_fact_row(edge, &[Value::int(1), Value::int(2)])
             .unwrap();
         // Force a compaction so the generation moves off zero.
-        if let Ok(rel) = sm.derived_relation_mut(edge) {
+        if let Ok(rel) = sm.derived_mut(edge) {
             rel.compact();
         }
         assert_eq!(sm.derived_generation(edge).unwrap(), 1);

@@ -37,7 +37,8 @@ impl RelationStats {
 pub struct StatsSnapshot {
     per_relation: Vec<RelationStats>,
     /// Per relation: `(column, distinct values)` for every single-column
-    /// index on the derived database's row pool.  The observed-selectivity
+    /// index of the relation (indexes are declared once, over derived;
+    /// delta probes read the same posting lists).  The observed-selectivity
     /// input of the adaptive optimizer: an equality probe on an indexed
     /// column is expected to match `derived / distinct` rows, replacing the
     /// constant fallback factor.  Empty for snapshots built from raw stats.
@@ -57,15 +58,14 @@ impl StatsSnapshot {
             let rel = RelId(i as u32);
             derived_index_distinct.push(
                 storage
-                    .db(DbKind::Derived)
-                    .relation(rel)
+                    .derived(rel)
                     .map(super::relation::Relation::indexed_distincts)
                     .unwrap_or_default(),
             );
             per_relation.push(RelationStats {
-                derived: storage.db(DbKind::Derived).cardinality(rel),
-                delta_known: storage.db(DbKind::DeltaKnown).cardinality(rel),
-                delta_new: storage.db(DbKind::DeltaNew).cardinality(rel),
+                derived: storage.cardinality(DbKind::Derived, rel),
+                delta_known: storage.cardinality(DbKind::DeltaKnown, rel),
+                delta_new: storage.cardinality(DbKind::DeltaNew, rel),
             });
         }
         StatsSnapshot {

@@ -7,7 +7,7 @@
 //! bytecode target trades the type-checked safety of quotes for speed while
 //! the runtime still enforces its own invariants.
 
-use carac_storage::{DbKind, Relation, RowId, StorageManager, Value};
+use carac_storage::{DbKind, RelationView, RowId, StorageManager, Value};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -76,6 +76,9 @@ pub struct VmStats {
     /// Scans/probes that were answered through a composite (multi-column)
     /// index instead of a single-column probe or a filtered scan.
     pub composite_probes: u64,
+    /// Rows visited by probes that no index answered (filtered scans; see
+    /// `ProbeRows::scanned_rows`).
+    pub probe_scan_rows: u64,
 }
 
 /// Per-rule side tallies accumulated while a program runs, keyed by rule
@@ -337,14 +340,13 @@ impl Machine {
                         .cursors
                         .get_mut(slot.0 as usize)
                         .ok_or(VmError::SlotOutOfBounds(slot.0))?;
-                    if fill_matching_rows(
+                    let probe = fill_matching_rows(
                         relation,
                         &self.resolved,
                         &mut self.probe_scratch,
                         &mut cursor.rows,
-                    ) {
-                        stats.composite_probes += 1;
-                    }
+                    );
+                    stats.note_probe(probe);
                     cursor.rel = *rel;
                     cursor.db = *db;
                     cursor.pos = 0;
@@ -423,11 +425,9 @@ impl Machine {
                 } => {
                     self.resolve_filters(filters)?;
                     let relation = storage.relation(*db, *rel)?;
-                    let (found, composite) =
+                    let (found, probe) =
                         any_matching_row(relation, &self.resolved, &mut self.probe_scratch);
-                    if composite {
-                        stats.composite_probes += 1;
-                    }
+                    stats.note_probe(probe);
                     if found {
                         pc = on_found.index();
                         continue;
@@ -507,18 +507,32 @@ impl Machine {
     }
 }
 
+/// How one probe was answered: through a composite index, and how many
+/// rows a filtered scan visited.
+#[derive(Debug, Clone, Copy)]
+struct ProbeKind {
+    composite: bool,
+    scanned: usize,
+}
+
+impl VmStats {
+    fn note_probe(&mut self, probe: ProbeKind) {
+        self.composite_probes += u64::from(probe.composite);
+        self.probe_scan_rows += probe.scanned as u64;
+    }
+}
+
 /// Fills `out` with the row ids of `relation` matching every resolved
 /// filter, reusing the caller's buffers (no allocation once warm).  Access
-/// paths follow the storage layer's shared policy ([`Relation::probe_rows`]);
-/// candidates the chosen path did not fully cover are confirmed against the
-/// actual row values.  Returns whether a composite index answered the probe
-/// (feeds the `composite_probes` counter).
+/// paths follow the storage layer's shared policy
+/// ([`RelationView::probe_rows`]); candidates the chosen path did not fully
+/// cover are confirmed against the actual row values.
 fn fill_matching_rows(
-    relation: &Relation,
+    relation: RelationView<'_>,
     resolved: &[(usize, Value)],
     probe_scratch: &mut Vec<RowId>,
     out: &mut Vec<RowId>,
-) -> bool {
+) -> ProbeKind {
     out.clear();
     let probe = relation.probe_rows(resolved, probe_scratch);
     let composite = probe.via_composite();
@@ -536,25 +550,31 @@ fn fill_matching_rows(
             }
         }
     }
-    composite
+    ProbeKind {
+        composite,
+        scanned: probe.scanned_rows(),
+    }
 }
 
 /// Whether any row of `relation` matches every resolved filter (negation
-/// probe; stops at the first confirmed hit).  Returns `(found, composite)`.
+/// probe; stops at the first confirmed hit).
 fn any_matching_row(
-    relation: &Relation,
+    relation: RelationView<'_>,
     resolved: &[(usize, Value)],
     probe_scratch: &mut Vec<RowId>,
-) -> (bool, bool) {
+) -> (bool, ProbeKind) {
     let probe = relation.probe_rows(resolved, probe_scratch);
-    let composite = probe.via_composite();
     let found = probe.iter().any(|row| {
         let values = relation.row(row);
         resolved
             .iter()
             .all(|&(col, value)| values.get(col) == Some(&value))
     });
-    (found, composite)
+    let kind = ProbeKind {
+        composite: probe.via_composite(),
+        scanned: probe.scanned_rows(),
+    };
+    (found, kind)
 }
 
 #[cfg(test)]

@@ -3,8 +3,9 @@
 
 use carac::exec::JitConfig;
 use carac::knobs::BackendKind;
-use carac::EngineConfig;
-use carac_analysis::{cspa, inverse_functions, Formulation};
+use carac::{Carac, EngineConfig};
+use carac_analysis::generators::random_digraph;
+use carac_analysis::{csda, cspa, inverse_functions, Formulation};
 use carac_datalog::parser::parse;
 use carac_ir::{generate_plan, EvalStrategy};
 use carac_optimizer::{greedy_order, OptimizeContext, OptimizerConfig};
@@ -165,6 +166,53 @@ fn snippet_and_async_claims() {
         reference
     );
     assert!(slow_result.stats().interpreted_fallbacks > 0);
+}
+
+/// A delta is a slot range of its relation and is probed through the
+/// relation's own indexes, so once §IV's index selection has run no join
+/// probe falls back to a filtered scan — on CSPA, CSDA and transitive
+/// closure, under every evaluator.
+#[test]
+fn every_join_probe_is_answered_by_an_index() {
+    let mut tc = String::from(
+        "Path(x, y) :- Edge(x, y).\n\
+         Path(x, y) :- Path(x, z), Edge(z, y).\n",
+    );
+    for (a, b) in random_digraph(60, 120, 3) {
+        tc.push_str(&format!("Edge({a}, {b}).\n"));
+    }
+    let programs = [
+        (
+            "cspa",
+            cspa(16, 2).program(Formulation::HandOptimized).clone(),
+        ),
+        (
+            "csda",
+            csda(40, 7).program(Formulation::HandOptimized).clone(),
+        ),
+        ("tc", parse(&tc).unwrap()),
+    ];
+    for (workload, program) in &programs {
+        for (mode, config) in [
+            ("default", EngineConfig::default()),
+            ("interpreted", EngineConfig::interpreted()),
+            (
+                "lambda",
+                EngineConfig::eager_jit(BackendKind::Lambda, false),
+            ),
+            (
+                "bytecode",
+                EngineConfig::eager_jit(BackendKind::Bytecode, false),
+            ),
+        ] {
+            let result = Carac::new(program.clone())
+                .with_config(config)
+                .run()
+                .unwrap();
+            assert!(result.stats().tuples_emitted > 0, "{workload} / {mode}");
+            assert_eq!(result.stats().probe_scan_rows, 0, "{workload} / {mode}");
+        }
+    }
 }
 
 /// Index selection follows §IV: one index per join/filter column, so every

@@ -12,8 +12,15 @@
 //!   they were obtained under and rejects them (typed `StaleRowId`) once a
 //!   compaction has moved ids;
 //! * **epochs** — every live row keeps the epoch it was inserted under
-//!   through retraction, compaction, clear, clone, content swaps and the
-//!   snapshot round trip, and epochs never decrease in slot order.
+//!   through retraction, compaction, clear, clone and the snapshot round
+//!   trip, and epochs never decrease in slot order;
+//! * **evaluation views** — through emits, iteration boundaries, lattice
+//!   retract-and-reinsert, explicit delta sets, delta clears, compaction and
+//!   clear, the derived, delta-known and delta-new views of a
+//!   [`StorageManager`](carac_storage::StorageManager) relation hold exactly
+//!   the published rows, the last run (or the explicit set) and the pending
+//!   rows, and every index, scan and shard probe of each view answers with
+//!   the model's matching rows in slot order.
 //!
 //! The streams are seeded (same RNG as the fuzz harness), so every failure
 //! reproduces from its seed.
@@ -273,16 +280,14 @@ fn expand_runs(runs: &[(RowId, u32)], rows: usize) -> Vec<u32> {
 #[test]
 fn epochs_follow_their_rows_through_every_operation() {
     // A random stream of epoch bumps, inserts, retractions, compactions,
-    // clears, clones and content swaps against a model that remembers the
+    // clears and clones against a model that remembers the
     // epoch each live row was inserted under.  After every step: each live
     // row reports its model epoch, epochs never decrease in slot order, and
     // the run table in snapshot form (`epoch_runs`) says the same thing.
     for seed in 0..SEEDS {
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xE90C_0000);
         let mut relation = test_relation(2);
-        let mut other = test_relation(2);
         let mut model: Vec<(Vec<u32>, u32)> = Vec::new();
-        let mut other_model: Vec<(Vec<u32>, u32)> = Vec::new();
         let mut counter = 0u32;
         for step in 0..OPS_PER_SEED {
             match rng.gen_range_u32(0, 100) {
@@ -307,13 +312,7 @@ fn epochs_follow_their_rows_through_every_operation() {
                         model.retain(|(v, _)| *v != values);
                     }
                 }
-                90..=94 => relation.compact(),
-                95..=96 => {
-                    relation.swap_contents(&mut other);
-                    std::mem::swap(&mut model, &mut other_model);
-                    // The swapped-in table may lag the counter.
-                    relation.begin_epoch(counter);
-                }
+                90..=96 => relation.compact(),
                 97..=98 => relation = relation.clone(),
                 _ => {
                     relation.clear();
@@ -348,7 +347,7 @@ fn epochs_follow_their_rows_through_every_operation() {
 
 #[test]
 fn epochs_survive_the_snapshot_round_trip() {
-    use carac_storage::{read_snapshot, write_snapshot, DbKind, StorageManager, SymbolTable};
+    use carac_storage::{read_snapshot, write_snapshot, StorageManager, SymbolTable};
 
     let catalog =
         |sm: &mut StorageManager| (sm.register("Edge", 2, true), sm.register("Path", 2, false));
@@ -383,13 +382,13 @@ fn epochs_survive_the_snapshot_round_trip() {
         snapshot.apply(&mut restored).unwrap();
         for rel in [edge, path] {
             assert_eq!(
-                live_epochs(restored.relation(DbKind::Derived, rel).unwrap()),
-                live_epochs(sm.relation(DbKind::Derived, rel).unwrap()),
+                live_epochs(restored.derived(rel).unwrap()),
+                live_epochs(sm.derived(rel).unwrap()),
                 "seed {seed}"
             );
         }
         // Rows merged after the restore rank above every restored row.
-        let newest = live_epochs(restored.relation(DbKind::Derived, path).unwrap())
+        let newest = live_epochs(restored.derived(path).unwrap())
             .iter()
             .map(|(_, epoch)| *epoch)
             .max()
@@ -397,10 +396,284 @@ fn epochs_survive_the_snapshot_round_trip() {
         let fresh = row(&[90, 90]);
         restored.insert_derived_row(path, &fresh).unwrap();
         restored.swap_and_clear(&[path]).unwrap();
-        let derived = restored.relation(DbKind::Derived, path).unwrap();
+        let derived = restored.derived(path).unwrap();
         let slot = derived
             .find_row_hashed(&fresh, carac_storage::pool::row_hash(&fresh))
             .unwrap();
         assert!(derived.epoch_of(slot) > newest, "seed {seed}");
+    }
+}
+
+/// What each evaluation view of one relation must hold: published rows (in
+/// slot order, with their epochs), pending rows, the last run and the
+/// explicit delta set (each in the order its rows were added).
+#[derive(Default)]
+struct ViewModel {
+    published: Vec<(Vec<u32>, u32)>,
+    pending: Vec<Vec<u32>>,
+    run: Vec<Vec<u32>>,
+    explicit: Vec<Vec<u32>>,
+    epoch: u32,
+}
+
+impl ViewModel {
+    fn rows(&self, kind: carac_storage::DbKind) -> Vec<Vec<u32>> {
+        use carac_storage::DbKind;
+        match kind {
+            DbKind::Derived => self.published.iter().map(|(r, _)| r.clone()).collect(),
+            DbKind::DeltaKnown if !self.explicit.is_empty() => self.explicit.clone(),
+            DbKind::DeltaKnown => self.run.clone(),
+            DbKind::DeltaNew => self.pending.clone(),
+        }
+    }
+
+    fn is_published(&self, values: &[u32]) -> bool {
+        self.published.iter().any(|(r, _)| r == values)
+    }
+
+    /// An emitted row: pending unless published or already pending.
+    fn emit(&mut self, values: Vec<u32>) -> bool {
+        let fresh = !self.is_published(&values) && !self.pending.contains(&values);
+        if fresh {
+            self.pending.push(values);
+        }
+        fresh
+    }
+
+    fn retract(&mut self, values: &[u32]) -> bool {
+        let present = self.is_published(values);
+        self.published.retain(|(r, _)| r != values);
+        self.run.retain(|r| r != values);
+        present
+    }
+}
+
+fn raw(values: &[Value]) -> Vec<u32> {
+    values.iter().map(|v| v.raw()).collect()
+}
+
+/// Asserts that every view of `rel` agrees with `model`: contents in slot
+/// order, cardinality, membership, epochs, shard partitions, and the answer
+/// of an index probe, a composite probe, a dedup-table probe, a scan probe
+/// and a full scan (with the scan-fallback row count each one reports).
+fn check_views(
+    sm: &carac_storage::StorageManager,
+    rel: RelId,
+    model: &ViewModel,
+    rng: &mut SmallRng,
+    ctx: &str,
+) {
+    use carac_storage::DbKind;
+    let mut scratch = Vec::new();
+    for kind in DbKind::ALL {
+        let view = sm.relation(kind, rel).unwrap();
+        let expected = model.rows(kind);
+        let got: Vec<Vec<u32>> = view.iter_rows().map(raw).collect();
+        assert_eq!(got, expected, "{kind:?} rows ({ctx})");
+        assert_eq!(view.len(), expected.len(), "{kind:?} len ({ctx})");
+        assert_eq!(view.is_empty(), expected.is_empty(), "{kind:?} ({ctx})");
+        for values in &expected {
+            assert!(view.contains_row(&row(values)), "{kind:?} ({ctx})");
+        }
+        let needle = random_row(rng, 3).iter().map(|v| v % 5).collect::<Vec<_>>();
+        assert_eq!(
+            view.contains_row(&row(&needle)),
+            expected.contains(&needle),
+            "{kind:?} membership ({ctx})"
+        );
+        let (a, b, c) = (
+            Value::int(needle[0]),
+            Value::int(needle[1]),
+            Value::int(needle[2]),
+        );
+        for filters in [
+            vec![],
+            vec![(0, a)],
+            vec![(2, c)],
+            vec![(0, a), (1, b)],
+            vec![(0, a), (1, b), (2, c)],
+        ] {
+            let matches = |values: &[u32]| filters.iter().all(|&(col, v)| values[col] == v.raw());
+            let probe = view.probe_rows(&filters, &mut scratch);
+            let ids: Vec<RowId> = probe.iter().collect();
+            assert!(
+                ids.windows(2).all(|pair| pair[0] < pair[1]),
+                "{kind:?} {filters:?}: candidates out of slot order ({ctx})"
+            );
+            let got: Vec<Vec<u32>> = ids
+                .iter()
+                .map(|&id| raw(view.row(id)))
+                .filter(|values| matches(values))
+                .collect();
+            let want: Vec<Vec<u32>> = expected.iter().filter(|r| matches(r)).cloned().collect();
+            assert_eq!(got, want, "{kind:?} probe {filters:?} ({ctx})");
+            let indexed = view.has_index(0) && filters.iter().any(|&(col, _)| col == 0);
+            let scanned = if filters.is_empty() || indexed {
+                0
+            } else {
+                expected.len()
+            };
+            assert_eq!(
+                probe.scanned_rows(),
+                scanned,
+                "{kind:?} {filters:?} ({ctx})"
+            );
+        }
+        if view.is_sharded() {
+            let mut all = Vec::new();
+            for shard in 0..view.shard_count() {
+                let rows = view.shard_rows(shard);
+                assert!(rows.windows(2).all(|pair| pair[0] < pair[1]), "{ctx}");
+                all.extend_from_slice(rows);
+            }
+            all.sort_unstable();
+            let whole: Vec<RowId> = view.probe_rows(&[], &mut scratch).iter().collect();
+            assert_eq!(all, whole, "{kind:?} shard partitions ({ctx})");
+        }
+    }
+    let derived = sm.derived(rel).unwrap();
+    for values in &model.pending {
+        assert!(
+            !derived.contains_row(&row(values)),
+            "pending row read ({ctx})"
+        );
+    }
+    let epochs: Vec<(Vec<u32>, u32)> = live_epochs(derived)
+        .into_iter()
+        .map(|(values, epoch)| (raw(&values), epoch))
+        .collect();
+    assert_eq!(epochs, model.published, "epochs ({ctx})");
+}
+
+fn run_view_stream(seed: u64, shards: usize) {
+    use carac_storage::StorageManager;
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x71E3_5EED);
+    let mut sm = StorageManager::new(true);
+    let rel = sm.register("Prop", 3, false);
+    sm.add_index(rel, 0).unwrap();
+    sm.add_composite_index(rel, &[0, 1]).unwrap();
+    sm.add_composite_index(rel, &[0, 1, 2]).unwrap();
+    sm.set_sharding(shards).unwrap();
+    let mut model = ViewModel::default();
+    let draw =
+        |rng: &mut SmallRng| -> Vec<u32> { random_row(rng, 3).iter().map(|v| v % 5).collect() };
+    for step in 0..OPS_PER_SEED {
+        let op = rng.gen_range_u32(0, 100);
+        let ctx = format!("seed {seed} shards {shards} step {step} op {op}");
+        match op {
+            0..=34 => {
+                let values = draw(&mut rng);
+                let fresh = model.emit(values.clone());
+                assert_eq!(
+                    sm.insert_derived_row(rel, &row(&values)).unwrap(),
+                    fresh,
+                    "{ctx}"
+                );
+            }
+            35..=49 => {
+                let published = std::mem::take(&mut model.pending);
+                assert_eq!(sm.swap_and_clear(&[rel]).unwrap(), published.len(), "{ctx}");
+                model.epoch += 1;
+                let epoch = model.epoch;
+                model
+                    .published
+                    .extend(published.iter().map(|r| (r.clone(), epoch)));
+                model.run = published;
+                model.explicit.clear();
+            }
+            50..=59 => {
+                // A lattice fold: the old optimum leaves the run, and the
+                // same row or a better one enters delta-new.
+                if model.run.is_empty() {
+                    continue;
+                }
+                let old = model.run[rng.gen_range_usize(0, model.run.len())].clone();
+                assert!(model.retract(&old));
+                assert!(sm.retract_derived_row(rel, &row(&old)).unwrap(), "{ctx}");
+                let new = if rng.gen_bool(0.5) {
+                    old
+                } else {
+                    draw(&mut rng)
+                };
+                let fresh = model.emit(new.clone());
+                assert_eq!(
+                    sm.insert_derived_row(rel, &row(&new)).unwrap(),
+                    fresh,
+                    "{ctx}"
+                );
+            }
+            60..=64 => {
+                // A retraction anywhere (pending rows are left alone).
+                let values = draw(&mut rng);
+                let present = model.retract(&values);
+                assert_eq!(
+                    sm.retract_derived_row(rel, &row(&values)).unwrap(),
+                    present,
+                    "{ctx}"
+                );
+            }
+            65..=74 => {
+                let mut facts = Relation::new(RelationSchema::new(rel, "Facts", 3, false));
+                for _ in 0..rng.gen_range_u32(1, 4) {
+                    facts.insert_row(&row(&draw(&mut rng))).unwrap();
+                }
+                if model.explicit.is_empty() {
+                    model.explicit = model.run.clone();
+                }
+                let mut added = 0;
+                for values in facts.iter_rows().map(raw) {
+                    if !model.explicit.contains(&values) {
+                        model.explicit.push(values);
+                        added += 1;
+                    }
+                }
+                assert_eq!(sm.load_delta(rel, &facts).unwrap(), added, "{ctx}");
+            }
+            75..=79 => {
+                // A base fact: published at once and added to delta-known;
+                // refused while the iteration's rows are pending.
+                let values = draw(&mut rng);
+                let inserted = sm.insert_fact_row(rel, &row(&values));
+                if !model.pending.is_empty() {
+                    assert!(
+                        matches!(inserted, Err(StorageError::PendingRows { .. })),
+                        "{ctx}"
+                    );
+                    continue;
+                }
+                let fresh = !model.is_published(&values);
+                assert_eq!(inserted.unwrap(), fresh, "{ctx}");
+                if fresh {
+                    model.published.push((values.clone(), model.epoch));
+                    if model.explicit.is_empty() {
+                        model.run.push(values);
+                    } else if !model.explicit.contains(&values) {
+                        model.explicit.push(values);
+                    }
+                }
+            }
+            80..=86 => {
+                sm.clear_deltas(&[rel]).unwrap();
+                model.pending.clear();
+                model.run.clear();
+                model.explicit.clear();
+            }
+            87..=95 => sm.derived_mut(rel).unwrap().compact(),
+            _ => {
+                sm.derived_mut(rel).unwrap().clear();
+                model.published.clear();
+                model.pending.clear();
+                model.run.clear();
+            }
+        }
+        check_views(&sm, rel, &model, &mut rng, &ctx);
+    }
+}
+
+#[test]
+fn evaluation_views_agree_with_the_semi_naive_model() {
+    for seed in 0..SEEDS {
+        run_view_stream(seed, 1);
+        run_view_stream(seed, 4);
     }
 }

@@ -12,7 +12,8 @@
 //!   `RunStats::tuples_emitted` and `total_inserted` equals
 //!   `RunStats::tuples_inserted` (the invariant promised by the
 //!   `carac_exec::telemetry::profile` module docs);
-//! * **bit-identical answers** to the untraced run.
+//! * **bit-identical answers** to the untraced run, and identical
+//!   evaluation counters (`probe_scan_rows` included).
 //!
 //! A live update-stream session is held to the same standard, with one
 //! `update-batch` span per applied batch, and a deliberately tiny ring
@@ -239,7 +240,13 @@ fn traced_and_untraced_runs_are_bit_identical() {
         } else {
             "Dist"
         };
-        for (name, config) in engine_matrix() {
+        // Without indexes every bound probe is a scan fallback, so the
+        // scan-row counter is compared on a run where it is not zero.
+        let unindexed = (
+            "unindexed".to_string(),
+            EngineConfig::interpreted_unindexed(),
+        );
+        for (name, config) in engine_matrix().into_iter().chain([unindexed]) {
             let program = parse(&source).expect("program parses");
             let plain = Carac::new(program.clone())
                 .with_config(config)
@@ -268,6 +275,7 @@ fn traced_and_untraced_runs_are_bit_identical() {
                     stats.deopts,
                     stats.compiled_executions,
                     stats.interpreted_fallbacks,
+                    stats.probe_scan_rows,
                 )
             };
             assert_eq!(
@@ -275,6 +283,9 @@ fn traced_and_untraced_runs_are_bit_identical() {
                 counters(traced.stats()),
                 "{name}: tracing changed the evaluation or tiering counters"
             );
+            if name == "unindexed" {
+                assert!(plain.stats().probe_scan_rows > 0, "{name}: no scan counted");
+            }
         }
     }
 }

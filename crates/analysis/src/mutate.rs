@@ -67,7 +67,8 @@ impl Mutation {
     }
 }
 
-/// Every register a VM program reads (filters, comparisons, emits).
+/// Every register a VM program reads (filters, comparisons, projection
+/// keys, emits).
 fn read_regs(program: &VmProgram) -> Vec<bool> {
     let mut read = vec![false; program.num_regs];
     let mut mark = |reg: Reg| {
@@ -93,6 +94,11 @@ fn read_regs(program: &VmProgram) -> Vec<bool> {
                     if let carac_vm::FilterSource::Reg(reg) = source {
                         mark(*reg);
                     }
+                }
+            }
+            Instr::Distinct { regs, .. } => {
+                for &reg in regs {
+                    mark(reg);
                 }
             }
             Instr::Emit { columns, .. } => {
@@ -156,6 +162,7 @@ pub fn mutate_vm(
             | Instr::Advance { .. }
             | Instr::RequireEq { .. }
             | Instr::RequireCmp { .. }
+            | Instr::Distinct { .. }
             | Instr::NegCheck { .. } => sites.push((pc, "vm-retarget-jump-oob")),
             _ => {}
         }
@@ -184,6 +191,7 @@ pub fn mutate_vm(
             Instr::OpenScan { filters, .. } if !filters.is_empty() => {
                 sites.push((pc, "vm-filter-column-oob"));
             }
+            Instr::Distinct { .. } => sites.push((pc, "vm-distinct-undefined-reg")),
             Instr::Emit { columns, .. } => {
                 sites.push((pc, "vm-emit-unknown-rel"));
                 if !columns.is_empty() {
@@ -221,6 +229,9 @@ pub fn mutate_vm(
                 | Instr::RequireCmp {
                     on_mismatch: target,
                     ..
+                }
+                | Instr::Distinct {
+                    on_seen: target, ..
                 }
                 | Instr::NegCheck {
                     on_found: target, ..
@@ -293,6 +304,21 @@ pub fn mutate_vm(
                     "redirected OpenScan s{} -> s{}; advance at pc {pc} orphaned",
                     victim.0, other.0
                 ),
+            )
+        }
+        "vm-distinct-undefined-reg" => {
+            // A fresh register: in bounds, written by no instruction.
+            let fresh = Reg(mutant.num_regs as u16);
+            mutant.num_regs += 1;
+            if let Instr::Distinct { regs, .. } = &mut mutant.instrs[pc] {
+                match regs.first_mut() {
+                    Some(first) => *first = fresh,
+                    None => regs.push(fresh),
+                }
+            }
+            Mutation::must(
+                kind,
+                format!("pc {pc}: distinct key reads never-written r{}", fresh.0),
             )
         }
         "vm-filter-column-oob" => {

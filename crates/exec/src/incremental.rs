@@ -1711,6 +1711,85 @@ mod tests {
         );
     }
 
+    /// The mutually recursive CSPA rules (`carac_analysis::cspa`'s
+    /// formulation): three relations in one stratum, three-atom joins.
+    const CSPA_RULES: &str = "VaFlow(v2, v1) :- Assign(v2, v1).\n\
+        VaFlow(v1, v1) :- Assign(v1, v2).\n\
+        VaFlow(v1, v1) :- Assign(v2, v1).\n\
+        MAlias(v1, v1) :- Assign(v2, v1).\n\
+        MAlias(v1, v1) :- Assign(v1, v2).\n\
+        VaFlow(v1, v2) :- Assign(v1, v3), MAlias(v3, v2).\n\
+        VaFlow(v1, v2) :- VaFlow(v1, v3), VaFlow(v3, v2).\n\
+        MAlias(v1, v0) :- Derefr(v2, v1), VAlias(v2, v3), Derefr(v3, v0).\n\
+        VAlias(v1, v2) :- VaFlow(v3, v1), VaFlow(v3, v2).\n\
+        VAlias(v1, v2) :- MAlias(v3, v0), VaFlow(v3, v1), VaFlow(v0, v2).\n\
+        Derefr(1, 2). Derefr(2, 3). Derefr(3, 1). Derefr(4, 4).\n";
+
+    /// `CSPA_RULES` over the given `Assign` edges.
+    fn cspa_source(assign: &[(u32, u32)]) -> String {
+        let mut source = String::from(CSPA_RULES);
+        for (a, b) in assign {
+            source.push_str(&format!("Assign({a}, {b}).\n"));
+        }
+        source
+    }
+
+    #[test]
+    fn witness_drivers_have_an_empty_projection_plan() {
+        // A driver emits every body variable, so nothing is ever dead; the
+        // delta variants of the 3-atom rules do skip.
+        let (_, _, inc) = live(&cspa_source(&[(1, 2)]));
+        let mut keyed_variants = 0;
+        for stratum in &inc.strata {
+            for rule in &stratum.rules {
+                assert!(rule.driver.query.projection_plan().is_empty());
+                keyed_variants += rule
+                    .variants
+                    .iter()
+                    .filter(|(_, exec)| !exec.query.projection_plan().is_empty())
+                    .count();
+            }
+        }
+        assert!(keyed_variants > 0);
+    }
+
+    #[test]
+    fn cspa_updates_skip_expanded_keys_and_match_scratch() -> Result<(), Box<dyn std::error::Error>>
+    {
+        let mut assign: Vec<(u32, u32)> = vec![(1, 2), (2, 3), (3, 4), (4, 1), (2, 5), (5, 3)];
+        let (p, mut ctx, inc) = live(&cspa_source(&assign));
+        let rel = p.relation_by_name("Assign")?;
+        let before = ctx.stats.projection_skips;
+        // (retracted, inserted) Assign edges per batch.
+        let batches = [
+            (vec![(3, 4)], vec![]),
+            (vec![], vec![(6, 2), (1, 6)]),
+            (vec![(2, 3)], vec![(3, 4)]),
+            (vec![(1, 2), (6, 2)], vec![]),
+        ];
+        for (retract, insert) in &batches {
+            let mut batch = UpdateBatch::new();
+            for &(a, b) in retract {
+                batch.retract(rel, Tuple::pair(a, b));
+                assign.retain(|&edge| edge != (a, b));
+            }
+            for &(a, b) in insert {
+                batch.insert(rel, Tuple::pair(a, b));
+                assign.push((a, b));
+            }
+            inc.apply(&mut ctx, &batch)?;
+            for output in ["VaFlow", "VAlias", "MAlias"] {
+                assert_eq!(
+                    facts(&p, &ctx, output),
+                    scratch(&cspa_source(&assign), output),
+                    "{output} after -{retract:?} +{insert:?}"
+                );
+            }
+        }
+        assert!(ctx.stats.projection_skips > before);
+        Ok(())
+    }
+
     #[test]
     fn noop_updates_report_nothing() {
         let (p, mut ctx, inc) = live_tc();

@@ -316,6 +316,7 @@ impl JitEngine {
                 ctx.stats.tuples_emitted += vm_stats.emitted;
                 ctx.stats.tuples_inserted += vm_stats.inserted;
                 ctx.stats.probe_scan_rows += vm_stats.probe_scan_rows;
+                ctx.stats.projection_skips += vm_stats.projection_skips;
                 Self::merge_vm_telemetry(&machine, ctx);
                 Ok(())
             }

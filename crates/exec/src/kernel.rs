@@ -18,6 +18,17 @@
 //! the atoms in their current order, followed by anti-join checks for the
 //! negated literals, projecting into the head relation's delta-new database.
 //!
+//! **Each live projection is expanded once.**  Both kernels (and the VM's
+//! `Distinct` instruction) follow the query's projection plan
+//! ([`ConjunctiveQuery::projection_plan`]): at a join level where some bound
+//! variable is read by nothing below it, a candidate row that passed its
+//! filters and checks is looked up by the *live* bound variables in the
+//! level's seen-set ([`SeenKeys`]), and skipped when that key was expanded
+//! earlier in the same execution — its subtree could only emit rows that
+//! were already emitted.  Skips are counted in
+//! [`RunStats::projection_skips`]; the derived set and the order in which
+//! new rows first appear are unchanged.
+//!
 //! **The inner loop is allocation-free.**  Candidate rows arrive as borrowed
 //! [`RowId`] slices (index posting lists, shard partitions, or a reusable
 //! per-level scratch buffer for unindexed scans — see
@@ -26,12 +37,16 @@
 //! one flat `Vec<Value>` output buffer with the head arity as stride and are
 //! inserted through [`StorageManager::insert_derived_row`].  No `Tuple` (and
 //! no other per-row heap allocation) is constructed anywhere on the fixpoint
-//! hot path.
+//! hot path.  The per-level scratch — filter and row buffers, seen-sets — is
+//! a thread-local pool reused from one execution to the next (seen-sets are
+//! cleared, keeping their capacity), so even the many tiny maintenance
+//! queries of an update batch allocate nothing once it is warm.
 
+use std::cell::RefCell;
 use std::time::Instant;
 
 use carac_datalog::{AggregateSpec, HeadBinding, RuleId, Term, VarId};
-use carac_ir::ConjunctiveQuery;
+use carac_ir::{ConjunctiveQuery, ProjectionPlan, SeenKeys};
 use carac_storage::hasher::FxHashMap;
 use carac_storage::{CmpOp, DbKind, RelId, RelationView, RowId, StorageManager, Value};
 
@@ -81,6 +96,10 @@ struct SpecializedAtom {
     /// (after this atom's loads).  Evaluated inside the per-row loop with no
     /// allocation: both operands resolve to a register read or a constant.
     checks: Vec<(CmpOp, FilterVal, FilterVal)>,
+    /// The level's projection key (binding slots of the live bound
+    /// variables) when some bound variable is dead below it: a row whose
+    /// key this execution has already expanded is skipped.
+    key: Option<Vec<usize>>,
 }
 
 /// Where an emitted head column comes from.
@@ -91,23 +110,64 @@ enum EmitVal {
 }
 
 /// Reusable per-join-level scratch: the resolved-filter list fed to the
-/// access-path probe and the row-id buffer the probe fills when it has to
-/// scan.  One of these per join level (plus one for negation probes) lives
-/// for the whole subquery execution, so the per-row loop never allocates.
+/// access-path probe, the row-id buffer the probe fills when it has to
+/// scan, and the keys the level has expanded (keyed levels only).  One of
+/// these per join level (plus one for negation probes) lives for the whole
+/// subquery execution, so the per-row loop never allocates.
 #[derive(Debug, Default)]
 struct LevelScratch {
     resolved: Vec<(usize, Value)>,
     rows: Vec<RowId>,
+    seen: SeenKeys,
+}
+
+thread_local! {
+    /// The kernels' per-level scratch on this thread, reused from one
+    /// execution to the next so warm buffers and seen-sets allocate nothing
+    /// (fork-join workers get their own).
+    static SCRATCH: RefCell<Vec<LevelScratch>> = const { RefCell::new(Vec::new()) };
+}
+
+/// Runs `f` over `levels` levels of this thread's scratch, with every
+/// seen-set cleared: seen keys never outlive one execution.  A nested
+/// execution on the same thread gets fresh scratch.
+fn with_scratch<R>(levels: usize, f: impl FnOnce(&mut [LevelScratch]) -> R) -> R {
+    SCRATCH.with(|pool| match pool.try_borrow_mut() {
+        Ok(mut pool) => {
+            if pool.len() < levels {
+                pool.resize_with(levels, LevelScratch::default);
+            }
+            let scratch = &mut pool[..levels];
+            for level in scratch.iter_mut() {
+                level.seen.clear();
+            }
+            f(scratch)
+        }
+        Err(_) => f(&mut (0..levels)
+            .map(|_| LevelScratch::default())
+            .collect::<Vec<_>>()),
+    })
+}
+
+/// Splits the scratch of the current join level off the levels below it.
+fn split_level(
+    scratch: &mut [LevelScratch],
+) -> Result<(&mut LevelScratch, &mut [LevelScratch]), ExecError> {
+    scratch
+        .split_first_mut()
+        .ok_or_else(|| ExecError::Internal("no scratch left for a join level".into()))
 }
 
 /// The flat output buffer of one join run: emitted head rows laid out
 /// row-major with the head arity as stride, plus the rows its probes had
-/// to scan because no index answered them.
+/// to scan because no index answered them and the rows its keyed levels
+/// skipped as already expanded.
 #[derive(Debug, Default)]
 struct EmitBuffer {
     values: Vec<Value>,
     rows: u64,
     scan_rows: u64,
+    skips: u64,
 }
 
 impl EmitBuffer {
@@ -115,6 +175,7 @@ impl EmitBuffer {
         self.values.extend(other.values);
         self.rows += other.rows;
         self.scan_rows += other.scan_rows;
+        self.skips += other.skips;
     }
 }
 
@@ -137,6 +198,7 @@ pub struct SpecializedQuery {
 impl SpecializedQuery {
     /// Specializes `query` with respect to its current atom order.
     pub fn compile(query: &ConjunctiveQuery) -> SpecializedQuery {
+        let plan = query.projection_plan();
         let mut bound = vec![false; query.num_vars];
         // Join level at which each variable is first bound.
         let mut bind_level = vec![usize::MAX; query.num_vars];
@@ -165,6 +227,11 @@ impl SpecializedQuery {
                 bound[v.index()] = true;
                 bind_level[v.index()] = bind_level[v.index()].min(level);
             }
+            let key = plan
+                .keys
+                .get(level)
+                .and_then(Option::as_ref)
+                .map(|vars| vars.iter().map(|v| v.index()).collect());
             atoms.push(SpecializedAtom {
                 rel: atom.rel,
                 db: atom.db,
@@ -172,6 +239,7 @@ impl SpecializedQuery {
                 loads,
                 intra_eq,
                 checks: Vec::new(),
+                key,
             });
         }
         // Push each comparison constraint to the earliest join level that
@@ -223,6 +291,7 @@ impl SpecializedQuery {
                     loads: Vec::new(),
                     intra_eq: Vec::new(),
                     checks: Vec::new(),
+                    key: None,
                 }
             })
             .collect();
@@ -246,10 +315,8 @@ impl SpecializedQuery {
     }
 
     /// One scratch level per atom plus one shared by the negation probes.
-    fn new_scratch(&self) -> Vec<LevelScratch> {
-        (0..=self.atoms.len())
-            .map(|_| LevelScratch::default())
-            .collect()
+    fn scratch_levels(&self) -> usize {
+        self.atoms.len() + 1
     }
 
     /// Executes the specialized query, inserting results into the head
@@ -346,13 +413,15 @@ impl SpecializedQuery {
             self.join_parallel(storage, stats, parallelism)?
         } else {
             let mut bindings = vec![Value::int(0); self.num_vars];
-            let mut scratch = self.new_scratch();
             let mut out = EmitBuffer::default();
-            self.join_level(0, &mut bindings, storage, &mut scratch, &mut out)?;
+            with_scratch(self.scratch_levels(), |scratch| {
+                self.join_level(0, &mut bindings, storage, scratch, &mut out)
+            })?;
             out
         };
         stats.tuples_emitted += out.rows;
         stats.probe_scan_rows += out.scan_rows;
+        stats.projection_skips += out.skips;
         stats.rule_profiles.record_execution(
             self.rule,
             stats.current_stratum,
@@ -379,9 +448,10 @@ impl SpecializedQuery {
         let Some(first) = self.atoms.first() else {
             // A body-less query (constant rule): nothing to partition.
             let mut bindings = vec![Value::int(0); self.num_vars];
-            let mut scratch = self.new_scratch();
             let mut out = EmitBuffer::default();
-            self.join_level(0, &mut bindings, storage, &mut scratch, &mut out)?;
+            with_scratch(self.scratch_levels(), |scratch| {
+                self.join_level(0, &mut bindings, storage, scratch, &mut out)
+            })?;
             return Ok(out);
         };
         let relation = storage.relation(first.db, first.rel)?;
@@ -411,37 +481,46 @@ impl SpecializedQuery {
         let total_rows: usize = partitions.iter().map(|p| p.len()).sum();
         if total_rows < PARALLEL_ROW_THRESHOLD || partitions.len() <= 1 {
             let mut bindings = zero_bindings;
-            let mut scratch = self.new_scratch();
             let mut out = EmitBuffer::default();
-            for rows in &partitions {
+            with_scratch(self.scratch_levels(), |scratch| {
+                let (cur, rest) = split_level(scratch)?;
+                for rows in &partitions {
+                    self.join_rows(
+                        0,
+                        relation,
+                        rows.iter().copied(),
+                        &mut bindings,
+                        storage,
+                        &mut cur.seen,
+                        rest,
+                        &mut out,
+                    )?;
+                }
+                Ok::<_, ExecError>(())
+            })?;
+            return Ok(out);
+        }
+        stats.parallel_subqueries += 1;
+        stats.parallel_tasks += partitions.len() as u64;
+        // Each partition task keeps its own seen-sets: a key expanded in
+        // two partitions is expanded twice, which only repeats emissions.
+        let results = parallel_map(parallelism, &partitions, |rows| {
+            let worker_started = Instant::now();
+            let mut bindings = vec![Value::int(0); self.num_vars];
+            let mut out = EmitBuffer::default();
+            with_scratch(self.scratch_levels(), |scratch| {
+                let (cur, rest) = split_level(scratch)?;
                 self.join_rows(
                     0,
                     relation,
                     rows.iter().copied(),
                     &mut bindings,
                     storage,
-                    &mut scratch,
+                    &mut cur.seen,
+                    rest,
                     &mut out,
-                )?;
-            }
-            return Ok(out);
-        }
-        stats.parallel_subqueries += 1;
-        stats.parallel_tasks += partitions.len() as u64;
-        let results = parallel_map(parallelism, &partitions, |rows| {
-            let worker_started = Instant::now();
-            let mut bindings = vec![Value::int(0); self.num_vars];
-            let mut scratch = self.new_scratch();
-            let mut out = EmitBuffer::default();
-            self.join_rows(
-                0,
-                relation,
-                rows.iter().copied(),
-                &mut bindings,
-                storage,
-                &mut scratch,
-                &mut out,
-            )?;
+                )
+            })?;
             Ok::<_, ExecError>((out, worker_started.elapsed()))
         })?;
         let mut merged = EmitBuffer::default();
@@ -491,21 +570,29 @@ impl SpecializedQuery {
         }
         let atom = &self.atoms[level];
         let relation = storage.relation(atom.db, atom.rel)?;
-        let (cur, rest) = scratch
-            .split_first_mut()
-            .expect("one scratch level per atom");
+        let (cur, rest) = split_level(scratch)?;
         cur.resolved.clear();
         for &(col, val) in &atom.filters {
             cur.resolved.push((col, val.resolve(bindings)));
         }
         let probe = relation.probe_rows(&cur.resolved, &mut cur.rows);
         out.scan_rows += probe.scanned_rows() as u64;
-        self.join_rows(level, relation, probe.iter(), bindings, storage, rest, out)
+        self.join_rows(
+            level,
+            relation,
+            probe.iter(),
+            bindings,
+            storage,
+            &mut cur.seen,
+            rest,
+            out,
+        )
     }
 
     /// Joins one level over an explicit candidate-row iterator (the shared
-    /// tail of the serial and partitioned paths).  `scratch` holds the
-    /// levels *below* this one.
+    /// tail of the serial and partitioned paths).  `seen` is this level's
+    /// set of expanded projection keys; `scratch` holds the levels *below*
+    /// this one.
     #[allow(clippy::too_many_arguments)]
     fn join_rows(
         &self,
@@ -514,6 +601,7 @@ impl SpecializedQuery {
         rows: impl Iterator<Item = RowId>,
         bindings: &mut [Value],
         storage: &StorageManager,
+        seen: &mut SeenKeys,
         scratch: &mut [LevelScratch],
         out: &mut EmitBuffer,
     ) -> Result<(), ExecError> {
@@ -542,6 +630,19 @@ impl SpecializedQuery {
             // two register/constant reads and a branch, nothing allocated.
             for &(op, a, b) in &atom.checks {
                 if !op.eval(a.resolve(bindings), b.resolve(bindings)) {
+                    continue 'rows;
+                }
+            }
+            // Everything below depends on the live bindings only: a key
+            // expanded before would emit the same rows again.
+            if let Some(key) = &atom.key {
+                let first = seen.insert(key.iter().map(|&slot| {
+                    bindings.get(slot).copied().ok_or_else(|| {
+                        ExecError::Internal("projection key slot out of bounds".into())
+                    })
+                }))?;
+                if !first {
+                    out.skips += 1;
                     continue 'rows;
                 }
             }
@@ -684,26 +785,32 @@ fn interp_collect(
     let token = stats.tracer.begin(Phase::Subquery, query.rule.0);
     stats.subqueries += 1;
     let delta_in = delta_rows_in(storage, query.atoms.iter().map(|a| (a.db, a.rel)));
+    // Interpretation re-derives the projection plan at every execution, as
+    // it does the access paths.
+    let plan = query.projection_plan();
     let out = if parallelism > 1 && !query.atoms.is_empty() {
-        interp_parallel(query, storage, stats, parallelism)?
+        interp_parallel(query, &plan, storage, stats, parallelism)?
     } else {
         let mut bindings: FxHashMap<VarId, Value> = FxHashMap::default();
-        let mut scratch = interp_scratch(query);
         let mut trail = Vec::new();
         let mut out = EmitBuffer::default();
-        interp_level(
-            query,
-            0,
-            &mut bindings,
-            storage,
-            &mut scratch,
-            &mut trail,
-            &mut out,
-        )?;
+        with_scratch(interp_scratch_levels(query), |scratch| {
+            interp_level(
+                query,
+                &plan,
+                0,
+                &mut bindings,
+                storage,
+                scratch,
+                &mut trail,
+                &mut out,
+            )
+        })?;
         out
     };
     stats.tuples_emitted += out.rows;
     stats.probe_scan_rows += out.scan_rows;
+    stats.projection_skips += out.skips;
     stats.rule_profiles.record_execution(
         query.rule,
         stats.current_stratum,
@@ -719,15 +826,14 @@ fn interp_collect(
 
 /// One scratch level per atom (the interpreter checks negation by scanning,
 /// so no spare level is needed — but keep one for symmetry and safety).
-fn interp_scratch(query: &ConjunctiveQuery) -> Vec<LevelScratch> {
-    (0..=query.atoms.len())
-        .map(|_| LevelScratch::default())
-        .collect()
+fn interp_scratch_levels(query: &ConjunctiveQuery) -> usize {
+    query.atoms.len() + 1
 }
 
 /// Partitioned interpretation of the driving atom (level 0).
 fn interp_parallel(
     query: &ConjunctiveQuery,
+    plan: &ProjectionPlan,
     storage: &StorageManager,
     stats: &mut RunStats,
     parallelism: usize,
@@ -761,43 +867,53 @@ fn interp_parallel(
     let total_rows: usize = partitions.iter().map(|p| p.len()).sum();
     if total_rows < PARALLEL_ROW_THRESHOLD || partitions.len() <= 1 {
         let mut bindings: FxHashMap<VarId, Value> = FxHashMap::default();
-        let mut scratch = interp_scratch(query);
         let mut trail = Vec::new();
         let mut out = EmitBuffer::default();
-        for rows in &partitions {
+        with_scratch(interp_scratch_levels(query), |scratch| {
+            let (cur, rest) = split_level(scratch)?;
+            for rows in &partitions {
+                interp_rows(
+                    query,
+                    plan,
+                    0,
+                    relation,
+                    rows.iter().copied(),
+                    &mut bindings,
+                    storage,
+                    &mut cur.seen,
+                    rest,
+                    &mut trail,
+                    &mut out,
+                )?;
+            }
+            Ok::<_, ExecError>(())
+        })?;
+        return Ok(out);
+    }
+    stats.parallel_subqueries += 1;
+    stats.parallel_tasks += partitions.len() as u64;
+    // Per-partition seen-sets, as in `join_parallel`.
+    let results = parallel_map(parallelism, &partitions, |rows| {
+        let worker_started = Instant::now();
+        let mut bindings: FxHashMap<VarId, Value> = FxHashMap::default();
+        let mut trail = Vec::new();
+        let mut out = EmitBuffer::default();
+        with_scratch(interp_scratch_levels(query), |scratch| {
+            let (cur, rest) = split_level(scratch)?;
             interp_rows(
                 query,
+                plan,
                 0,
                 relation,
                 rows.iter().copied(),
                 &mut bindings,
                 storage,
-                &mut scratch,
+                &mut cur.seen,
+                rest,
                 &mut trail,
                 &mut out,
-            )?;
-        }
-        return Ok(out);
-    }
-    stats.parallel_subqueries += 1;
-    stats.parallel_tasks += partitions.len() as u64;
-    let results = parallel_map(parallelism, &partitions, |rows| {
-        let worker_started = Instant::now();
-        let mut bindings: FxHashMap<VarId, Value> = FxHashMap::default();
-        let mut scratch = interp_scratch(query);
-        let mut trail = Vec::new();
-        let mut out = EmitBuffer::default();
-        interp_rows(
-            query,
-            0,
-            relation,
-            rows.iter().copied(),
-            &mut bindings,
-            storage,
-            &mut scratch,
-            &mut trail,
-            &mut out,
-        )?;
+            )
+        })?;
         Ok::<_, ExecError>((out, worker_started.elapsed()))
     })?;
     let mut merged = EmitBuffer::default();
@@ -820,6 +936,7 @@ fn interp_parallel(
 #[allow(clippy::too_many_arguments)]
 fn interp_level(
     query: &ConjunctiveQuery,
+    plan: &ProjectionPlan,
     level: usize,
     bindings: &mut FxHashMap<VarId, Value>,
     storage: &StorageManager,
@@ -868,9 +985,7 @@ fn interp_level(
     // constrained column into the level's reusable filter buffer and let the
     // storage layer pick the path (composite index, single-column index,
     // filtered scan into the level's row buffer, or full scan).
-    let (cur, rest) = scratch
-        .split_first_mut()
-        .expect("one scratch level per atom");
+    let (cur, rest) = split_level(scratch)?;
     cur.resolved.clear();
     for (col, term) in atom.terms.iter().enumerate() {
         match term {
@@ -886,11 +1001,13 @@ fn interp_level(
     out.scan_rows += probe.scanned_rows() as u64;
     interp_rows(
         query,
+        plan,
         level,
         relation,
         probe.iter(),
         bindings,
         storage,
+        &mut cur.seen,
         rest,
         trail,
         out,
@@ -898,23 +1015,31 @@ fn interp_level(
 }
 
 /// Interprets one level over an explicit candidate-row iterator (the shared
-/// tail of the serial and partitioned paths).  `scratch` holds the levels
-/// *below* this one; `trail` is the shared locally-bound-variable stack —
-/// each row pushes its fresh bindings onto the trail and truncates back to
-/// its frame on unwind, so no level allocates a binding list per row.
+/// tail of the serial and partitioned paths).  `seen` is this level's set
+/// of expanded projection keys; `scratch` holds the levels *below* this
+/// one; `trail` is the shared locally-bound-variable stack — each row
+/// pushes its fresh bindings onto the trail and truncates back to its frame
+/// on unwind, so no level allocates a binding list per row.
 #[allow(clippy::too_many_arguments)]
 fn interp_rows(
     query: &ConjunctiveQuery,
+    plan: &ProjectionPlan,
     level: usize,
     relation: RelationView<'_>,
     rows: impl Iterator<Item = RowId>,
     bindings: &mut FxHashMap<VarId, Value>,
     storage: &StorageManager,
+    seen: &mut SeenKeys,
     scratch: &mut [LevelScratch],
     trail: &mut Vec<(VarId, Value)>,
     out: &mut EmitBuffer,
 ) -> Result<(), ExecError> {
     let atom = &query.atoms[level];
+    let key = plan.keys.get(level).ok_or_else(|| {
+        ExecError::Internal(format!(
+            "projection plan has no entry for join level {level}"
+        ))
+    })?;
     let frame = trail.len();
     'rows: for row in rows {
         let values = relation.row(row);
@@ -969,13 +1094,37 @@ fn interp_rows(
                 _ => true, // not yet fully bound; a later level decides
             }
         });
-        if !constraints_ok {
+        // A row whose projection key was expanded before would emit the
+        // same rows again (see `SpecializedQuery::join_rows`).
+        let expand = constraints_ok
+            && match key {
+                Some(key) => {
+                    let first = seen.insert(key.iter().map(|v| {
+                        bindings.get(v).copied().ok_or_else(|| {
+                            ExecError::Internal(format!("projection key variable {v:?} unbound"))
+                        })
+                    }))?;
+                    out.skips += u64::from(!first);
+                    first
+                }
+                None => true,
+            };
+        if !expand {
             for &(v, _) in &trail[frame..] {
                 bindings.remove(&v);
             }
             continue 'rows;
         }
-        interp_level(query, level + 1, bindings, storage, scratch, trail, out)?;
+        interp_level(
+            query,
+            plan,
+            level + 1,
+            bindings,
+            storage,
+            scratch,
+            trail,
+            out,
+        )?;
         for &(v, _) in &trail[frame..] {
             bindings.remove(&v);
         }
@@ -1188,6 +1337,106 @@ mod tests {
             tuples.sort();
             assert_eq!(tuples, reference, "interpreted x{parallelism} diverged");
         }
+    }
+
+    type TestResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
+
+    /// Runs `q` through the specialized kernel (over sharded storage when
+    /// `parallelism > 1`) or the interpreter; returns the sorted delta-new
+    /// rows of its head and the run's stats.
+    fn run_kernel(
+        p: &Program,
+        q: &ConjunctiveQuery,
+        specialized: bool,
+        parallelism: usize,
+    ) -> TestResult<(Vec<Tuple>, RunStats)> {
+        let mut s = prep(p, true);
+        let mut stats = RunStats::default();
+        if specialized {
+            if parallelism > 1 {
+                s.set_sharding(parallelism)?;
+            }
+            SpecializedQuery::compile(q).execute_with(&mut s, &mut stats, parallelism)?;
+        } else {
+            execute_interpreted_with(q, &mut s, &mut stats, parallelism)?;
+        }
+        let mut tuples = s.relation(DbKind::DeltaNew, q.head_rel)?.to_tuples();
+        tuples.sort();
+        Ok((tuples, stats))
+    }
+
+    #[test]
+    fn projection_skips_change_emissions_not_results() -> TestResult {
+        // v3 is dead once VaFlow(v3, v1) has probed on it: every v3 sharing
+        // (v0, v1) with an earlier one would expand the same VaFlow(v0, _)
+        // subtree again.
+        let mut source =
+            String::from("VAlias(v1, v2) :- MAlias(v3, v0), VaFlow(v3, v1), VaFlow(v0, v2).\n");
+        for i in 0..150u32 {
+            source.push_str(&format!(
+                "MAlias({i}, {}). VaFlow({i}, {}).\n",
+                i % 5,
+                i % 7
+            ));
+        }
+        let p = parse(&source)?;
+        let q = first_query(&p);
+        assert!(!q.projection_plan().is_empty());
+
+        let (reference, spec) = run_kernel(&p, &q, true, 1)?;
+        let (interp_rows, interp) = run_kernel(&p, &q, false, 1)?;
+        assert_eq!(interp_rows, reference);
+        assert!(reference.len() > 10);
+        assert!(spec.projection_skips > 0);
+        // One atom order, one plan: both kernels skip and emit alike.
+        assert_eq!(spec.projection_skips, interp.projection_skips);
+        assert_eq!(spec.tuples_emitted, interp.tuples_emitted);
+        assert_eq!(spec.tuples_emitted, reference.len() as u64);
+
+        for specialized in [true, false] {
+            let (rows, stats) = run_kernel(&p, &q, specialized, 4)?;
+            assert_eq!(rows, reference, "specialized={specialized} x4");
+            assert!(stats.parallel_subqueries > 0, "parallel path not exercised");
+            assert!(stats.projection_skips > 0, "specialized={specialized} x4");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn an_empty_key_runs_the_subtree_once() -> TestResult {
+        // Nothing A binds is read again: one A row expands B ⋈ C, the
+        // other four are skipped at level 0.
+        let p = parse(
+            "Out(x) :- A(y), B(x), C(x).\n\
+             A(1). A(2). A(3). A(4). A(5). B(1). B(2). B(3). C(1). C(2). C(3).",
+        )?;
+        let q = first_query(&p);
+        for specialized in [true, false] {
+            let (rows, stats) = run_kernel(&p, &q, specialized, 1)?;
+            assert_eq!(rows.len(), 3, "specialized={specialized}");
+            assert_eq!(stats.tuples_emitted, 3, "specialized={specialized}");
+            assert_eq!(stats.projection_skips, 4, "specialized={specialized}");
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn keys_wider_than_two_values_are_exact() -> TestResult {
+        // Level 1 is keyed on (a, b, c): the four B(d) rows reached from
+        // A(1, 2, 3, _) expand one C(1) probe, not four.
+        let p = parse(
+            "Out(a, b, c) :- A(a, b, c, d), B(d), C(a).\n\
+             A(1, 2, 3, 0). A(1, 2, 3, 1). A(1, 2, 3, 2). A(1, 2, 3, 3). A(1, 2, 4, 0).\n\
+             B(0). B(1). B(2). B(3). C(1).",
+        )?;
+        let q = first_query(&p);
+        for specialized in [true, false] {
+            let (rows, stats) = run_kernel(&p, &q, specialized, 1)?;
+            assert_eq!(rows.len(), 2, "specialized={specialized}");
+            assert_eq!(stats.tuples_emitted, 2, "specialized={specialized}");
+            assert_eq!(stats.projection_skips, 3, "specialized={specialized}");
+        }
+        Ok(())
     }
 
     #[test]

@@ -118,7 +118,8 @@ pub struct RunStats {
     pub iterations: u64,
     /// SPJ subqueries executed (interpreted or compiled).
     pub subqueries: u64,
-    /// Tuples produced by subqueries before deduplication.
+    /// Tuples produced by subqueries before deduplication, after the
+    /// projection skips (`projection_skips`); depends on the join orders.
     pub tuples_emitted: u64,
     /// Tuples that were genuinely new.
     pub tuples_inserted: u64,
@@ -143,6 +144,13 @@ pub struct RunStats {
     /// summed over the specialized kernel, the interpreter and the bytecode
     /// VM.  Deterministic: it depends on the data and the join orders only.
     pub probe_scan_rows: u64,
+    /// Candidate rows a join level skipped because its projection key —
+    /// the bound variables still live below it
+    /// (`ConjunctiveQuery::projection_plan`) — had already been expanded
+    /// in the same execution, summed over the specialized kernel, the
+    /// interpreter and the bytecode VM.  Deterministic like
+    /// `probe_scan_rows`.
+    pub projection_skips: u64,
     /// Compilation log: a bounded ring (oldest events evicted first) so
     /// long-lived live sessions do not grow memory linearly with
     /// compilations.  Push through [`RunStats::push_compile_event`].
@@ -191,6 +199,7 @@ impl Default for RunStats {
             parallel_subqueries: 0,
             parallel_tasks: 0,
             probe_scan_rows: 0,
+            projection_skips: 0,
             compile_events: VecDeque::new(),
             compile_event_capacity: DEFAULT_COMPILE_EVENT_CAPACITY,
             compile_events_dropped: 0,
@@ -241,6 +250,7 @@ impl RunStats {
         self.parallel_subqueries += other.parallel_subqueries;
         self.parallel_tasks += other.parallel_tasks;
         self.probe_scan_rows += other.probe_scan_rows;
+        self.projection_skips += other.projection_skips;
         for event in &other.compile_events {
             self.push_compile_event(event.clone());
         }

@@ -170,6 +170,12 @@ pub fn metrics_json(stats: &RunStats) -> String {
     push_field(
         &mut out,
         &mut first,
+        "projection_skips",
+        stats.projection_skips,
+    );
+    push_field(
+        &mut out,
+        &mut first,
         "compilations",
         stats.compilations() as u64,
     );

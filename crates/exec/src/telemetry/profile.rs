@@ -32,7 +32,10 @@ pub struct RuleProfile {
     /// Total rows present in the rule's delta (`DeltaKnown`) atoms across
     /// executions — the semi-naive work driver.
     pub delta_rows_in: u64,
-    /// Tuples emitted before deduplication.
+    /// Tuples emitted before deduplication, after projection: a join level
+    /// whose key was already expanded emits nothing again (see
+    /// `ConjunctiveQuery::projection_plan`), so the count depends on the
+    /// join order the rule ran in.
     pub tuples_emitted: u64,
     /// Tuples that were genuinely new.
     pub tuples_inserted: u64,

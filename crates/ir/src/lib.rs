@@ -18,11 +18,13 @@
 pub mod node;
 pub mod plan;
 pub mod pretty;
+pub mod projection;
 pub mod query;
 pub mod verify;
 
 pub use node::{IRNode, IROp, NodeId, NodeIdGen, OpKind};
 pub use plan::{generate_plan, EvalStrategy};
 pub use pretty::{render_plan, render_query};
+pub use projection::{ProjectionPlan, SeenKeys};
 pub use query::{ConjunctiveQuery, QueryAtom};
 pub use verify::{verify_plan, verify_query, verify_subtree, PlanError};

@@ -10,7 +10,7 @@ use carac_datalog::{HeadBinding, Term, VarId};
 use carac_ir::{ConjunctiveQuery, IRNode, IROp};
 use carac_storage::hasher::FxHashMap;
 
-use crate::instr::{EmitSource, FilterSource, Instr, MarkKind, Marker, Pc, Reg, Slot};
+use crate::instr::{EmitSource, FilterSource, Instr, MarkKind, Marker, Pc, Reg, SeenSet, Slot};
 use crate::machine::VmError;
 use crate::program::VmProgram;
 
@@ -20,6 +20,7 @@ struct Assembler {
     instrs: Vec<Instr>,
     num_regs: usize,
     num_slots: usize,
+    num_sets: usize,
     /// Strata numbered in emission order (mirrors the visit-order numbering
     /// the interpreter uses), carried by `StratumBegin` markers.
     next_stratum: u32,
@@ -52,6 +53,11 @@ impl Assembler {
         Slot(index as u16)
     }
 
+    fn set(&mut self, index: usize) -> SeenSet {
+        self.num_sets = self.num_sets.max(index + 1);
+        SeenSet(index as u16)
+    }
+
     /// Patches the exhaustion/jump target of the instruction at `pc`.
     /// Returns a typed [`VmError::PatchTarget`] when the instruction has no
     /// patchable target — a compiler bug that now degrades into a
@@ -76,6 +82,7 @@ impl Assembler {
             instrs: self.instrs,
             num_regs: self.num_regs,
             num_slots: self.num_slots,
+            num_sets: self.num_sets,
         }
     }
 }
@@ -168,6 +175,9 @@ fn emit_node(node: &IRNode, asm: &mut Assembler) -> Result<(), VmError> {
 ///
 /// Register allocation: one register per rule variable, in [`VarId`] order,
 /// plus temporaries appended after them for repeated within-atom variables.
+/// Join level `i` uses cursor slot `i` and, when the query's projection
+/// plan keys it, seen-set `i` (reset whenever slot 0 — the pipeline's
+/// outermost cursor — is re-opened).
 fn emit_query(query: &ConjunctiveQuery, asm: &mut Assembler) -> Result<(), VmError> {
     // A failed constant-only constraint makes the query statically empty:
     // emit nothing at all.
@@ -183,6 +193,7 @@ fn emit_query(query: &ConjunctiveQuery, asm: &mut Assembler) -> Result<(), VmErr
         .map(|i| (VarId(i as u32), asm.reg(i)))
         .collect();
     let mut next_temp = query.num_vars;
+    let plan = query.projection_plan();
 
     // Join level at which each variable is first bound (for placing the
     // comparison-constraint checks at the earliest level that binds all
@@ -282,6 +293,18 @@ fn emit_query(query: &ConjunctiveQuery, asm: &mut Assembler) -> Result<(), VmErr
                 a: source(&constraint.lhs),
                 b: source(&constraint.rhs),
                 on_mismatch: advance_pc,
+            });
+        }
+
+        // A key this pipeline run already expanded retries the Advance.
+        if let Some(key) = plan.keys.get(i).and_then(Option::as_ref) {
+            let set = asm.set(i);
+            let root = asm.slot(0);
+            asm.push(Instr::Distinct {
+                set,
+                root,
+                regs: key.iter().map(|v| var_reg[v]).collect(),
+                on_seen: advance_pc,
             });
         }
 
@@ -432,6 +455,130 @@ mod tests {
             .instrs
             .iter()
             .any(|i| matches!(i, Instr::RequireEq { .. })));
+    }
+
+    /// The rendering of the program below as the compiler produced it before
+    /// projection plans existed: no rule of it has a variable that dies
+    /// before the last join level.
+    const NO_DEAD_VARIABLE_PROGRAM: &str = r"; regs=3 slots=3
+   0: mark   stratum-begin 0
+   1: mark   rule-begin 0
+   2: open   s0 R1/Derived filters=[]
+   3: adv    s0 loads=[(0, Reg(0)), (1, Reg(1))] exhausted->6
+   4: emit   R0 [Reg(Reg(0)), Reg(Reg(1))]
+   5: jmp    3
+   6: mark   rule-end 0
+   7: mark   rule-begin 1
+   8: open   s0 R1/Derived filters=[]
+   9: adv    s0 loads=[(0, Reg(0)), (1, Reg(2))] exhausted->14
+  10: open   s1 R0/Derived filters=[(0, Reg(Reg(2)))]
+  11: adv    s1 loads=[(1, Reg(1))] exhausted->9
+  12: emit   R0 [Reg(Reg(0)), Reg(Reg(1))]
+  13: jmp    11
+  14: mark   rule-end 1
+  15: swapcl [R0]
+  16: mark   iter-begin 0
+  17: mark   rule-begin 1
+  18: open   s0 R1/Derived filters=[]
+  19: adv    s0 loads=[(0, Reg(0)), (1, Reg(2))] exhausted->24
+  20: open   s1 R0/DeltaKnown filters=[(0, Reg(Reg(2)))]
+  21: adv    s1 loads=[(1, Reg(1))] exhausted->19
+  22: emit   R0 [Reg(Reg(0)), Reg(Reg(1))]
+  23: jmp    21
+  24: mark   rule-end 1
+  25: swapcl [R0]
+  26: mark   iter-end 0
+  27: loop?  [R0] -> 16
+  28: mark   stratum-end 0
+  29: mark   stratum-begin 1
+  30: mark   rule-begin 2
+  31: open   s0 R1/Derived filters=[]
+  32: adv    s0 loads=[(0, Reg(0)), (1, Reg(1))] exhausted->39
+  33: open   s1 R1/Derived filters=[(0, Reg(Reg(1)))]
+  34: adv    s1 loads=[(1, Reg(2))] exhausted->32
+  35: open   s2 R1/Derived filters=[(0, Reg(Reg(2))), (1, Reg(Reg(0)))]
+  36: adv    s2 loads=[] exhausted->34
+  37: emit   R2 [Reg(Reg(0)), Reg(Reg(1)), Reg(Reg(2))]
+  38: jmp    36
+  39: mark   rule-end 2
+  40: swapcl [R2]
+  41: mark   stratum-end 1
+  42: mark   stratum-begin 2
+  43: mark   rule-begin 3
+  44: open   s0 R1/Derived filters=[]
+  45: adv    s0 loads=[(0, Reg(0)), (1, Reg(1))] exhausted->51
+  46: cmp?   Reg(Reg(0)) < Reg(Reg(1)) else->45
+  47: open   s1 R0/Derived filters=[(0, Reg(Reg(1))), (1, Reg(Reg(0)))]
+  48: adv    s1 loads=[] exhausted->45
+  49: emit   R3 [Reg(Reg(0)), Reg(Reg(1))]
+  50: jmp    48
+  51: mark   rule-end 3
+  52: swapcl [R3]
+  53: mark   stratum-end 2
+  54: mark   stratum-begin 3
+  55: mark   rule-begin 4
+  56: open   s0 R1/Derived filters=[]
+  57: adv    s0 loads=[(0, Reg(0)), (1, Reg(1))] exhausted->61
+  58: neg?   R0/Derived filters=[(0, Reg(Reg(1))), (1, Reg(Reg(0)))] found->57
+  59: emit   R4 [Reg(Reg(0))]
+  60: jmp    57
+  61: mark   rule-end 4
+  62: swapcl [R4]
+  63: mark   stratum-end 3
+  64: halt
+";
+
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
+    #[test]
+    fn queries_without_a_dead_variable_compile_as_before() -> TestResult {
+        let p = parse(
+            "Path(x, y) :- Edge(x, y).\n\
+             Path(x, y) :- Edge(x, z), Path(z, y).\n\
+             Tri(x, y, z) :- Edge(x, y), Edge(y, z), Edge(z, x).\n\
+             Near(x, y) :- Edge(x, y), Path(y, x), x < y.\n\
+             Lone(x) :- Edge(x, y), !Path(y, x).\n",
+        )?;
+        let plan = generate_plan(&p, EvalStrategy::SemiNaive);
+        let program = compile_node(&plan)?;
+        assert_eq!(program.num_sets, 0);
+        assert_eq!(program.to_string(), NO_DEAD_VARIABLE_PROGRAM);
+        Ok(())
+    }
+
+    #[test]
+    fn a_dead_variable_keys_its_level_with_a_distinct() -> TestResult {
+        let p = parse("VAlias(v1, v2) :- MAlias(v3, v0), VaFlow(v3, v1), VaFlow(v0, v2).\n")?;
+        let plan = generate_plan(&p, EvalStrategy::SemiNaive);
+        let (_, query) = plan.spj_queries()[0];
+        let program = compile_query(query)?;
+        let distinct: Vec<_> = program
+            .instrs
+            .iter()
+            .enumerate()
+            .filter_map(|(pc, instr)| match instr {
+                Instr::Distinct {
+                    set,
+                    root,
+                    regs,
+                    on_seen,
+                } => Some((pc, *set, *root, regs.len(), *on_seen)),
+                _ => None,
+            })
+            .collect();
+        // Level 1 (after its Advance at pc 4), keyed on (v1, v0), rooted at
+        // level 0's cursor, retrying level 1's Advance.
+        assert_eq!(
+            distinct,
+            vec![(5, SeenSet(1), Slot(0), 2, Pc(4))],
+            "{program}"
+        );
+        assert!(matches!(
+            program.instrs[4],
+            Instr::Advance { slot: Slot(1), .. }
+        ));
+        assert_eq!(program.num_sets, 2);
+        Ok(())
     }
 
     #[test]

@@ -29,6 +29,11 @@ pub struct Reg(pub u16);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Slot(pub u16);
 
+/// Index of a seen-set (the projection keys one join level has expanded;
+/// see [`Instr::Distinct`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct SeenSet(pub u16);
+
 /// Program counter (index into the instruction vector).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pc(pub u32);
@@ -151,6 +156,22 @@ pub enum Instr {
         /// Jump target when the comparison fails.
         on_mismatch: Pc,
     },
+    /// Projection skip: jumps to `on_seen` when the values of `regs` — the
+    /// bound variables still live below this join level — were already
+    /// recorded in seen-set `set` during the current run of the pipeline,
+    /// and records them otherwise.  A pipeline run starts when cursor
+    /// `root` (its outermost level) is opened; the set forgets its keys
+    /// then.
+    Distinct {
+        /// Seen-set of this join level.
+        set: SeenSet,
+        /// Cursor of the pipeline's outermost level.
+        root: Slot,
+        /// The key: registers of the live bound variables.
+        regs: Vec<Reg>,
+        /// Jump target when the key was seen (the level's `Advance`).
+        on_seen: Pc,
+    },
     /// Aggregation: groups `input`'s derived rows on the non-aggregated
     /// columns, folds the `aggs` columns, and emits result rows into
     /// `output`'s delta-new database.  Stratum-boundary folds run once over
@@ -242,6 +263,19 @@ impl fmt::Display for Instr {
                 op.symbol(),
                 on_mismatch.0
             ),
+            Instr::Distinct {
+                set,
+                root,
+                regs,
+                on_seen,
+            } => {
+                let regs: Vec<u16> = regs.iter().map(|r| r.0).collect();
+                write!(
+                    f,
+                    "dist   #{} root=s{} regs={regs:?} seen->{}",
+                    set.0, root.0, on_seen.0
+                )
+            }
             Instr::Aggregate {
                 input,
                 output,

@@ -7,6 +7,7 @@
 //! bytecode target trades the type-checked safety of quotes for speed while
 //! the runtime still enforces its own invariants.
 
+use carac_ir::SeenKeys;
 use carac_storage::{DbKind, RelationView, RowId, StorageManager, Value};
 use std::collections::BTreeMap;
 use std::fmt;
@@ -24,6 +25,8 @@ pub enum VmError {
     RegisterOutOfBounds(u16),
     /// A cursor slot index exceeded the allocated slots.
     SlotOutOfBounds(u16),
+    /// A seen-set index exceeded the allocated seen-sets.
+    SetOutOfBounds(u16),
     /// A cursor was advanced before being opened.
     CursorNotOpen(u16),
     /// A register was read before being written.
@@ -45,6 +48,7 @@ impl fmt::Display for VmError {
             VmError::PcOutOfBounds(pc) => write!(f, "program counter {pc} out of bounds"),
             VmError::RegisterOutOfBounds(r) => write!(f, "register r{r} out of bounds"),
             VmError::SlotOutOfBounds(s) => write!(f, "cursor slot s{s} out of bounds"),
+            VmError::SetOutOfBounds(s) => write!(f, "seen-set #{s} out of bounds"),
             VmError::CursorNotOpen(s) => write!(f, "cursor slot s{s} advanced before open"),
             VmError::UninitializedRegister(r) => write!(f, "register r{r} read before write"),
             VmError::Storage(msg) => write!(f, "storage error: {msg}"),
@@ -79,6 +83,9 @@ pub struct VmStats {
     /// Rows visited by probes that no index answered (filtered scans; see
     /// `ProbeRows::scanned_rows`).
     pub probe_scan_rows: u64,
+    /// Rows a `Distinct` skipped because their projection key was already
+    /// expanded in the same pipeline run.
+    pub projection_skips: u64,
 }
 
 /// Per-rule side tallies accumulated while a program runs, keyed by rule
@@ -156,6 +163,9 @@ struct Cursor {
     rows: Vec<RowId>,
     pos: usize,
     open: bool,
+    /// Times the cursor has been opened: a pipeline whose outermost cursor
+    /// this is starts a new run at every increment.
+    opens: u64,
 }
 
 impl Default for Cursor {
@@ -166,6 +176,7 @@ impl Default for Cursor {
             rows: Vec::new(),
             pos: 0,
             open: false,
+            opens: 0,
         }
     }
 }
@@ -175,6 +186,9 @@ impl Default for Cursor {
 pub struct Machine {
     regs: Vec<Option<Value>>,
     cursors: Vec<Cursor>,
+    /// Per seen-set: the `opens` count of its root cursor when the set was
+    /// last used, and the keys recorded since that cursor was opened.
+    seen: Vec<(u64, SeenKeys)>,
     /// Reusable buffer for resolved `(column, value)` filters (probe path).
     resolved: Vec<(usize, Value)>,
     /// Reusable buffer the storage probe scans into when no index applies.
@@ -203,6 +217,7 @@ impl Machine {
         Machine {
             regs: vec![None; program.num_regs],
             cursors: vec![Cursor::default(); program.num_slots],
+            seen: (0..program.num_sets).map(|_| Default::default()).collect(),
             resolved: Vec::new(),
             probe_scratch: Vec::new(),
             emit_row: Vec::new(),
@@ -351,6 +366,7 @@ impl Machine {
                     cursor.db = *db;
                     cursor.pos = 0;
                     cursor.open = true;
+                    cursor.opens += 1;
                 }
                 Instr::Advance {
                     slot,
@@ -394,6 +410,28 @@ impl Machine {
                     let right = self.filter_value(b)?;
                     if !op.eval(left, right) {
                         pc = on_mismatch.index();
+                        continue;
+                    }
+                }
+                Instr::Distinct {
+                    set,
+                    root,
+                    regs,
+                    on_seen,
+                } => {
+                    let run = self.cursor(*root)?.opens;
+                    let (used_in, keys) = self
+                        .seen
+                        .get_mut(set.0 as usize)
+                        .ok_or(VmError::SetOutOfBounds(set.0))?;
+                    if *used_in != run {
+                        keys.clear();
+                        *used_in = run;
+                    }
+                    let file = &self.regs;
+                    if !keys.insert(regs.iter().map(|&reg| read_reg(file, reg)))? {
+                        stats.projection_skips += 1;
+                        pc = on_seen.index();
                         continue;
                     }
                 }
@@ -477,10 +515,7 @@ impl Machine {
     }
 
     fn read_reg(&self, reg: Reg) -> Result<Value, VmError> {
-        self.regs
-            .get(reg.0 as usize)
-            .ok_or(VmError::RegisterOutOfBounds(reg.0))?
-            .ok_or(VmError::UninitializedRegister(reg.0))
+        read_reg(&self.regs, reg)
     }
 
     fn write_reg(&mut self, reg: Reg, value: Value) -> Result<(), VmError> {
@@ -505,6 +540,13 @@ impl Machine {
         }
         Ok(())
     }
+}
+
+/// Reads `reg` from the register file `regs`.
+fn read_reg(regs: &[Option<Value>], reg: Reg) -> Result<Value, VmError> {
+    regs.get(reg.0 as usize)
+        .ok_or(VmError::RegisterOutOfBounds(reg.0))?
+        .ok_or(VmError::UninitializedRegister(reg.0))
 }
 
 /// How one probe was answered: through a composite index, and how many
@@ -743,11 +785,67 @@ mod tests {
     }
 
     #[test]
+    fn distinct_skips_expanded_keys_and_resets_every_pipeline_run(
+    ) -> Result<(), Box<dyn std::error::Error>> {
+        // Level 1 of the recursive rule is keyed on (x, w): y is dead once
+        // Edge(y, w) has probed on it.  The rule runs once per fixpoint
+        // pass; a seen-set surviving into the next pass would drop paths.
+        let edges: Vec<(u32, u32)> = (0..12u32)
+            .flat_map(|i| [(i, (i + 1) % 12), (i, (i + 5) % 12), ((i * 7) % 12, i)])
+            .collect();
+        let mut source = String::from(
+            "Path(x, y) :- Edge(x, y).\n\
+             Path(x, z) :- Path(x, y), Edge(y, w), Edge(w, z).\n",
+        );
+        for (a, b) in &edges {
+            source.push_str(&format!("Edge({a}, {b}).\n"));
+        }
+        let p = parse(&source)?;
+        let plan = generate_plan(&p, EvalStrategy::SemiNaive);
+        let program = compile_node(&plan)?;
+        assert!(program
+            .instrs
+            .iter()
+            .any(|i| matches!(i, Instr::Distinct { .. })));
+        let mut storage = storage_for(&p, true);
+        let stats = Machine::for_program(&program).run(&program, &mut storage)?;
+        assert!(stats.projection_skips > 0);
+
+        // Reference: walks of odd length, by saturation.
+        let mut expected: std::collections::BTreeSet<(u32, u32)> = edges.iter().copied().collect();
+        loop {
+            let mut grown = expected.clone();
+            for &(x, y) in &expected {
+                for &(_, w) in edges.iter().filter(|&&(a, _)| a == y) {
+                    for &(_, z) in edges.iter().filter(|&&(a, _)| a == w) {
+                        grown.insert((x, z));
+                    }
+                }
+            }
+            if grown.len() == expected.len() {
+                break;
+            }
+            expected = grown;
+        }
+        let path = p.relation_by_name("Path")?;
+        let result = storage.relation(DbKind::Derived, path)?;
+        assert_eq!(result.len(), expected.len());
+        for (x, z) in expected {
+            assert!(
+                result.contains(&Tuple::pair(x, z)),
+                "missing Path({x}, {z})"
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
     fn budget_guards_against_runaway_programs() {
         let program = VmProgram {
             instrs: vec![Instr::Jump(Pc(0))],
             num_regs: 0,
             num_slots: 0,
+            num_sets: 0,
         };
         let mut machine = Machine::for_program(&program);
         machine.budget = 100;
@@ -771,6 +869,7 @@ mod tests {
             ],
             num_regs: 1,
             num_slots: 0,
+            num_sets: 0,
         };
         let p = parse("Edge(1, 2).").unwrap();
         let mut storage = storage_for(&p, false);

@@ -14,6 +14,8 @@ pub struct VmProgram {
     pub num_regs: usize,
     /// Number of cursor slots used.
     pub num_slots: usize,
+    /// Number of seen-sets used by `Distinct` instructions.
+    pub num_sets: usize,
 }
 
 impl VmProgram {
@@ -82,6 +84,23 @@ impl VmProgram {
                         }
                     }
                 }
+                Instr::Distinct {
+                    set,
+                    root,
+                    regs,
+                    on_seen,
+                } => {
+                    check_pc(*on_seen, &format!("instr {i}: distinct"))?;
+                    if set.0 as usize >= self.num_sets {
+                        return Err(format!("instr {i}: seen-set {} out of bounds", set.0));
+                    }
+                    if root.0 as usize >= self.num_slots {
+                        return Err(format!("instr {i}: slot {} out of bounds", root.0));
+                    }
+                    if let Some(reg) = regs.iter().find(|r| r.0 as usize >= self.num_regs) {
+                        return Err(format!("instr {i}: register {} out of bounds", reg.0));
+                    }
+                }
                 Instr::Jump(pc) => check_pc(*pc, &format!("instr {i}: jump"))?,
                 Instr::JumpIfDeltasNotEmpty { target, .. } => {
                     check_pc(*target, &format!("instr {i}: loop"))?;
@@ -99,7 +118,11 @@ impl VmProgram {
 
 impl fmt::Display for VmProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "; regs={} slots={}", self.num_regs, self.num_slots)?;
+        write!(f, "; regs={} slots={}", self.num_regs, self.num_slots)?;
+        if self.num_sets > 0 {
+            write!(f, " sets={}", self.num_sets)?;
+        }
+        writeln!(f)?;
         for (i, instr) in self.instrs.iter().enumerate() {
             writeln!(f, "{i:4}: {instr}")?;
         }
@@ -119,6 +142,7 @@ mod tests {
             instrs: vec![Instr::Jump(Pc(10))],
             num_regs: 0,
             num_slots: 0,
+            num_sets: 0,
         };
         assert!(program.validate().is_err());
     }
@@ -142,6 +166,7 @@ mod tests {
             ],
             num_regs: 1,
             num_slots: 1,
+            num_sets: 0,
         };
         assert!(program.validate().is_err());
     }
@@ -152,6 +177,7 @@ mod tests {
             instrs: vec![Instr::Halt],
             num_regs: 0,
             num_slots: 0,
+            num_sets: 0,
         };
         assert!(program.validate().is_ok());
         assert_eq!(program.len(), 1);
@@ -164,6 +190,7 @@ mod tests {
             instrs: vec![Instr::Halt],
             num_regs: 2,
             num_slots: 1,
+            num_sets: 0,
         };
         let text = program.to_string();
         assert!(text.contains("regs=2"));

@@ -3,8 +3,8 @@
 //! [`verify_program`] proves, before a program ever touches the storage
 //! layer, that execution cannot hit a machine trap and cannot run forever:
 //!
-//! * **Bounds** — every jump target, register, cursor slot and relation id
-//!   is in range (strictly stronger than [`VmProgram::validate`], which
+//! * **Bounds** — every jump target, register, cursor slot, seen-set and
+//!   relation id is in range (strictly stronger than [`VmProgram::validate`], which
 //!   skips `Emit` columns and filter registers).
 //! * **Schema agreement** — filter and load columns index inside the scanned
 //!   relation's arity, `Emit` rows match the destination arity, `Aggregate`
@@ -12,9 +12,10 @@
 //! * **Dataflow safety** — a forward abstract interpretation over the
 //!   control-flow graph tracks per-register *must-initialized* state and
 //!   per-slot *must-open* cursor state (with the relation the slot is open
-//!   over, when unambiguous).  Reading an uninitialized register or
-//!   advancing a possibly-closed cursor is rejected; so is falling off the
-//!   end of the program.
+//!   over, when unambiguous).  Reading an uninitialized register (a
+//!   `Distinct` key included), advancing a possibly-closed cursor or
+//!   keying a `Distinct` on a possibly-closed root cursor is rejected; so is
+//!   falling off the end of the program.
 //! * **Termination** — every cycle of the control-flow graph must be broken
 //!   by a *progress* instruction: an [`Instr::Advance`] whose cursor is not
 //!   re-opened inside the cycle (each fall-through consumes one row of a
@@ -35,7 +36,7 @@
 use carac_storage::RelId;
 use std::fmt;
 
-use crate::instr::{EmitSource, FilterSource, Instr, Pc, Reg, Slot};
+use crate::instr::{EmitSource, FilterSource, Instr, Pc, Reg, SeenSet, Slot};
 use crate::program::VmProgram;
 
 /// A static verification failure, pinned to the offending instruction.
@@ -61,6 +62,13 @@ pub enum VerifyError {
         pc: usize,
         /// The out-of-range slot.
         slot: u16,
+    },
+    /// A `Distinct` seen-set is `>= num_sets`.
+    SetOutOfBounds {
+        /// Offending instruction.
+        pc: usize,
+        /// The out-of-range seen-set.
+        set: u16,
     },
     /// A relation id has no schema entry.
     UnknownRelation {
@@ -107,7 +115,8 @@ pub enum VerifyError {
         /// The possibly-uninitialized register.
         reg: u16,
     },
-    /// An `Advance` can execute while its cursor slot was never opened.
+    /// An `Advance` (or a `Distinct` through its root) can execute while
+    /// the cursor slot was never opened.
     CursorNotOpen {
         /// Offending instruction.
         pc: usize,
@@ -138,6 +147,9 @@ impl fmt::Display for VerifyError {
             }
             VerifyError::SlotOutOfBounds { pc, slot } => {
                 write!(f, "pc {pc}: cursor slot s{slot} out of bounds")
+            }
+            VerifyError::SetOutOfBounds { pc, set } => {
+                write!(f, "pc {pc}: seen-set #{set} out of bounds")
             }
             VerifyError::UnknownRelation { pc, rel } => {
                 write!(f, "pc {pc}: relation {rel:?} has no schema entry")
@@ -285,6 +297,12 @@ fn check_bounds_and_schema(program: &VmProgram, arities: &[usize]) -> Result<(),
         }
         Ok(())
     };
+    let check_set = |pc: usize, set: SeenSet| -> Result<(), VerifyError> {
+        if (set.0 as usize) >= program.num_sets {
+            return Err(VerifyError::SetOutOfBounds { pc, set: set.0 });
+        }
+        Ok(())
+    };
     let check_filters =
         |pc: usize, rel: RelId, filters: &[(usize, FilterSource)]| -> Result<(), VerifyError> {
             let arity = arity_of(arities, pc, rel)?;
@@ -337,6 +355,19 @@ fn check_bounds_and_schema(program: &VmProgram, arities: &[usize]) -> Result<(),
                     }
                 }
                 check_pc(pc, *on_mismatch)?;
+            }
+            Instr::Distinct {
+                set,
+                root,
+                regs,
+                on_seen,
+            } => {
+                check_set(pc, *set)?;
+                check_slot(pc, *root)?;
+                for &reg in regs {
+                    check_reg(pc, reg)?;
+                }
+                check_pc(pc, *on_seen)?;
             }
             Instr::Aggregate {
                 input,
@@ -418,6 +449,7 @@ fn successors(instr: &Instr, pc: usize) -> Vec<usize> {
             vec![pc + 1, on_mismatch.index()]
         }
         Instr::NegCheck { on_found, .. } => vec![pc + 1, on_found.index()],
+        Instr::Distinct { on_seen, .. } => vec![pc + 1, on_seen.index()],
         Instr::JumpIfDeltasNotEmpty { target, .. } => vec![pc + 1, target.index()],
         Instr::OpenScan { .. }
         | Instr::Aggregate { .. }
@@ -508,6 +540,14 @@ fn check_dataflow(program: &VmProgram, arities: &[usize]) -> Result<(), VerifyEr
                 }
             }
             Instr::NegCheck { filters, .. } => require_filters(&state, pc, filters)?,
+            Instr::Distinct { root, regs, .. } => {
+                if state.slots[root.0 as usize] == SlotState::Closed {
+                    return Err(VerifyError::CursorNotOpen { pc, slot: root.0 });
+                }
+                for &reg in regs {
+                    require_init(&state, pc, reg)?;
+                }
+            }
             Instr::Emit { columns, .. } => {
                 for column in columns {
                     if let EmitSource::Reg(reg) = column {
@@ -779,6 +819,63 @@ mod tests {
             let vm = compile_query(query).unwrap();
             verify_program(&vm, &arities).unwrap();
         }
+    }
+
+    /// A verified program with a `Distinct` (level 1 of the 3-atom join).
+    fn verified_distinct() -> (VmProgram, Vec<usize>, usize) {
+        let (vm, arities) = verified_plan(
+            "VAlias(v1, v2) :- MAlias(v3, v0), VaFlow(v3, v1), VaFlow(v0, v2).\n\
+             MAlias(1, 2).",
+        );
+        let pc = vm
+            .instrs
+            .iter()
+            .position(|i| matches!(i, Instr::Distinct { .. }));
+        assert!(pc.is_some(), "no Distinct in\n{vm}");
+        (vm, arities, pc.unwrap_or_default())
+    }
+
+    #[test]
+    fn rejects_distinct_reading_an_unwritten_register() {
+        let (mut vm, arities, pc) = verified_distinct();
+        let fresh = Reg(vm.num_regs as u16);
+        vm.num_regs += 1;
+        if let Instr::Distinct { regs, .. } = &mut vm.instrs[pc] {
+            regs[0] = fresh;
+        }
+        assert_eq!(
+            verify_program(&vm, &arities),
+            Err(VerifyError::UninitializedRead { pc, reg: fresh.0 })
+        );
+    }
+
+    #[test]
+    fn rejects_distinct_out_of_bounds_operands() {
+        let (vm, arities, pc) = verified_distinct();
+        let mut bad_set = vm.clone();
+        if let Instr::Distinct { set, .. } = &mut bad_set.instrs[pc] {
+            *set = SeenSet(vm.num_sets as u16);
+        }
+        assert!(matches!(
+            verify_program(&bad_set, &arities),
+            Err(VerifyError::SetOutOfBounds { .. })
+        ));
+        let mut bad_jump = vm.clone();
+        if let Instr::Distinct { on_seen, .. } = &mut bad_jump.instrs[pc] {
+            *on_seen = Pc(vm.instrs.len() as u32 + 3);
+        }
+        assert!(matches!(
+            verify_program(&bad_jump, &arities),
+            Err(VerifyError::JumpOutOfBounds { .. })
+        ));
+        let mut bad_root = vm;
+        if let Instr::Distinct { root, .. } = &mut bad_root.instrs[pc] {
+            *root = Slot(2);
+        }
+        assert_eq!(
+            verify_program(&bad_root, &arities),
+            Err(VerifyError::CursorNotOpen { pc, slot: 2 })
+        );
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Structural checks of the paper's qualitative claims — the properties the
 //! figures rest on, asserted without fragile wall-clock comparisons.
 
+use std::collections::BTreeSet;
+
 use carac::exec::JitConfig;
 use carac::knobs::BackendKind;
 use carac::{Carac, EngineConfig};
@@ -9,7 +11,7 @@ use carac_analysis::{csda, cspa, inverse_functions, Formulation};
 use carac_datalog::parser::parse;
 use carac_ir::{generate_plan, EvalStrategy};
 use carac_optimizer::{greedy_order, OptimizeContext, OptimizerConfig};
-use carac_storage::{RelationStats, StatsSnapshot};
+use carac_storage::{RelationStats, StatsSnapshot, Tuple};
 
 /// §IV running example: with the first-iteration cardinalities the optimizer
 /// must avoid the VaFlow⋆ × VaFlowδ cartesian product, and with the
@@ -236,6 +238,109 @@ fn index_selection_covers_join_keys_only() {
         assert!(
             justified,
             "index on ({rel:?}, {col}) has no justifying rule"
+        );
+    }
+}
+
+/// CSPA's three derived relations `[VaFlow, VAlias, MAlias]` by naive
+/// saturation over plain sets — an oracle that shares no code with the
+/// engine.
+fn cspa_oracle(assign: &[(u32, u32)], derefr: &[(u32, u32)]) -> [BTreeSet<(u32, u32)>; 3] {
+    type Rel = BTreeSet<(u32, u32)>;
+    fn compose(left: &Rel, right: &Rel) -> Rel {
+        let mut out = Rel::new();
+        for &(a, b) in left {
+            for &(_, c) in right.range((b, 0)..=(b, u32::MAX)) {
+                out.insert((a, c));
+            }
+        }
+        out
+    }
+    let inverse = |r: &Rel| -> Rel { r.iter().map(|&(a, b)| (b, a)).collect() };
+    let assign: Rel = assign.iter().copied().collect();
+    let derefr: Rel = derefr.iter().copied().collect();
+    let mut vaflow = Rel::new();
+    let mut malias = Rel::new();
+    let mut valias = Rel::new();
+    for &(a, b) in &assign {
+        vaflow.extend([(a, b), (a, a), (b, b)]);
+        malias.extend([(a, a), (b, b)]);
+    }
+    loop {
+        let size = vaflow.len() + valias.len() + malias.len();
+        // VaFlow(v1, v2) :- Assign(v1, v3), MAlias(v3, v2).
+        // VaFlow(v1, v2) :- VaFlow(v1, v3), VaFlow(v3, v2).
+        let grown = compose(&assign, &malias);
+        vaflow.extend(grown);
+        let grown = compose(&vaflow, &vaflow);
+        vaflow.extend(grown);
+        // VAlias(v1, v2) :- VaFlow(v3, v1), VaFlow(v3, v2).
+        // VAlias(v1, v2) :- MAlias(v3, v0), VaFlow(v3, v1), VaFlow(v0, v2).
+        let flows_into = inverse(&vaflow);
+        valias.extend(compose(&flows_into, &vaflow));
+        valias.extend(compose(&compose(&flows_into, &malias), &vaflow));
+        // MAlias(v1, v0) :- Derefr(v2, v1), VAlias(v2, v3), Derefr(v3, v0).
+        malias.extend(compose(&compose(&inverse(&derefr), &valias), &derefr));
+        if vaflow.len() + valias.len() + malias.len() == size {
+            return [vaflow, valias, malias];
+        }
+    }
+}
+
+/// A join level whose bound variables die skips the bindings it has
+/// already expanded (`ConjunctiveQuery::projection_plan`).  On CSPA every
+/// evaluator skips, every derived relation equals an independent oracle,
+/// and evaluators running one atom order emit exactly the same rows.
+#[test]
+fn projection_skips_leave_every_cspa_relation_unchanged() {
+    let facts = carac_analysis::generators::cspa_facts(16, 2);
+    let expected = cspa_oracle(&facts.assign, &facts.derefr);
+    let program = cspa(16, 2).program(Formulation::HandOptimized).clone();
+    let run = |config: EngineConfig| Carac::new(program.clone()).with_config(config).run();
+    let fixed_order = |backend| {
+        EngineConfig::jit_with(JitConfig {
+            enable_reorder: false,
+            tier_up_work: 0,
+            ..JitConfig::labelled(backend, false)
+        })
+    };
+    let mut written_order = Vec::new();
+    for (mode, config) in [
+        ("default", EngineConfig::default()),
+        ("interpreted", EngineConfig::interpreted()),
+        (
+            "lambda",
+            EngineConfig::eager_jit(BackendKind::Lambda, false),
+        ),
+        (
+            "bytecode",
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
+        ),
+        ("lambda, written order", fixed_order(BackendKind::Lambda)),
+        (
+            "bytecode, written order",
+            fixed_order(BackendKind::Bytecode),
+        ),
+    ] {
+        let result = run(config).unwrap_or_else(|e| panic!("{mode}: {e}"));
+        let stats = result.stats();
+        assert!(stats.projection_skips > 0, "{mode}: nothing skipped");
+        for (relation, pairs) in ["VaFlow", "VAlias", "MAlias"].iter().zip(&expected) {
+            let mut got = result.tuples(relation).expect("relation exists");
+            got.sort();
+            let want: Vec<Tuple> = pairs.iter().map(|&(a, b)| Tuple::pair(a, b)).collect();
+            assert_eq!(got, want, "{mode}: {relation} differs from the oracle");
+        }
+        if mode == "interpreted" || mode.ends_with("written order") {
+            written_order.push((mode, stats.tuples_emitted, stats.projection_skips));
+        }
+    }
+    let (_, emitted, skips) = written_order[0];
+    for (mode, other_emitted, other_skips) in &written_order {
+        assert_eq!(
+            (*other_emitted, *other_skips),
+            (emitted, skips),
+            "{mode}: one atom order, different work"
         );
     }
 }

@@ -13,7 +13,8 @@
 //!   `RunStats::tuples_inserted` (the invariant promised by the
 //!   `carac_exec::telemetry::profile` module docs);
 //! * **bit-identical answers** to the untraced run, and identical
-//!   evaluation counters (`probe_scan_rows` included).
+//!   evaluation counters (`probe_scan_rows` and `projection_skips`
+//!   included).
 //!
 //! A live update-stream session is held to the same standard, with one
 //! `update-batch` span per applied batch, and a deliberately tiny ring
@@ -276,6 +277,7 @@ fn traced_and_untraced_runs_are_bit_identical() {
                     stats.compiled_executions,
                     stats.interpreted_fallbacks,
                     stats.probe_scan_rows,
+                    stats.projection_skips,
                 )
             };
             assert_eq!(
@@ -285,6 +287,15 @@ fn traced_and_untraced_runs_are_bit_identical() {
             );
             if name == "unindexed" {
                 assert!(plain.stats().probe_scan_rows > 0, "{name}: no scan counted");
+            }
+            // In its written order the shortest-path step is keyed on
+            // (d1, y) once Road(x, y) has read x, and two roads into 3
+            // leave at the same distance.
+            if relation == "Dist" && name.starts_with("interpreted") {
+                assert!(
+                    plain.stats().projection_skips > 0,
+                    "{name}: no skip counted"
+                );
             }
         }
     }

@@ -31,7 +31,7 @@ use carac_datalog::Program;
 use carac_exec::{backends, interpreter, ExecContext};
 use carac_ir::{generate_plan, verify_plan, EvalStrategy, IRNode};
 use carac_storage::{Tuple, Value};
-use carac_vm::{compile_node, verify_program, Machine, VmProgram};
+use carac_vm::{compile_node, verify_program, Instr, Machine, VerifyError, VmProgram};
 
 fn seed_count() -> u64 {
     std::env::var("CARAC_FUZZ_SEEDS")
@@ -337,4 +337,42 @@ fn engine_paths_verify_clean_with_verification_forced_on() {
     engine
         .query("VAlias", &[QueryBinding::bound_int(1), QueryBinding::Free])
         .expect("magic-rewritten query verifies and runs");
+}
+
+/// A `Distinct` (the projection skip of a join level whose bound variables
+/// die) may only key on registers its level has written: the mutation that
+/// points one at a never-written register is always rejected.
+#[test]
+fn a_distinct_reading_an_undefined_register_is_rejected() {
+    let workload = carac_analysis::cspa(4, 1);
+    let program = workload.program(carac_analysis::Formulation::HandOptimized);
+    let plan = generate_plan(program, EvalStrategy::SemiNaive);
+    let vm = compile_node(&plan).expect("CSPA compiles");
+    let schema = arities(program);
+    assert!(
+        vm.instrs
+            .iter()
+            .any(|i| matches!(i, Instr::Distinct { .. })),
+        "CSPA's 3-atom joins compile to no Distinct:\n{vm}"
+    );
+    let mut rejected = 0;
+    for seed in 0..512 {
+        let Some((mutant, mutation)) = mutate_vm(&vm, &schema, seed) else {
+            continue;
+        };
+        if mutation.kind != "vm-distinct-undefined-reg" {
+            continue;
+        }
+        assert_eq!(mutation.expectation, Expectation::MustReject);
+        assert!(
+            matches!(
+                verify_program(&mutant, &schema),
+                Err(VerifyError::UninitializedRead { .. })
+            ),
+            "seed {seed}: {} accepted\n{mutant}",
+            mutation.description
+        );
+        rejected += 1;
+    }
+    assert!(rejected > 0, "the operator never fired");
 }

@@ -660,6 +660,7 @@ impl Carac {
                 ("support_survivors", stats.support_survivors),
                 ("overdeleted", stats.overdeleted),
                 ("rederived", stats.rederived),
+                ("witness_rows", stats.witness_rows),
             ],
         );
         match outcome {

@@ -347,7 +347,10 @@ mod tests {
 
         let mut recovered = tc_engine();
         let report = recovered.recover(&snap, &wal).unwrap();
-        assert_eq!(report.replayed, 2, "the rejected batch was journaled");
+        assert_eq!(
+            report.replayed, 2,
+            "only the two applied batches may be replayed, not the rejected one"
+        );
         assert_eq!(sorted_paths(&mut recovered), expected);
         let _ = std::fs::remove_file(&snap);
         let _ = std::fs::remove_file(&wal);

@@ -160,13 +160,18 @@ impl std::fmt::Debug for Artifact {
 /// Which kernel executes the delta-variant subqueries of an update batch —
 /// the backend dispatch seam of the incremental maintenance subsystem.
 ///
-/// Updates need *collect-mode* execution (emitted rows feed retraction and
-/// witness-check logic instead of the delta-new insert path), which the
-/// specialized closures and the interpreter both provide.  The bytecode VM
-/// cannot yet hand emitted rows back to the maintenance layer, so
-/// [`update_kernel`] maps it to the interpreter; lifting that restriction
-/// only requires the VM to grow a collect-mode `Emit` and this function to
-/// change.
+/// Delta variants need *collect-mode* execution (emitted rows feed the
+/// flagging of lost derivations and insert propagation instead of the
+/// delta-new insert path), which the specialized closures and the
+/// interpreter both provide.  The bytecode VM cannot yet hand emitted rows
+/// back to the maintenance layer, so [`update_kernel`] maps it to the
+/// interpreter; lifting that restriction only requires the VM to grow a
+/// collect-mode `Emit` and this function to change.
+///
+/// The head-driven drivers of the witness check and the rescue step are
+/// not covered by this choice: they are internal to maintenance and always
+/// run as exists queries on the specialized kernel
+/// ([`SpecializedQuery::exists`](crate::kernel::SpecializedQuery::exists)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateKernel {
     /// Delta variants compiled once per live session with

@@ -29,7 +29,11 @@
 //!   that could have leaned on them, which is then checked again against the
 //!   larger condemned set).  Condemned facts are retracted, rescued by one
 //!   head-driven re-derivation step where a derivation outside the order
-//!   remains, and the rescues are propagated like insertions.
+//!   remains, and the rescues are propagated like insertions.  Check and
+//!   rescue run a rule's head-driven driver as an exists query
+//!   ([`SpecializedQuery::exists`]): each join level tests the fact it
+//!   loaded and a head's search ends at its first witness
+//!   (`UpdateStats::witness_rows` counts the rows loaded).
 //!
 //!   Why this is sound: a survivor's witness lies strictly lower in a
 //!   well-founded order (epochs only decrease along it, and a condemned
@@ -62,11 +66,13 @@
 use std::collections::hash_map::Entry;
 use std::time::Instant;
 
-use carac_datalog::{HeadBinding, Program, Rule, Term};
+use carac_datalog::{Program, Rule};
 use carac_ir::{generate_plan, ConjunctiveQuery, EvalStrategy, IRNode, IROp, QueryAtom};
 use carac_storage::hasher::FxHashMap;
 use carac_storage::pool::row_hash;
-use carac_storage::{DbKind, DeltaSign, RelId, Relation, RelationSchema, RowId, Tuple, Value};
+use carac_storage::{
+    DbKind, DeltaSign, RelId, Relation, RelationSchema, RowId, StorageManager, Tuple, Value,
+};
 
 use crate::backends::{compile_closure, ClosureFn, UpdateKernel};
 use crate::context::ExecContext;
@@ -262,8 +268,8 @@ impl FlatRows {
     }
 }
 
-/// One delta-variant (or driver) query with its optionally pre-compiled
-/// specialized kernel — the execution unit of every maintenance phase.
+/// One delta-variant query with its optionally pre-compiled specialized
+/// kernel — the execution unit of flagging and insert propagation.
 struct QueryExec {
     query: ConjunctiveQuery,
     kernel: Option<SpecializedQuery>,
@@ -303,38 +309,18 @@ impl QueryExec {
     }
 }
 
-/// Where one column of a body fact comes from in a driver derivation row.
-enum BodyTerm {
-    Const(Value),
-    /// Column of the row the rule's driver emits.
-    Column(usize),
-}
-
-/// One positive body atom of a rule, resolved against the row its driver
-/// emits, so the body fact of a derivation can be rebuilt and looked up.
-struct BodyAtom {
-    rel: RelId,
-    /// Whether `rel` belongs to the stratum the rule is in (its facts are
-    /// then subject to the epoch order and to condemnation).
-    in_stratum: bool,
-    terms: Vec<BodyTerm>,
-}
-
 /// The maintenance machinery of one rule: a delta variant per positive body
 /// position plus the head-driven full-body query used for the witness
 /// check and re-derivation.
 struct RulePlan {
     head_rel: RelId,
-    head_arity: usize,
     /// `(relation read as delta, variant query)` per positive position.
     variants: Vec<(RelId, QueryExec)>,
-    /// `Head(pattern)@DeltaKnown ⋈ body@Derived`: enumerates, per fact of
-    /// the set loaded into the head relation's delta-known database, every
-    /// derivation it has in the current database.  Each emitted row is the
-    /// head fact followed by the rule's body variables.
-    driver: QueryExec,
-    /// The positive body in terms of the driver's emitted row.
-    body: Vec<BodyAtom>,
+    /// `Head(pattern)@DeltaKnown ⋈ body@Derived` ([`driver_query`]), run as
+    /// an exists query over the heads loaded into delta-known.  Always
+    /// specialized, whatever the update kernel: it is internal to
+    /// maintenance.
+    driver: SpecializedQuery,
 }
 
 /// Per-stratum maintenance plan.
@@ -495,53 +481,21 @@ fn order_delta_first(query: &ConjunctiveQuery, first: usize) -> ConjunctiveQuery
     query.with_order(&order)
 }
 
-/// Builds the head-driven full-body query of `rule`: the rule's head atom
-/// (its pattern rebuilt from the head bindings) reading the delta-known
-/// database, followed by the positive body reading derived (join-ordered
-/// outward from the driver), with the original negations and constraints.
-/// Loading a fact set into the head relation's delta-known database and
-/// collecting this query emits, per fact of the set, one row per derivation
-/// the current database offers: the head fact followed by the variables of
-/// the positive body, from which the returned [`BodyAtom`]s rebuild every
-/// body fact of that derivation.
-fn driver_query(rule: &Rule, stratum: &[RelId]) -> (ConjunctiveQuery, Vec<BodyAtom>) {
+/// Builds the head-driven full-body query of `rule`: the head atom reading
+/// delta-known at join level 0, then the positive body reading derived
+/// (join-ordered outward from it), emitting the head.  Every projection key
+/// holds the head's variables: level 0 binds them and the head reads them.
+fn driver_query(rule: &Rule) -> ConjunctiveQuery {
     let mut query = ConjunctiveQuery::from_rule(rule, None);
-    let mut column_of: FxHashMap<carac_datalog::VarId, usize> = FxHashMap::default();
-    let mut body = Vec::new();
-    for atom in &query.atoms {
-        let terms = atom
-            .terms
-            .iter()
-            .map(|term| match term {
-                Term::Const(c) => BodyTerm::Const(*c),
-                Term::Var(v) => BodyTerm::Column(*column_of.entry(*v).or_insert_with(|| {
-                    query.head_bindings.push(HeadBinding::Var(*v));
-                    query.head_bindings.len() - 1
-                })),
-            })
-            .collect();
-        body.push(BodyAtom {
-            rel: atom.rel,
-            in_stratum: stratum.contains(&atom.rel),
-            terms,
-        });
-    }
-    let head_terms: Vec<Term> = query.head_bindings[..rule.head.terms.len()]
-        .iter()
-        .map(|b| match b {
-            HeadBinding::Var(v) => Term::Var(*v),
-            HeadBinding::Const(c) => Term::Const(*c),
-        })
-        .collect();
     query.atoms.insert(
         0,
         QueryAtom {
-            rel: query.head_rel,
+            rel: rule.head.rel,
             db: DbKind::DeltaKnown,
-            terms: head_terms,
+            terms: rule.head.terms.clone(),
         },
     );
-    (order_delta_first(&query, 0), body)
+    order_delta_first(&query, 0)
 }
 
 impl Incremental {
@@ -580,13 +534,10 @@ impl Incremental {
                         negated_rels.push(literal.atom.rel);
                     }
                 }
-                let (driver, body) = driver_query(rule, &stratum.relations);
                 rules.push(RulePlan {
                     head_rel: rule.head.rel,
-                    head_arity: rule.head.terms.len(),
                     variants,
-                    driver: QueryExec::new(driver, kernel),
-                    body,
+                    driver: SpecializedQuery::compile(&driver_query(rule)),
                 });
             }
             let mut aggregate = false;
@@ -747,13 +698,6 @@ impl Incremental {
         })
     }
 
-    /// Adds the rows of `facts` to `rel`'s delta-known database, as an
-    /// explicit delta set (the level-0 scan of every maintenance query).
-    fn load_delta(ctx: &mut ExecContext, rel: RelId, facts: &Relation) -> Result<(), ExecError> {
-        ctx.storage.load_delta(rel, facts)?;
-        Ok(())
-    }
-
     /// Publishes as insert deltas the live rows of `rel`'s derived database
     /// appended past the slot high-water mark `mark` — the net-new facts of
     /// a maintenance phase — except those in `skip` (facts that were there
@@ -875,7 +819,7 @@ impl Incremental {
         mut on_head: impl FnMut(&mut ExecContext, RelId, &[Value], RowId) -> Result<(), ExecError>,
     ) -> Result<(), ExecError> {
         for (rel, facts) in frontier {
-            Self::load_delta(ctx, *rel, facts)?;
+            ctx.storage.load_delta(*rel, facts)?;
         }
         for rule in &plan.rules {
             for (delta_rel, exec) in &rule.variants {
@@ -967,31 +911,42 @@ impl Incremental {
             })?;
 
             // 2. The witness check: the flagged heads drive their own rules'
-            // full bodies; one derivation inside the order keeps a head.
+            // full bodies, each level admitting only facts that may stand
+            // under the head; the first derivation to reach the leaf keeps
+            // it.
             for (rel, heads) in &flagged {
-                Self::load_delta(ctx, *rel, &heads.rows)?;
+                ctx.storage.load_delta(*rel, &heads.rows)?;
             }
-            let mut fact = Vec::new();
             for rule in &plan.rules {
                 let Some(heads) = flagged.get_mut(&rule.head_rel) else {
                     continue;
                 };
-                for derivation in rule.driver.collect(ctx)?.rows() {
-                    let head = &derivation[..rule.head_arity];
-                    let Some(at) = heads.rows.find_row_hashed(head, row_hash(head)) else {
-                        continue;
-                    };
-                    let at = at as usize;
-                    if !heads.supported[at] {
-                        heads.supported[at] = Self::is_witness(
-                            rule,
-                            derivation,
-                            heads.epochs[at],
-                            ctx,
-                            &condemned,
-                            deltas,
-                            &mut fact,
-                        )?;
+                let mut head_epoch = 0;
+                let found = Self::run_driver(rule, ctx, up, |storage, level, rel, values, row| {
+                    if level == 0 {
+                        // The head: not yet supported by an earlier rule.
+                        let Some(at) = heads.rows.find_row_hashed(values, row_hash(values)) else {
+                            return Ok(false);
+                        };
+                        head_epoch = heads.epochs[at as usize];
+                        return Ok(!heads.supported[at as usize]);
+                    }
+                    Ok(match condemned.get(&rel) {
+                        // A fact of the stratum: below the head in the epoch
+                        // order, and not condemned.
+                        Some(set) => {
+                            storage.derived(rel)?.epoch_of(row) < head_epoch
+                                && !set.contains_row(values)
+                        }
+                        // Any other fact: not retracted by this batch.
+                        None => deltas
+                            .minus_of(rel)
+                            .is_none_or(|minus| !minus.contains_row(values)),
+                    })
+                })?;
+                for head in found.rows() {
+                    if let Some(at) = heads.rows.find_row_hashed(head, row_hash(head)) {
+                        heads.supported[at as usize] = true;
                     }
                 }
             }
@@ -1023,50 +978,30 @@ impl Incremental {
         Ok(condemned)
     }
 
-    /// Whether `derivation` (a row of `rule`'s driver: the head, then the
-    /// body variables) keeps its head standing: every body fact is
-    /// un-condemned and not retracted by this batch, and every body fact of
-    /// the stratum itself is strictly older than the head.  `fact` is
-    /// scratch space for the rebuilt body rows.
-    fn is_witness(
+    /// Runs `rule`'s driver as an exists query over the head facts loaded
+    /// into delta-known: `admit(storage, level, rel, values, row)` decides
+    /// every row that passed its filters (see [`SpecializedQuery::exists`])
+    /// and counts into `witness_rows`.  Returns the heads that reached a
+    /// leaf, one row each.
+    fn run_driver(
         rule: &RulePlan,
-        derivation: &[Value],
-        head_epoch: u32,
-        ctx: &ExecContext,
-        condemned: &FxHashMap<RelId, Relation>,
-        deltas: &DeltaSets,
-        fact: &mut Vec<Value>,
-    ) -> Result<bool, ExecError> {
-        for atom in &rule.body {
-            fact.clear();
-            fact.extend(atom.terms.iter().map(|term| match term {
-                BodyTerm::Const(c) => *c,
-                BodyTerm::Column(col) => derivation[*col],
-            }));
-            let hash = row_hash(fact);
-            if !atom.in_stratum {
-                let retracted = deltas
-                    .minus_of(atom.rel)
-                    .is_some_and(|minus| minus.contains_row_hashed(fact, hash));
-                if retracted {
-                    return Ok(false);
-                }
-                continue;
-            }
-            let derived = ctx.storage.derived(atom.rel)?;
-            // The driver joined this fact out of the derived database, so it
-            // is there; a miss would mean it is no witness either way.
-            let older = derived
-                .find_row_hashed(fact, hash)
-                .is_some_and(|slot| derived.epoch_of(slot) < head_epoch);
-            let standing = condemned
-                .get(&atom.rel)
-                .is_none_or(|set| !set.contains_row_hashed(fact, hash));
-            if !(older && standing) {
-                return Ok(false);
-            }
-        }
-        Ok(true)
+        ctx: &mut ExecContext,
+        up: &mut UpdateStats,
+        mut admit: impl FnMut(&StorageManager, usize, RelId, &[Value], RowId) -> Result<bool, ExecError>,
+    ) -> Result<FlatRows, ExecError> {
+        let ExecContext { storage, stats, .. } = ctx;
+        stats.update.delta_subqueries += 1;
+        let (values, len) = rule
+            .driver
+            .exists(storage, stats, |level, rel, values, row| {
+                up.witness_rows += 1;
+                admit(storage, level, rel, values, row)
+            })?;
+        Ok(FlatRows {
+            width: rule.driver.head_arity(),
+            len: len as usize,
+            values,
+        })
     }
 
     /// Retraction and rescue: retract the condemned facts, bring back those
@@ -1092,7 +1027,7 @@ impl Incremental {
                 for row in set.iter_rows() {
                     ctx.storage.retract_derived_row(rel, row)?;
                 }
-                Self::load_delta(ctx, rel, set)?;
+                ctx.storage.load_delta(rel, set)?;
             }
         }
         let mut seeds: FxHashMap<RelId, Relation> = FxHashMap::default();
@@ -1104,7 +1039,12 @@ impl Incremental {
             {
                 continue;
             }
-            let found = rule.driver.collect(ctx)?;
+            // One derivation over the remaining database seeds a head; every
+            // fact is admitted, and a head an earlier rule seeded is skipped.
+            let seeded = seeds.get(&rule.head_rel);
+            let found = Self::run_driver(rule, ctx, up, |_, level, _, values, _| {
+                Ok(level > 0 || seeded.is_none_or(|seed| !seed.contains_row(values)))
+            })?;
             // Resolve the seed relation through the checked schema accessor
             // once per rule, so a plan/session mismatch is a typed error
             // rather than a panic inside the entry closure.
@@ -1113,8 +1053,8 @@ impl Incremental {
                 seeds.insert(rule.head_rel, Relation::new(schema));
             }
             if let Some(seed) = seeds.get_mut(&rule.head_rel) {
-                for derivation in found.rows() {
-                    seed.insert_row(&derivation[..rule.head_arity])?;
+                for head in found.rows() {
+                    seed.insert_row(head)?;
                 }
             }
         }
@@ -1128,7 +1068,7 @@ impl Incremental {
                 for row in seed.iter_rows() {
                     ctx.storage.append_derived_row(*rel, row)?;
                 }
-                Self::load_delta(ctx, *rel, seed)?;
+                ctx.storage.load_delta(*rel, seed)?;
             }
             Self::propagate(plan, ctx, &plan.relations)?;
         }
@@ -1161,7 +1101,7 @@ impl Incremental {
         let mut seeded: Vec<RelId> = Vec::new();
         for &rel in &plan.body_rels {
             if let Some(plus) = deltas.plus_of(rel) {
-                Self::load_delta(ctx, rel, plus)?;
+                ctx.storage.load_delta(rel, plus)?;
                 seeded.push(rel);
             }
         }
@@ -1282,6 +1222,8 @@ mod tests {
     const TC_RULES: &str = "Path(x, y) :- Edge(x, y).\n\
                             Path(x, y) :- Edge(x, z), Path(z, y).\n";
 
+    type TestResult = Result<(), Box<dyn std::error::Error>>;
+
     /// A live session over `source`: evaluated to fixpoint, with its
     /// maintenance plan.
     fn live(source: &str) -> (Program, ExecContext, Incremental) {
@@ -1336,8 +1278,8 @@ mod tests {
     /// The slot of the pair fact `rel(a, b)` in the derived database.
     fn slot_of(p: &Program, ctx: &ExecContext, rel: &str, a: u32, b: u32) -> Option<RowId> {
         let row = [Value::int(a), Value::int(b)];
-        let rel = p.relation_by_name(rel).unwrap();
-        let derived = ctx.storage.derived(rel).unwrap();
+        let rel = p.relation_by_name(rel).ok()?;
+        let derived = ctx.storage.derived(rel).ok()?;
         derived.find_row_hashed(&row, row_hash(&row))
     }
 
@@ -1735,27 +1677,80 @@ mod tests {
     }
 
     #[test]
-    fn witness_drivers_have_an_empty_projection_plan() {
-        // A driver emits every body variable, so nothing is ever dead; the
-        // delta variants of the 3-atom rules do skip.
-        let (_, _, inc) = live(&cspa_source(&[(1, 2)]));
-        let mut keyed_variants = 0;
-        for stratum in &inc.strata {
-            for rule in &stratum.rules {
-                assert!(rule.driver.query.projection_plan().is_empty());
-                keyed_variants += rule
-                    .variants
-                    .iter()
-                    .filter(|(_, exec)| !exec.query.projection_plan().is_empty())
-                    .count();
+    fn witness_driver_keys_hold_the_head_variables() -> TestResult {
+        // Keys stay on under the exists sink: a key names one head, and the
+        // test reads only a row, its slot and that head's epoch, so a key
+        // expanded without a witness has none for a later row either.
+        let p = parse(&cspa_source(&[(1, 2)]))?;
+        let mut keyed = 0;
+        for rule in p.rules() {
+            let plan = driver_query(rule).projection_plan();
+            for key in plan.keys.iter().flatten() {
+                keyed += 1;
+                for v in rule.head.terms.iter().filter_map(|t| t.as_var()) {
+                    assert!(key.contains(&v), "{:?}: {key:?} misses {v:?}", rule.id);
+                }
             }
         }
-        assert!(keyed_variants > 0);
+        assert!(keyed > 0);
+        Ok(())
     }
 
     #[test]
-    fn cspa_updates_skip_expanded_keys_and_match_scratch() -> Result<(), Box<dyn std::error::Error>>
-    {
+    fn a_head_stands_on_its_last_derivation_in_join_order() {
+        // Hop2(1, 4) over 1 -> 3 -> 4, 1 -> 5 -> 4 and 1 -> 6 -> 4.  The
+        // batch cuts 3 -> 4 and 5 -> 4: the search rejects the first two
+        // routes at their second edge and the third is the witness.
+        let rest = "Edge(1, 3). Edge(1, 5). Edge(1, 6). Edge(6, 4).";
+        let (p, mut ctx, inc) = live(&format!("{HOP2}{rest} Edge(3, 4). Edge(5, 4)."));
+        let before = slot_of(&p, &ctx, "Hop2", 1, 4);
+        let stats = update_edges(&p, &mut ctx, &inc, &[(3, 4), (5, 4)], &[]);
+        assert_eq!(
+            facts(&p, &ctx, "Hop2"),
+            scratch(&format!("{HOP2}{rest}"), "Hop2")
+        );
+        assert_eq!(stats.candidates_checked, 1);
+        assert_eq!(stats.support_survivors, 1);
+        assert_eq!(stats.overdeleted, 0);
+        assert_eq!(slot_of(&p, &ctx, "Hop2", 1, 4), before);
+        // The head, its three first edges, and three second edges of which
+        // only 6 -> 4 is admitted.
+        assert_eq!(stats.witness_rows, 7);
+    }
+
+    #[test]
+    fn a_head_whose_only_derivation_is_younger_is_condemned_and_rescued() -> TestResult {
+        // Path(1, 4) is derived over 1 -> 2 -> 4; a later batch adds the
+        // route 1 -> 3 -> 4, whose Path(3, 4) is younger than Path(1, 4).
+        // Once 1 -> 2 goes, that route is all Path(1, 4) has left: the
+        // witness check cannot vouch for it, the rescue step brings it back.
+        let (p, mut ctx, inc) = live(&format!("{TC_RULES}Edge(1, 2). Edge(2, 4)."));
+        update_edges(&p, &mut ctx, &inc, &[], &[(1, 3), (3, 4)]);
+        let path = p.relation_by_name("Path")?;
+        let epoch = |ctx: &ExecContext, a, b| -> Result<u32, Box<dyn std::error::Error>> {
+            let slot = slot_of(&p, ctx, "Path", a, b).ok_or("Path fact missing")?;
+            Ok(ctx.storage.derived(path)?.epoch_of(slot))
+        };
+        assert!(epoch(&ctx, 3, 4)? > epoch(&ctx, 1, 4)?);
+        let stats = update_edges(&p, &mut ctx, &inc, &[(1, 2)], &[]);
+        assert_eq!(
+            facts(&p, &ctx, "Path"),
+            scratch(
+                &format!("{TC_RULES}Edge(2, 4). Edge(1, 3). Edge(3, 4)."),
+                "Path"
+            )
+        );
+        assert_eq!(stats.candidates_checked, 2); // Path(1, 2), Path(1, 4)
+        assert_eq!(stats.support_survivors, 0);
+        assert_eq!(stats.overdeleted, 2);
+        assert_eq!(stats.rederived, 1); // Path(1, 4)
+        assert_eq!(stats.derived_retracted, 1); // Path(1, 2)
+        assert!(epoch(&ctx, 1, 4)? > epoch(&ctx, 3, 4)?);
+        Ok(())
+    }
+
+    #[test]
+    fn cspa_updates_skip_expanded_keys_and_match_scratch() -> TestResult {
         let mut assign: Vec<(u32, u32)> = vec![(1, 2), (2, 3), (3, 4), (4, 1), (2, 5), (5, 3)];
         let (p, mut ctx, inc) = live(&cspa_source(&assign));
         let rel = p.relation_by_name("Assign")?;

@@ -29,6 +29,14 @@
 //! [`RunStats::projection_skips`]; the derived set and the order in which
 //! new rows first appear are unchanged.
 //!
+//! **One level loop, two sinks.**  [`SpecializedQuery`]'s level loop is
+//! generic over what it does with the rows it reaches.  The *emit* sink of
+//! evaluation expands every row and emits at every leaf.  The *exists* sink
+//! ([`SpecializedQuery::exists`]) puts every row that passed its filters
+//! and checks to the caller's per-level test and ends a driver row's whole
+//! subtree at its first leaf: the incremental layer's "does this head still
+//! have a derivation I accept?" as a join that stops at the first witness.
+//!
 //! **The inner loop is allocation-free.**  Candidate rows arrive as borrowed
 //! [`RowId`] slices (index posting lists, shard partitions, or a reusable
 //! per-level scratch buffer for unindexed scans — see
@@ -168,6 +176,9 @@ struct EmitBuffer {
     rows: u64,
     scan_rows: u64,
     skips: u64,
+    /// Set by a leaf of a sink that ends there ([`Sink::ENDS_AT_LEAF`]):
+    /// the current driver row is done.  Cleared when level 0 moves on.
+    ended: bool,
 }
 
 impl EmitBuffer {
@@ -176,6 +187,71 @@ impl EmitBuffer {
         self.rows += other.rows;
         self.scan_rows += other.scan_rows;
         self.skips += other.skips;
+    }
+}
+
+/// What [`SpecializedQuery`]'s level loop does with the rows it reaches.
+/// Both sinks emit the head row at a leaf into their [`EmitBuffer`]; they
+/// differ in what may be expanded and in what a leaf ends.
+trait Sink {
+    /// Whether reaching a leaf ends the whole subtree of the current
+    /// level-0 (driver) row.
+    const ENDS_AT_LEAF: bool;
+
+    /// The buffer the leaves emit into, with the run's counters.
+    fn out(&mut self) -> &mut EmitBuffer;
+
+    /// Whether row `row` of `rel`, loaded at join level `level` (its values
+    /// `values`) after its filters and checks passed, may be expanded.
+    fn admit(
+        &mut self,
+        level: usize,
+        rel: RelId,
+        values: &[Value],
+        row: RowId,
+    ) -> Result<bool, ExecError>;
+}
+
+/// The emit sink of evaluation: every row is expanded, every leaf emits.
+impl Sink for EmitBuffer {
+    const ENDS_AT_LEAF: bool = false;
+
+    #[inline(always)]
+    fn out(&mut self) -> &mut EmitBuffer {
+        self
+    }
+
+    #[inline(always)]
+    fn admit(&mut self, _: usize, _: RelId, _: &[Value], _: RowId) -> Result<bool, ExecError> {
+        Ok(true)
+    }
+}
+
+/// The exists sink of [`SpecializedQuery::exists`]: the caller's test
+/// decides each row, and the first leaf under a driver row ends it.
+struct ExistsSink<F> {
+    out: EmitBuffer,
+    admit: F,
+}
+
+impl<F> Sink for ExistsSink<F>
+where
+    F: FnMut(usize, RelId, &[Value], RowId) -> Result<bool, ExecError>,
+{
+    const ENDS_AT_LEAF: bool = true;
+
+    fn out(&mut self) -> &mut EmitBuffer {
+        &mut self.out
+    }
+
+    fn admit(
+        &mut self,
+        level: usize,
+        rel: RelId,
+        values: &[Value],
+        row: RowId,
+    ) -> Result<bool, ExecError> {
+        (self.admit)(level, rel, values, row)
     }
 }
 
@@ -362,10 +438,10 @@ impl SpecializedQuery {
     /// inserting them anywhere**: a flat row-major buffer with the head
     /// arity as stride, plus the row count (duplicates preserved — each row
     /// is one derivation).  This is the collect-mode entry the incremental
-    /// maintenance subsystem uses for lost derivations, the witness check
-    /// and re-derivation, where emitted rows feed retraction logic instead
-    /// of the delta-new insert path.  Shares the serial and
-    /// fork-join execution machinery with [`SpecializedQuery::execute_with`].
+    /// maintenance subsystem uses for lost derivations and insert
+    /// propagation, where emitted rows feed maintenance logic instead of
+    /// the delta-new insert path.  Shares the serial and fork-join
+    /// execution machinery with [`SpecializedQuery::execute_with`].
     pub fn collect_rows(
         &self,
         storage: &StorageManager,
@@ -377,9 +453,41 @@ impl SpecializedQuery {
     }
 
     /// Arity of the emitted head rows (the stride of
-    /// [`SpecializedQuery::collect_rows`]' buffer).
+    /// [`collect_rows`](Self::collect_rows)' and
+    /// [`exists`](Self::exists)' buffers).
     pub fn head_arity(&self) -> usize {
         self.head.len()
+    }
+
+    /// Runs the join as an **exists query**: after a row's loads and checks
+    /// pass, `admit(level, rel, values, row)` decides whether it may be
+    /// expanded, and the first leaf reached under a level-0 (driver) row
+    /// emits that leaf's head row and ends the driver row's whole subtree.
+    /// Returns the emitted head rows (head arity as stride) and their
+    /// count: at most one per driver row.
+    ///
+    /// The incremental layer's witness check and rescue step run their
+    /// head-driven drivers through this.  Projection keys stay on: every
+    /// key of such a driver holds the head's variables, so a key names
+    /// one driver row, and a key expanded without reaching a leaf cannot
+    /// reach one later as long as `admit` reads only the row, its id and
+    /// per-driver-row state.  Runs serially (`admit` is stateful); the
+    /// execution is one subquery like any other, so spans, rule profiles
+    /// and `tuples_emitted` reconcile with the emitted rows.
+    pub fn exists(
+        &self,
+        storage: &StorageManager,
+        stats: &mut RunStats,
+        admit: impl FnMut(usize, RelId, &[Value], RowId) -> Result<bool, ExecError>,
+    ) -> Result<(Vec<Value>, u64), ExecError> {
+        let mut sink = ExistsSink {
+            out: EmitBuffer::default(),
+            admit,
+        };
+        self.run(storage, stats, &mut sink, |_, sink| {
+            self.join_serial(storage, sink)
+        })?;
+        Ok((sink.out.values, sink.out.rows))
     }
 
     /// The shared emission phase of [`execute_with`](Self::execute_with) and
@@ -390,6 +498,27 @@ impl SpecializedQuery {
         stats: &mut RunStats,
         parallelism: usize,
     ) -> Result<EmitBuffer, ExecError> {
+        let mut out = EmitBuffer::default();
+        self.run(storage, stats, &mut out, |stats, out| {
+            if parallelism > 1 {
+                *out = self.join_parallel(storage, stats, parallelism)?;
+                Ok(())
+            } else {
+                self.join_serial(storage, out)
+            }
+        })?;
+        Ok(out)
+    }
+
+    /// One execution, recorded as a subquery span and a rule-profile
+    /// execution: `join` fills `sink` unless the query is statically empty.
+    fn run<S: Sink>(
+        &self,
+        storage: &StorageManager,
+        stats: &mut RunStats,
+        sink: &mut S,
+        join: impl FnOnce(&mut RunStats, &mut S) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
         let started = Instant::now();
         let token = stats.tracer.begin(Phase::Subquery, self.rule.0);
         stats.subqueries += 1;
@@ -406,19 +535,11 @@ impl SpecializedQuery {
                 started.elapsed(),
             );
             stats.tracer.end(token, &[("emitted", 0)]);
-            return Ok(EmitBuffer::default());
+            return Ok(());
         }
         let delta_in = delta_rows_in(storage, self.atoms.iter().map(|a| (a.db, a.rel)));
-        let out = if parallelism > 1 {
-            self.join_parallel(storage, stats, parallelism)?
-        } else {
-            let mut bindings = vec![Value::int(0); self.num_vars];
-            let mut out = EmitBuffer::default();
-            with_scratch(self.scratch_levels(), |scratch| {
-                self.join_level(0, &mut bindings, storage, scratch, &mut out)
-            })?;
-            out
-        };
+        join(stats, sink)?;
+        let out = sink.out();
         stats.tuples_emitted += out.rows;
         stats.probe_scan_rows += out.scan_rows;
         stats.projection_skips += out.skips;
@@ -432,7 +553,20 @@ impl SpecializedQuery {
         stats
             .tracer
             .end(token, &[("emitted", out.rows), ("delta_in", delta_in)]);
-        Ok(out)
+        Ok(())
+    }
+
+    /// The whole join on this thread, from level 0.
+    fn join_serial<S: Sink>(
+        &self,
+        storage: &StorageManager,
+        sink: &mut S,
+    ) -> Result<(), ExecError> {
+        let mut bindings = vec![Value::int(0); self.num_vars];
+        with_scratch(self.scratch_levels(), |scratch| {
+            self.join_level(0, &mut bindings, storage, scratch, sink)
+        })?;
+        Ok(())
     }
 
     /// The fork-join body of [`execute_with`](Self::execute_with): splits
@@ -447,11 +581,8 @@ impl SpecializedQuery {
     ) -> Result<EmitBuffer, ExecError> {
         let Some(first) = self.atoms.first() else {
             // A body-less query (constant rule): nothing to partition.
-            let mut bindings = vec![Value::int(0); self.num_vars];
             let mut out = EmitBuffer::default();
-            with_scratch(self.scratch_levels(), |scratch| {
-                self.join_level(0, &mut bindings, storage, scratch, &mut out)
-            })?;
+            self.join_serial(storage, &mut out)?;
             return Ok(out);
         };
         let relation = storage.relation(first.db, first.rel)?;
@@ -542,16 +673,17 @@ impl SpecializedQuery {
         Ok(merged)
     }
 
-    fn join_level(
+    fn join_level<S: Sink>(
         &self,
         level: usize,
         bindings: &mut [Value],
         storage: &StorageManager,
         scratch: &mut [LevelScratch],
-        out: &mut EmitBuffer,
+        sink: &mut S,
     ) -> Result<(), ExecError> {
         if level == self.atoms.len() {
             // Negation checks (through the spare scratch level), then emit.
+            let out = sink.out();
             for neg in &self.negated {
                 let relation = storage.relation(neg.db, neg.rel)?;
                 let spare = &mut scratch[0];
@@ -566,6 +698,9 @@ impl SpecializedQuery {
                 });
             }
             out.rows += 1;
+            if S::ENDS_AT_LEAF {
+                out.ended = true;
+            }
             return Ok(());
         }
         let atom = &self.atoms[level];
@@ -576,7 +711,7 @@ impl SpecializedQuery {
             cur.resolved.push((col, val.resolve(bindings)));
         }
         let probe = relation.probe_rows(&cur.resolved, &mut cur.rows);
-        out.scan_rows += probe.scanned_rows() as u64;
+        sink.out().scan_rows += probe.scanned_rows() as u64;
         self.join_rows(
             level,
             relation,
@@ -585,7 +720,7 @@ impl SpecializedQuery {
             storage,
             &mut cur.seen,
             rest,
-            out,
+            sink,
         )
     }
 
@@ -594,7 +729,7 @@ impl SpecializedQuery {
     /// set of expanded projection keys; `scratch` holds the levels *below*
     /// this one.
     #[allow(clippy::too_many_arguments)]
-    fn join_rows(
+    fn join_rows<S: Sink>(
         &self,
         level: usize,
         relation: RelationView<'_>,
@@ -603,7 +738,7 @@ impl SpecializedQuery {
         storage: &StorageManager,
         seen: &mut SeenKeys,
         scratch: &mut [LevelScratch],
-        out: &mut EmitBuffer,
+        sink: &mut S,
     ) -> Result<(), ExecError> {
         let atom = &self.atoms[level];
         'rows: for row in rows {
@@ -633,6 +768,9 @@ impl SpecializedQuery {
                     continue 'rows;
                 }
             }
+            if !sink.admit(level, atom.rel, values, row)? {
+                continue 'rows;
+            }
             // Everything below depends on the live bindings only: a key
             // expanded before would emit the same rows again.
             if let Some(key) = &atom.key {
@@ -642,11 +780,18 @@ impl SpecializedQuery {
                     })
                 }))?;
                 if !first {
-                    out.skips += 1;
+                    sink.out().skips += 1;
                     continue 'rows;
                 }
             }
-            self.join_level(level + 1, bindings, storage, scratch, out)?;
+            self.join_level(level + 1, bindings, storage, scratch, sink)?;
+            if S::ENDS_AT_LEAF && sink.out().ended {
+                // Unwind to level 0, which moves on to its next row.
+                if level > 0 {
+                    return Ok(());
+                }
+                sink.out().ended = false;
+            }
         }
         Ok(())
     }
@@ -655,6 +800,13 @@ impl SpecializedQuery {
 /// Whether a row matching every filter exists (negation probe), using the
 /// caller's reusable scratch; adds the rows a scan fallback visited to
 /// `scan_rows`.
+///
+/// Always inlined: with one caller per sink, LLVM stops inlining it into
+/// the emit sink's `join_level`, and that alone cost 7 % of
+/// `run_s.jit_lambda` @ `cspa` (2-vCPU x86-64 VM), whose rules negate
+/// nothing.  Inlined, the emit instantiation is the same machine code as a
+/// kernel without the exists sink.
+#[inline(always)]
 fn probe_exists(
     relation: RelationView<'_>,
     filters: &[(usize, FilterVal)],

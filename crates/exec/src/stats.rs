@@ -81,6 +81,12 @@ pub struct UpdateStats {
     /// condemns (`overdeleted`), so
     /// `candidates_checked == support_survivors + overdeleted`.
     pub candidates_checked: u64,
+    /// Rows the witness-check and rescue drivers loaded, summed over every
+    /// join level: the rows that passed a level's filters and were put to
+    /// its test (the flagged heads at level 0 included).  Each head's
+    /// search stops at its first witness, so this is the work of the
+    /// deletion phase's checks; deterministic like the decisions above.
+    pub witness_rows: u64,
     /// Strata recomputed wholesale (aggregate strata, and strata with
     /// negation over changed relations).
     pub strata_recomputed: u64,
@@ -105,6 +111,7 @@ impl UpdateStats {
         self.rederived += other.rederived;
         self.support_survivors += other.support_survivors;
         self.candidates_checked += other.candidates_checked;
+        self.witness_rows += other.witness_rows;
         self.strata_recomputed += other.strata_recomputed;
         self.delta_subqueries += other.delta_subqueries;
         self.compactions += other.compactions;

@@ -176,6 +176,12 @@ pub fn metrics_json(stats: &RunStats) -> String {
     push_field(
         &mut out,
         &mut first,
+        "witness_rows",
+        stats.update.witness_rows,
+    );
+    push_field(
+        &mut out,
+        &mut first,
         "compilations",
         stats.compilations() as u64,
     );
@@ -262,6 +268,7 @@ mod tests {
         stats.tracer.end(run, &[]);
         stats.subqueries = 1;
         stats.tuples_emitted = 2;
+        stats.update.witness_rows = 7;
         stats
     }
 
@@ -294,6 +301,7 @@ mod tests {
         );
         let json = metrics_json(&stats);
         assert!(json.contains("\"subqueries\":1"));
+        assert!(json.contains("\"witness_rows\":7"));
         assert!(json.contains("\"rule\":3"));
         assert!(json.contains("\"delta_rows_in\":5"));
         assert!(json.contains("\"aggregate_profiles\""));

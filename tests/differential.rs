@@ -1245,6 +1245,160 @@ fn single_edge_streams_over_non_recursive_strata_match_scratch_after_every_batch
     }
 }
 
+/// One batch's maintenance decisions: `(candidates_checked,
+/// support_survivors, overdeleted, rederived, derived_inserted,
+/// derived_retracted)`.
+type Decisions = (u64, u64, u64, u64, u64, u64);
+
+/// The per-batch decisions of a live session under `stream`.
+fn stream_decisions(
+    build: EdgeProgramFn,
+    update_relation: &str,
+    base: &[(u32, u32)],
+    stream: &[UpdateStreamBatch],
+    config: EngineConfig,
+) -> Vec<Decisions> {
+    let mut engine = Carac::new(build(base)).with_config(config);
+    engine.run_live().unwrap();
+    stream
+        .iter()
+        .map(|batch| {
+            let s = engine
+                .apply_edge_updates(update_relation, &batch.inserts, &batch.retracts)
+                .unwrap()
+                .stats;
+            (
+                s.candidates_checked,
+                s.support_survivors,
+                s.overdeleted,
+                s.rederived,
+                s.derived_inserted,
+                s.derived_retracted,
+            )
+        })
+        .collect()
+}
+
+/// The decisions of [`witness_decisions_match_the_recorded_stream`]'s CSPA
+/// stream, per batch, as recorded from the collect-every-derivation witness
+/// check this one replaced.
+const CSPA_DECISIONS: [Decisions; 32] = [
+    (274, 250, 24, 24, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (410, 396, 14, 4, 0, 10),
+    (0, 0, 0, 0, 10, 0),
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 48, 0),
+    (46, 41, 5, 5, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (600, 567, 33, 23, 0, 10),
+    (0, 0, 0, 0, 0, 0),
+    (11, 11, 0, 0, 0, 0),
+    (599, 545, 54, 54, 0, 0),
+    (0, 0, 0, 0, 10, 0),
+    (51, 50, 1, 1, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (622, 586, 36, 36, 0, 0),
+    (0, 0, 0, 0, 10, 0),
+    (753, 715, 38, 27, 0, 11),
+    (0, 0, 0, 0, 11, 0),
+    (49, 48, 1, 1, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (440, 399, 41, 41, 0, 0),
+    (1194, 1131, 63, 52, 0, 11),
+    (0, 0, 0, 0, 0, 0),
+    (90, 83, 7, 7, 0, 0),
+    (619, 587, 32, 5, 0, 27),
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (268, 232, 36, 0, 0, 36),
+    (0, 0, 0, 0, 18, 0),
+];
+
+/// The same for its TC stream.
+const TC_DECISIONS: [Decisions; 48] = [
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 125, 0),
+    (235, 86, 149, 37, 0, 112),
+    (228, 71, 157, 45, 0, 112),
+    (0, 0, 0, 0, 37, 0),
+    (0, 0, 0, 0, 3, 0),
+    (74, 53, 21, 21, 0, 0),
+    (177, 83, 94, 94, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (277, 117, 160, 50, 0, 110),
+    (40, 23, 17, 16, 0, 1),
+    (450, 126, 324, 254, 0, 70),
+    (39, 12, 27, 25, 0, 2),
+    (0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 1, 0),
+    (0, 0, 0, 0, 67, 0),
+    (10, 3, 7, 7, 0, 0),
+    (0, 0, 0, 0, 111, 0),
+    (40, 1, 39, 0, 0, 39),
+    (0, 0, 0, 0, 39, 0),
+    (0, 0, 0, 0, 39, 0),
+    (0, 0, 0, 0, 41, 0),
+    (1175, 287, 888, 64, 0, 824),
+    (0, 0, 0, 0, 2, 0),
+    (142, 86, 56, 1, 0, 55),
+    (0, 0, 0, 0, 1, 0),
+    (1, 0, 1, 0, 0, 1),
+    (4, 1, 3, 0, 0, 3),
+    (10, 2, 8, 0, 0, 8),
+    (17, 0, 17, 0, 0, 17),
+    (0, 0, 0, 0, 7, 0),
+    (0, 0, 0, 0, 15, 0),
+    (0, 0, 0, 0, 0, 0),
+    (0, 0, 0, 0, 0, 0),
+    (5, 1, 4, 1, 0, 3),
+    (0, 0, 0, 0, 1, 0),
+    (203, 63, 140, 48, 0, 92),
+    (14, 0, 14, 14, 0, 0),
+    (19, 14, 5, 0, 0, 5),
+    (0, 0, 0, 0, 57, 0),
+    (18, 8, 10, 9, 0, 1),
+    (2, 1, 1, 0, 0, 1),
+    (0, 0, 0, 0, 59, 0),
+    (0, 0, 0, 0, 6, 0),
+    (14, 1, 13, 12, 0, 1),
+    (15, 1, 14, 14, 0, 0),
+    (0, 0, 0, 0, 4, 0),
+    (0, 0, 0, 0, 0, 0),
+];
+
+/// The witness check stops at a derivation's first rejected body fact and at
+/// a head's first witness; both only skip work, so every decision stays
+/// what checking every derivation in full decided — batch by batch, under
+/// the default policy, the interpreter and the eager bytecode VM.
+#[test]
+fn witness_decisions_match_the_recorded_stream() {
+    let cspa_base = random_digraph(12, 16, 0xC59A);
+    let cspa_stream = edge_update_stream(&cspa_base, 12, 32, 1, 0xA551);
+    let tc_base = random_digraph(60, 90, 0x7C11);
+    let tc_stream = edge_update_stream(&tc_base, 60, 48, 1, 0x57EA);
+    for config in [
+        EngineConfig::default(),
+        EngineConfig::interpreted(),
+        EngineConfig::eager_jit(BackendKind::Bytecode, false),
+    ] {
+        let label = config.label();
+        let cspa = stream_decisions(&cspa_rules, "Assign", &cspa_base, &cspa_stream, config);
+        let tc = stream_decisions(&tc_program, "Edge", &tc_base, &tc_stream, config);
+        for (name, got, expected) in [
+            ("cspa", cspa, &CSPA_DECISIONS[..]),
+            ("tc", tc, &TC_DECISIONS[..]),
+        ] {
+            assert_eq!(got.len(), expected.len(), "{label}: {name}");
+            for (i, (got, expected)) in got.iter().zip(expected).enumerate() {
+                assert_eq!(got, expected, "{label}: {name} batch {i}");
+            }
+        }
+    }
+}
+
 /// Exact-count regression for the witness check: over a fixed stream, the
 /// facts condemned per retraction stay a small fraction of the classic
 /// delete/re-derive cone — every `Path(x, y)` with a walk through the

@@ -17,8 +17,10 @@
 //!   included).
 //!
 //! A live update-stream session is held to the same standard, with one
-//! `update-batch` span per applied batch, and a deliberately tiny ring
-//! checks the bounded-buffer discipline (drop oldest, count drops).
+//! `update-batch` span per applied batch and the witness check's decisions
+//! and `witness_rows` identical traced and untraced, and a deliberately
+//! tiny ring checks the bounded-buffer discipline (drop oldest, count
+//! drops).
 
 use std::collections::BTreeMap;
 
@@ -435,6 +437,60 @@ fn live_update_sessions_stay_well_formed_and_reconciled() {
             Some(ops.len() as u64),
             "update-batch span counters miss the applied inserts"
         );
+    }
+}
+
+/// Retractions put heads through the witness check: its decisions and its
+/// work counter `witness_rows` are exact counts, so a traced session
+/// reports them bit for bit like an untraced one, per batch and on its
+/// `update-batch` spans.
+#[test]
+fn witness_checks_count_the_same_rows_traced_and_untraced() {
+    // (retracted, inserted) Edge pairs per batch: cuts into the chain and
+    // across the shortcuts, one put back.
+    let batches = [
+        (vec![(5u32, 6u32)], vec![]),
+        (vec![(10, 13), (11, 12)], vec![]),
+        (vec![(17, 18)], vec![(5, 6)]),
+    ];
+    for (name, config) in engine_matrix() {
+        let session = |config: EngineConfig| {
+            let mut engine =
+                Carac::new(parse(&tc_source()).expect("program parses")).with_config(config);
+            let reports: Vec<_> = batches
+                .iter()
+                .map(|(retracts, inserts)| {
+                    engine
+                        .apply_edge_updates("Edge", inserts, retracts)
+                        .expect("incremental apply")
+                        .stats
+                })
+                .collect();
+            let stats = engine.live_stats().expect("live session has stats").clone();
+            (reports, stats)
+        };
+        let (plain, plain_stats) = session(config);
+        let (traced, traced_stats) = session(config.with_tracing(TraceConfig::default()));
+        assert_eq!(
+            plain, traced,
+            "{name}: tracing changed the update decisions"
+        );
+        assert_eq!(plain_stats.update, traced_stats.update, "{name}");
+        let total: u64 = plain.iter().map(|s| s.witness_rows).sum();
+        assert!(total > 0, "{name}: no witness check ran");
+        assert_eq!(plain_stats.update.witness_rows, total, "{name}");
+        let spans: Vec<u64> = traced_stats
+            .tracer
+            .events()
+            .into_iter()
+            .filter(|e| e.phase == Phase::UpdateBatch && e.kind == EventKind::End)
+            .map(|e| {
+                let found = e.counters.iter().find(|(k, _)| *k == "witness_rows");
+                found.expect("update-batch span carries witness_rows").1
+            })
+            .collect();
+        let reported: Vec<u64> = plain.iter().map(|s| s.witness_rows).collect();
+        assert_eq!(spans, reported, "{name}");
     }
 }
 

@@ -13,7 +13,8 @@
 //!   aggregate (stratum recompute) and a `<`-constrained selection, with
 //!   small mixed batches.
 //!
-//! Both the interpreted and the specialized update kernels are measured.
+//! Sessions of the interpreted and the JIT Lambda modes are measured (the
+//! `kernel` column); both maintain through the specialized kernel.
 //! Final fact sets are asserted identical to the scratch runs — the table
 //! certifies correctness as well as speedup.  Results are also written as a
 //! JSON artifact (default `BENCH_incremental.json`, override with

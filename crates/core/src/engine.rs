@@ -6,8 +6,8 @@ use carac_datalog::hasher::{FxHashMap, FxHashSet};
 use carac_datalog::magic::{is_magic_name, magic_rewrite, QueryBinding};
 use carac_datalog::{analyze_with, prune_with, Analysis, AnalysisOptions, Program};
 use carac_exec::{
-    interpreter, update_kernel, BackendKind, ExecContext, ExecError, Incremental, JitConfig,
-    JitEngine, Phase, RunStats, Tracer, UpdateBatch, UpdateKernel, UpdateReport,
+    interpreter, BackendKind, ExecContext, ExecError, Incremental, JitConfig, JitEngine, Phase,
+    RunStats, Tracer, UpdateBatch, UpdateKernel, UpdateReport,
 };
 use carac_ir::{generate_plan, IRNode};
 use carac_optimizer::ReorderAlgorithm;
@@ -551,16 +551,6 @@ impl Carac {
         })
     }
 
-    /// The update kernel implied by the configured execution mode (the
-    /// backend dispatch seam of `carac_exec::backends::update_kernel`).
-    pub(crate) fn live_kernel(&self) -> UpdateKernel {
-        match &self.config.mode {
-            ExecutionMode::Interpreted => UpdateKernel::Interpreted,
-            ExecutionMode::Jit(jit) => update_kernel(jit.backend),
-            ExecutionMode::AheadOfTime(_) => UpdateKernel::Specialized,
-        }
-    }
-
     /// Evaluates the program to its fixpoint and keeps the result as a
     /// *live session* that [`Carac::apply_update`] maintains incrementally.
     /// A no-op when a live session already exists.
@@ -581,13 +571,16 @@ impl Carac {
                 &[],
                 pruned.analysis.interval_hints.clone(),
             )?;
-            let incremental =
-                Incremental::new(&pruned.program, &self.extra_facts, self.live_kernel());
+            let incremental = Incremental::new(
+                &pruned.program,
+                &self.extra_facts,
+                UpdateKernel::Specialized,
+            );
             (ctx, incremental)
         } else {
             let ctx = self.run_context_for(&self.program, &[])?;
             let incremental =
-                Incremental::new(&self.program, &self.extra_facts, self.live_kernel());
+                Incremental::new(&self.program, &self.extra_facts, UpdateKernel::Specialized);
             (ctx, incremental)
         };
         self.live = Some(LiveSession { ctx, incremental });
@@ -794,12 +787,12 @@ mod tests {
 
     #[test]
     fn live_session_applies_update_streams() {
-        // Every execution mode maps to an update kernel; spot-check the
-        // three representative ones.
+        // Every execution mode maintains through the specialized kernel;
+        // spot-check the three representative ones.
         for config in [
             EngineConfig::interpreted(),
             EngineConfig::eager_jit(BackendKind::Lambda, false),
-            EngineConfig::eager_jit(BackendKind::Bytecode, false), // VM → interpreter fallback
+            EngineConfig::eager_jit(BackendKind::Bytecode, false),
         ] {
             let mut engine = Carac::new(tc()).with_config(config);
             assert!(!engine.is_live());

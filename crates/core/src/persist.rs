@@ -35,7 +35,7 @@
 
 use std::path::Path;
 
-use carac_exec::{ExecContext, Incremental, Phase, UpdateBatch};
+use carac_exec::{ExecContext, Incremental, Phase, UpdateBatch, UpdateKernel};
 use carac_storage::{read_journal, read_snapshot, write_snapshot, JournalWriter, Snapshot};
 
 use crate::engine::{Carac, LiveSession};
@@ -210,7 +210,8 @@ impl Carac {
             ctx.stats.compile_event_capacity = trace.compile_event_capacity;
         }
         snapshot.apply(&mut ctx.storage)?;
-        let incremental = Incremental::new(self.program(), &self.extra_facts, self.live_kernel());
+        let incremental =
+            Incremental::new(self.program(), &self.extra_facts, UpdateKernel::Specialized);
         self.discard_session();
         self.live = Some(LiveSession { ctx, incremental });
         Ok(())

@@ -10,21 +10,21 @@
 //! | `Quotes`   | MSP quotes & splices     | fused specialized closures     | real cost **plus a modeled staging cost** (invoking the Scala compiler has no cheap Rust analogue; see DESIGN.md) |
 //! | `Bytecode` | JVM Class-File API       | a `carac-vm` bytecode program  | real cost of the single-pass lowering |
 //! | `Lambda`   | stitched precompiled HOFs | fused specialized closures     | real cost of closure stitching        |
-//! | `IrGen`    | IROp regeneration        | the reordered IR subtree itself| real cost of reordering               |
+//! | `IrGen`    | IROp regeneration        | the reordered IR subtree and its descriptors | real cost of reordering |
 //!
 //! `Quotes` additionally supports *snippet* compilation: only the `σπ⋈`
 //! bodies of the subtree are specialized and the control flow between them
-//! stays in the interpreter, so execution can continuously re-check for
+//! stays in the plan walker, so execution can continuously re-check for
 //! newer optimizations (paper §V-B.3).
 
 use std::time::{Duration, Instant};
 
-use carac_ir::{IRNode, IROp, NodeId};
-use carac_storage::hasher::FxHashMap;
+use carac_ir::{IRNode, IROp};
 use carac_vm::VmProgram;
 
 use crate::context::ExecContext;
 use crate::error::ExecError;
+use crate::interpreter::Descriptors;
 use crate::kernel::SpecializedQuery;
 use crate::stats::BackendTag;
 use crate::telemetry::trace::Phase;
@@ -39,7 +39,7 @@ pub enum BackendKind {
     Bytecode,
     /// Precompiled higher-order function backend.
     Lambda,
-    /// IR regeneration backend (reorder only, interpret the result).
+    /// IR regeneration backend (reorder only, walk the result).
     IrGen,
 }
 
@@ -69,7 +69,7 @@ impl BackendKind {
 pub enum CompileMode {
     /// Compile the node and its entire subtree into one artifact.
     Full,
-    /// Compile only the `σπ⋈` bodies; control flow stays interpreted.
+    /// Compile only the `σπ⋈` bodies; the plan walker runs the control flow.
     Snippet,
 }
 
@@ -138,12 +138,13 @@ pub enum Artifact {
     /// A fused closure covering the whole subtree (Lambda / Quotes, full).
     FullClosure(ClosureFn),
     /// Specialized kernels for the `σπ⋈` descendants only (snippet mode);
-    /// everything else stays interpreted.
-    Snippet(FxHashMap<NodeId, SpecializedQuery>),
+    /// the plan walker runs the control flow between them.
+    Snippet(Descriptors),
     /// A bytecode program covering the whole subtree.
     Vm(VmProgram),
-    /// The reordered IR subtree itself (IRGen backend).
-    Ir(IRNode),
+    /// The reordered IR subtree itself with the descriptors of its `σπ⋈`
+    /// nodes, built once with it (IRGen backend).
+    Ir(IRNode, Descriptors),
 }
 
 impl std::fmt::Debug for Artifact {
@@ -152,43 +153,33 @@ impl std::fmt::Debug for Artifact {
             Artifact::FullClosure(_) => write!(f, "Artifact::FullClosure"),
             Artifact::Snippet(map) => write!(f, "Artifact::Snippet({} kernels)", map.len()),
             Artifact::Vm(p) => write!(f, "Artifact::Vm({} instrs)", p.len()),
-            Artifact::Ir(node) => write!(f, "Artifact::Ir({} nodes)", node.node_count()),
+            Artifact::Ir(node, _) => write!(f, "Artifact::Ir({} nodes)", node.node_count()),
         }
     }
 }
 
-/// Which kernel executes the delta-variant subqueries of an update batch —
-/// the backend dispatch seam of the incremental maintenance subsystem.
+/// Which kernel a live session's maintenance queries used to run on.
 ///
-/// Delta variants need *collect-mode* execution (emitted rows feed the
-/// flagging of lost derivations and insert propagation instead of the
-/// delta-new insert path), which the specialized closures and the
-/// interpreter both provide.  The bytecode VM cannot yet hand emitted rows
-/// back to the maintenance layer, so [`update_kernel`] maps it to the
-/// interpreter; lifting that restriction only requires the VM to grow a
-/// collect-mode `Emit` and this function to change.
-///
-/// The head-driven drivers of the witness check and the rescue step are
-/// not covered by this choice: they are internal to maintenance and always
-/// run as exists queries on the specialized kernel
-/// ([`SpecializedQuery::exists`](crate::kernel::SpecializedQuery::exists)).
+/// Every delta variant, witness driver and stratum recompute now runs on
+/// the specialized kernel ([`SpecializedQuery`]), whatever the mode: the
+/// interpreter's join loop is gone, so there is nothing left to select.
+/// The type, [`update_kernel`] and the `kernel` argument of
+/// [`Incremental::new`](crate::Incremental::new) stay only because the
+/// benchmark (`bench_core`) calls them; both variants behave alike.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum UpdateKernel {
-    /// Delta variants compiled once per live session with
-    /// [`SpecializedQuery::compile`] and run through the flat-array kernel.
+    /// The specialized kernel.
     Specialized,
-    /// Delta variants executed by the structure-walking interpreter.
+    /// Formerly the structure-walking interpreter; now the specialized
+    /// kernel as well.
     Interpreted,
 }
 
-/// Maps a compilation backend to the kernel that executes its update
-/// batches (see [`UpdateKernel`]).
+/// The [`UpdateKernel`] a backend used to map to.  It no longer selects
+/// anything (see [`UpdateKernel`]).
 pub fn update_kernel(backend: BackendKind) -> UpdateKernel {
     match backend {
-        // The closure backends already execute specialized kernels.
         BackendKind::Lambda | BackendKind::Quotes => UpdateKernel::Specialized,
-        // The VM falls back to the interpreter for updates in this revision;
-        // IRGen interprets its artifacts anyway.
         BackendKind::Bytecode | BackendKind::IrGen => UpdateKernel::Interpreted,
     }
 }
@@ -229,7 +220,7 @@ pub fn verify_artifact(
         }
         // Snippet requests degrade to full compilation on the VM target.
         (BackendKind::Bytecode, _, Artifact::Vm(_)) => true,
-        (BackendKind::IrGen, _, Artifact::Ir(_)) => true,
+        (BackendKind::IrGen, _, Artifact::Ir(..)) => true,
         _ => false,
     };
     if !ok {
@@ -246,7 +237,7 @@ pub fn verify_artifact(
                     reason: err.to_string(),
                 })?;
             }
-            Artifact::Ir(node) => {
+            Artifact::Ir(node, _) => {
                 carac_ir::verify_subtree(node, arities).map_err(|err| ExecError::Verify {
                     backend: format!("{backend:?}"),
                     reason: err.to_string(),
@@ -288,7 +279,7 @@ pub fn compile_artifact(
         // (documented limitation, matching the paper's description of the
         // JVM-bytecode target).
         (BackendKind::Bytecode, _) => Artifact::Vm(carac_vm::compile_node(node)?),
-        (BackendKind::IrGen, _) => Artifact::Ir(node.clone()),
+        (BackendKind::IrGen, _) => Artifact::Ir(node.clone(), compile_snippets(node)),
     };
     Ok((artifact, start.elapsed()))
 }
@@ -373,8 +364,8 @@ pub fn compile_closure(node: &IRNode) -> ClosureFn {
 }
 
 /// Specializes every `σπ⋈` descendant of `node`, keyed by node id.
-pub fn compile_snippets(node: &IRNode) -> FxHashMap<NodeId, SpecializedQuery> {
-    let mut map = FxHashMap::default();
+pub fn compile_snippets(node: &IRNode) -> Descriptors {
+    let mut map = Descriptors::default();
     node.visit(&mut |n| {
         if let IROp::Spj { query } = &n.op {
             map.insert(n.id, SpecializedQuery::compile(query));
@@ -429,8 +420,9 @@ mod tests {
                 (BackendKind::Bytecode, Artifact::Vm(program)) => {
                     assert!(program.validate().is_ok());
                 }
-                (BackendKind::IrGen, Artifact::Ir(node)) => {
+                (BackendKind::IrGen, Artifact::Ir(node, descriptors)) => {
                     assert_eq!(node.node_count(), plan.node_count());
+                    assert_eq!(descriptors.len(), plan.spj_queries().len());
                 }
                 _ => {}
             }

@@ -77,8 +77,7 @@ use carac_storage::{
 use crate::backends::{compile_closure, ClosureFn, UpdateKernel};
 use crate::context::ExecContext;
 use crate::error::ExecError;
-use crate::interpreter::interpret;
-use crate::kernel::{collect_interpreted_rows, SpecializedQuery};
+use crate::kernel::SpecializedQuery;
 use crate::stats::UpdateStats;
 
 /// One signed fact of an update batch.
@@ -268,25 +267,11 @@ impl FlatRows {
     }
 }
 
-/// One delta-variant query with its optionally pre-compiled specialized
-/// kernel — the execution unit of flagging and insert propagation.
-struct QueryExec {
-    query: ConjunctiveQuery,
-    kernel: Option<SpecializedQuery>,
-}
+/// One delta-variant query's descriptor, built once per session — the
+/// execution unit of flagging and insert propagation.
+struct QueryExec(SpecializedQuery);
 
 impl QueryExec {
-    fn new(query: ConjunctiveQuery, kernel: UpdateKernel) -> QueryExec {
-        let compiled = match kernel {
-            UpdateKernel::Specialized => Some(SpecializedQuery::compile(&query)),
-            UpdateKernel::Interpreted => None,
-        };
-        QueryExec {
-            query,
-            kernel: compiled,
-        }
-    }
-
     /// Collect-mode execution against the context's current databases: one
     /// emitted row per derivation, nothing inserted anywhere.
     fn collect(&self, ctx: &mut ExecContext) -> Result<FlatRows, ExecError> {
@@ -297,12 +282,9 @@ impl QueryExec {
             ..
         } = ctx;
         stats.update.delta_subqueries += 1;
-        let (values, len) = match &self.kernel {
-            Some(kernel) => kernel.collect_rows(storage, stats, *parallelism)?,
-            None => collect_interpreted_rows(&self.query, storage, stats, *parallelism)?,
-        };
+        let (values, len) = self.0.collect_rows(storage, stats, *parallelism)?;
         Ok(FlatRows {
-            width: self.query.head_bindings.len(),
+            width: self.0.head_arity(),
             len: len as usize,
             values,
         })
@@ -317,9 +299,7 @@ struct RulePlan {
     /// `(relation read as delta, variant query)` per positive position.
     variants: Vec<(RelId, QueryExec)>,
     /// `Head(pattern)@DeltaKnown ⋈ body@Derived` ([`driver_query`]), run as
-    /// an exists query over the heads loaded into delta-known.  Always
-    /// specialized, whatever the update kernel: it is internal to
-    /// maintenance.
+    /// an exists query over the heads loaded into delta-known.
     driver: SpecializedQuery,
 }
 
@@ -334,10 +314,9 @@ struct StratumPlan {
     negated_rels: Vec<RelId>,
     /// Whether any relation of the stratum is produced by an aggregation.
     aggregate: bool,
-    /// The stratum's plan subtree, re-run wholesale on the recompute path.
-    node: IRNode,
-    /// Fused closure of `node` (Specialized kernel only).
-    closure: Option<ClosureFn>,
+    /// Fused closure of the stratum's plan subtree, re-run wholesale on the
+    /// recompute path.
+    closure: ClosureFn,
 }
 
 /// Net signed delta sets accumulated while strata are processed, one pair
@@ -501,13 +480,13 @@ fn driver_query(rule: &Rule) -> ConjunctiveQuery {
 impl Incremental {
     /// Builds the maintenance plan for `program`.  `extra_facts` are the
     /// facts added to the engine on top of the program's own (they extend
-    /// the base-fact protection sets); `kernel` picks the execution kernel
-    /// for every delta variant (see
-    /// [`update_kernel`](crate::backends::update_kernel)).
+    /// the base-fact protection sets).  Every maintenance query runs on the
+    /// specialized kernel; `kernel` selects nothing and is kept for the
+    /// benchmark's calls (see [`UpdateKernel`]).
     pub fn new(
         program: &Program,
         extra_facts: &[(RelId, Tuple)],
-        kernel: UpdateKernel,
+        _kernel: UpdateKernel,
     ) -> Incremental {
         let plan = generate_plan(program, EvalStrategy::SemiNaive);
         let stratum_nodes: Vec<IRNode> = match plan.op {
@@ -524,7 +503,8 @@ impl Incremental {
                 let mut variants = Vec::new();
                 for (i, literal) in rule.positive_body().enumerate() {
                     let query = order_delta_first(&ConjunctiveQuery::from_rule(rule, Some(i)), i);
-                    variants.push((literal.atom.rel, QueryExec::new(query, kernel)));
+                    let exec = QueryExec(SpecializedQuery::compile(&query));
+                    variants.push((literal.atom.rel, exec));
                     if !body_rels.contains(&literal.atom.rel) {
                         body_rels.push(literal.atom.rel);
                     }
@@ -549,18 +529,13 @@ impl Incremental {
                     }
                 }
             }
-            let closure = match kernel {
-                UpdateKernel::Specialized => Some(compile_closure(&node)),
-                UpdateKernel::Interpreted => None,
-            };
             strata.push(StratumPlan {
                 relations: stratum.relations.clone(),
                 rules,
                 body_rels,
                 negated_rels,
                 aggregate,
-                node,
-                closure,
+                closure: compile_closure(&node),
             });
         }
         let mut base_facts: Vec<Option<Relation>> =
@@ -1180,10 +1155,7 @@ impl Incremental {
                 }
             }
         }
-        match &plan.closure {
-            Some(closure) => closure(ctx)?,
-            None => interpret(&plan.node, ctx)?,
-        }
+        (plan.closure)(ctx)?;
         for (rel, old_rel) in old {
             let removed: Vec<Vec<Value>> = {
                 let new_rel = ctx.storage.derived(rel)?;
@@ -1216,6 +1188,7 @@ impl Incremental {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpreter::interpret;
     use carac_datalog::parser::parse;
     use carac_datalog::ProgramBuilder;
 

@@ -1,27 +1,105 @@
-//! The plan interpreter.
+//! The plan walker.
 //!
-//! Walks the IROp tree directly, executing every `σπ⋈` with the interpreted
-//! join kernel.  This is Carac's baseline execution mode (paper §V-B:
-//! "When Carac is in interpretation mode, there is no further partial
-//! evaluation and the interpreter visits this IROp tree") and the mode the
-//! JIT falls back to while asynchronous compilations are still in flight.
+//! One walk over the IROp tree runs the control flow of every mode that
+//! does not compile it away: `Program`, `Stratum`, `Sequence` and the
+//! unions run their children in order, `DoWhile` iterates its body to the
+//! semi-naive fixpoint, `SwapClear` publishes deltas, and `Aggregate` folds.
+//! A `σπ⋈` leaf runs on its [`SpecializedQuery`] descriptor.  The walker
+//! never interprets a join row by row; it looks each leaf's descriptor up
+//! by node id in a [`Descriptors`] map that lives as long as the plan it
+//! describes.
+//!
+//! [`interpret`] is Carac's interpretation mode (paper §V-B: "When Carac is
+//! in interpretation mode, there is no further partial evaluation and the
+//! interpreter visits this IROp tree"): it builds each leaf's descriptor at
+//! the leaf's first visit and reuses it for every later iteration.  The JIT
+//! walks the same way through `Walk`: below the compilation granularity,
+//! on cold and pending visits (one map per engine), and over an IrGen or
+//! snippet artifact (a map built once, when the artifact was).
 
-use carac_ir::{IRNode, IROp};
+use carac_ir::{ConjunctiveQuery, IRNode, IROp, NodeId};
+use carac_storage::hasher::FxHashMap;
 
 use crate::context::ExecContext;
 use crate::error::ExecError;
-use crate::kernel::{execute_aggregate, execute_interpreted_with};
+use crate::kernel::{execute_aggregate, SpecializedQuery};
+use crate::stats::RunStats;
 use crate::telemetry::trace::Phase;
 
-/// Executes `node` (and its whole subtree) against `ctx`.
+/// The descriptor of every `σπ⋈` node of a plan (or subtree), by node id.
+pub type Descriptors = FxHashMap<NodeId, SpecializedQuery>;
+
+/// How a walk runs the nodes it reaches.
+pub(crate) trait Walk {
+    /// Runs `node`.  The default runs the node's own operator with
+    /// [`step`]; the JIT takes the nodes at its granularity over here.
+    fn node(&mut self, node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
+        step(self, node, ctx)
+    }
+
+    /// The descriptor that runs the `σπ⋈` leaf `node` (whose query is
+    /// `query`).
+    fn descriptor(
+        &mut self,
+        node: &IRNode,
+        query: &ConjunctiveQuery,
+        stats: &mut RunStats,
+    ) -> Result<&SpecializedQuery, ExecError>;
+}
+
+/// A map that fills itself: a leaf's descriptor is built at its first
+/// visit (counted in [`RunStats::descriptor_builds`]) and kept for the
+/// map's lifetime.
+impl Walk for Descriptors {
+    fn descriptor(
+        &mut self,
+        node: &IRNode,
+        query: &ConjunctiveQuery,
+        stats: &mut RunStats,
+    ) -> Result<&SpecializedQuery, ExecError> {
+        Ok(self.entry(node.id).or_insert_with(|| {
+            stats.descriptor_builds += 1;
+            SpecializedQuery::compile(query)
+        }))
+    }
+}
+
+/// A map built when its artifact was compiled; it covers every leaf of the
+/// artifact's subtree.
+pub(crate) struct Prebuilt<'a>(pub(crate) &'a Descriptors);
+
+impl Walk for Prebuilt<'_> {
+    fn descriptor(
+        &mut self,
+        node: &IRNode,
+        _: &ConjunctiveQuery,
+        _: &mut RunStats,
+    ) -> Result<&SpecializedQuery, ExecError> {
+        self.0
+            .get(&node.id)
+            .ok_or_else(|| ExecError::Internal(format!("no descriptor for σπ⋈ node {}", node.id.0)))
+    }
+}
+
+/// Executes `node` (and its whole subtree) against `ctx`, building each
+/// `σπ⋈` descriptor once, at its first visit.
 pub fn interpret(node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
+    Descriptors::default().node(node, ctx)
+}
+
+/// Runs `node`'s own operator; its children go back through `walk`.
+pub(crate) fn step<W: Walk + ?Sized>(
+    walk: &mut W,
+    node: &IRNode,
+    ctx: &mut ExecContext,
+) -> Result<(), ExecError> {
     match &node.op {
         IROp::Program { children }
         | IROp::Sequence { children }
         | IROp::UnionAllRules { children, .. }
         | IROp::UnionRule { children, .. } => {
             for child in children {
-                interpret(child, ctx)?;
+                walk.node(child, ctx)?;
             }
             Ok(())
         }
@@ -34,7 +112,7 @@ pub fn interpret(node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> 
             let token = ctx.stats.tracer.begin(Phase::Stratum, stratum);
             let result: Result<(), ExecError> = (|| {
                 for child in children {
-                    interpret(child, ctx)?;
+                    walk.node(child, ctx)?;
                 }
                 Ok(())
             })();
@@ -51,7 +129,7 @@ pub fn interpret(node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> 
                     .stats
                     .tracer
                     .begin(Phase::Iteration, ctx.iteration as u32);
-                let result = interpret(body, ctx);
+                let result = walk.node(body, ctx);
                 ctx.stats
                     .tracer
                     .end(token, &[("emitted", ctx.stats.tuples_emitted)]);
@@ -65,7 +143,14 @@ pub fn interpret(node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> 
             Ok(())
         }
         IROp::Spj { query } => {
-            execute_interpreted_with(query, &mut ctx.storage, &mut ctx.stats, ctx.parallelism)?;
+            let ExecContext {
+                storage,
+                stats,
+                parallelism,
+                ..
+            } = ctx;
+            walk.descriptor(node, query, stats)?
+                .execute_with(storage, stats, *parallelism)?;
             Ok(())
         }
         IROp::Aggregate { spec } => execute_aggregate(spec, &mut ctx.storage, &mut ctx.stats),
@@ -99,6 +184,33 @@ mod tests {
         // A 4-cycle: every node reaches every node → 16 pairs.
         assert_eq!(ctx.derived_count(path), 16);
         assert!(ctx.stats.iterations >= 3);
+    }
+
+    #[test]
+    fn each_spj_node_is_described_once_per_run() {
+        let p = parse(
+            "Path(x, y) :- Edge(x, y).\n\
+             Path(x, y) :- Edge(x, z), Path(z, y).\n\
+             Edge(1, 2). Edge(2, 3). Edge(3, 4). Edge(4, 5).",
+        )
+        .unwrap();
+        let plan = generate_plan(&p, EvalStrategy::SemiNaive);
+        let mut ctx = ExecContext::prepare(&p, true).unwrap();
+        interpret(&plan, &mut ctx).unwrap();
+        assert!(ctx.stats.iterations >= 3);
+        // One build per plan node, however often the loop body ran.
+        assert_eq!(ctx.stats.descriptor_builds, plan.spj_queries().len() as u64);
+        assert!(ctx.stats.subqueries > ctx.stats.descriptor_builds);
+    }
+
+    #[test]
+    fn a_prebuilt_map_without_the_node_is_a_typed_error() {
+        let p = parse("Out(x) :- In(x).\nIn(1).").unwrap();
+        let plan = generate_plan(&p, EvalStrategy::SemiNaive);
+        let mut ctx = ExecContext::prepare(&p, true).unwrap();
+        let empty = Descriptors::default();
+        let err = Prebuilt(&empty).node(&plan, &mut ctx).unwrap_err();
+        assert!(matches!(err, ExecError::Internal(_)), "{err}");
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! The just-in-time optimizing execution engine (paper §V-B).
 //!
-//! The JIT drives execution by interpreting the IROp tree from the root.
-//! Every node whose kind matches the configured *compilation granularity*
-//! carries a tier state.  It starts **cold**: the node is interpreted and
-//! the engine only adds up the work it can see the node doing — the rows
-//! its rules read, the tuples it emitted.  Once that total reaches
+//! The JIT drives execution by walking the IROp tree from the root, the way
+//! the interpreter does ([`crate::interpreter`]).  Every node whose kind
+//! matches the configured *compilation granularity* carries a tier state.
+//! It starts **cold**: the node is walked on the engine's descriptors of
+//! the plan's own join orders (built once per `σπ⋈` node, at its first
+//! visit, and kept for the engine's lifetime) and the engine only adds up
+//! the work it can see the node doing — the rows its rules read, the tuples
+//! it emitted.  Once that total reaches
 //! [`JitConfig::tier_up_work`] the node **tiers up** at its next visit: the
 //! join orders of its subtree are re-optimized against the live
 //! cardinalities, the subtree is compiled with the configured backend —
@@ -17,24 +20,26 @@
 //! repay a compilation never pays for one.
 //!
 //! Because all state lives in the storage layer, every node boundary is a
-//! safe point: switching from interpretation to a compiled artifact (or
-//! back) requires no stack capture.
+//! safe point: switching from a cold walk to a compiled artifact (or back)
+//! requires no stack capture.
 
 use std::time::Instant;
 
 use carac_datalog::RuleId;
-use carac_ir::{IRNode, IROp, NodeId, OpKind};
+use carac_ir::{ConjunctiveQuery, IRNode, IROp, NodeId, OpKind};
 use carac_optimizer::{drifted, optimize_plan, OptimizeContext, OptimizerConfig, ReorderAlgorithm};
 use carac_storage::hasher::FxHashMap;
 use carac_storage::{DbKind, RelId, StorageManager};
 use carac_vm::{Machine, MarkKind};
 
-use crate::backends::{verify_artifact, Artifact, BackendKind, CompileMode, StagingCostModel};
+use crate::backends::{
+    compile_snippets, verify_artifact, Artifact, BackendKind, CompileMode, StagingCostModel,
+};
 use crate::compile_manager::{CompilationManager, CompileResult};
 use crate::context::ExecContext;
 use crate::error::ExecError;
-use crate::interpreter::interpret;
-use crate::kernel::{execute_interpreted_with, SpecializedQuery};
+use crate::interpreter::{step, Descriptors, Prebuilt, Walk};
+use crate::kernel::SpecializedQuery;
 use crate::stats::{CompileEvent, RunStats};
 use crate::telemetry::trace::Phase;
 
@@ -127,7 +132,7 @@ pub struct JitConfig {
     pub staging: StagingCostModel,
     /// Work (rows read plus tuples emitted, summed over its visits) a node
     /// must have been seen doing before it is optimized and compiled; below
-    /// it the node is interpreted.  Defaults to [`TIER_UP_WORK`].  `0`
+    /// it the node is walked cold.  Defaults to [`TIER_UP_WORK`].  `0`
     /// compiles every node at its first visit — the paper's policy, which
     /// the figure binaries redraw and the differential suites use to force
     /// tiny programs through every backend.
@@ -165,10 +170,11 @@ impl JitConfig {
 /// Where a node at the compilation granularity stands.
 #[derive(Debug)]
 enum Tier {
-    /// Interpreted.  `work_seen` is the running total of rows read and
-    /// tuples emitted over the node's visits so far.
+    /// Walked with the engine's cold descriptors.  `work_seen` is the
+    /// running total of rows read and tuples emitted over the node's visits
+    /// so far.
     Cold { work_seen: u64 },
-    /// An asynchronous compilation is in flight; interpreted until the
+    /// An asynchronous compilation is in flight; walked cold until the
     /// artifact is picked up at a safe point.
     Pending(Transition),
     /// Runs `artifact`, which was specialized when the cardinality
@@ -251,6 +257,11 @@ struct Tiers {
     config: JitConfig,
     manager: CompilationManager,
     nodes: FxHashMap<NodeId, NodeState>,
+    /// The descriptor of every `σπ⋈` node the engine has walked — on a cold
+    /// or pending visit, or below the granularity — built at its first such
+    /// visit and kept for the engine's lifetime: the plan's queries never
+    /// change, only the artifacts' reordered copies do.
+    descriptors: Descriptors,
     /// The optimizer's view of the run minus live statistics, built at the
     /// first (re)optimization of a run and reused by the later ones.
     frame: Option<OptimizeContext>,
@@ -265,6 +276,7 @@ impl JitEngine {
                 config,
                 manager: CompilationManager::new(),
                 nodes: FxHashMap::default(),
+                descriptors: Descriptors::default(),
                 frame: None,
             },
         }
@@ -295,7 +307,7 @@ impl JitEngine {
         let started = Instant::now();
         // The frame describes `ctx`, which may differ from run to run.
         self.tiers.frame = None;
-        self.tiers.exec_node(&self.plan, ctx)?;
+        self.tiers.node(&self.plan, ctx)?;
         ctx.stats.total_time += started.elapsed();
         Ok(())
     }
@@ -308,7 +320,7 @@ impl JitEngine {
     ) -> Result<(), ExecError> {
         match artifact {
             Artifact::FullClosure(closure) => closure(ctx),
-            Artifact::Ir(subtree) => interpret(subtree, ctx),
+            Artifact::Ir(subtree, descriptors) => Prebuilt(descriptors).node(subtree, ctx),
             Artifact::Vm(program) => {
                 let mut machine = Machine::for_program(program);
                 machine.set_collect_marks(ctx.stats.tracer.is_enabled());
@@ -320,7 +332,8 @@ impl JitEngine {
                 Self::merge_vm_telemetry(&machine, ctx);
                 Ok(())
             }
-            Artifact::Snippet(kernels) => Self::exec_with_snippets(node, kernels, ctx),
+            // Control flow walks the node; only the leaves are compiled.
+            Artifact::Snippet(kernels) => Prebuilt(kernels).node(node, ctx),
         }
     }
 
@@ -408,147 +421,33 @@ impl JitEngine {
             }
         }
     }
+}
 
-    /// Hybrid execution for snippet artifacts: compiled `σπ⋈` kernels where
-    /// available, interpretation for everything else (control flow defers
-    /// back to the interpreter between snippets).
-    fn exec_with_snippets(
-        node: &IRNode,
-        kernels: &FxHashMap<NodeId, SpecializedQuery>,
-        ctx: &mut ExecContext,
-    ) -> Result<(), ExecError> {
-        match &node.op {
-            IROp::Spj { query } => {
-                if let Some(kernel) = kernels.get(&node.id) {
-                    kernel.execute_with(&mut ctx.storage, &mut ctx.stats, ctx.parallelism)?;
-                } else {
-                    execute_interpreted_with(
-                        query,
-                        &mut ctx.storage,
-                        &mut ctx.stats,
-                        ctx.parallelism,
-                    )?;
-                }
-                Ok(())
-            }
-            IROp::SwapClear { relations } => {
-                ctx.storage.swap_and_clear(relations)?;
-                Ok(())
-            }
-            IROp::Aggregate { spec } => {
-                crate::kernel::execute_aggregate(spec, &mut ctx.storage, &mut ctx.stats)
-            }
-            IROp::DoWhile { relations, body } => {
-                loop {
-                    let token = ctx
-                        .stats
-                        .tracer
-                        .begin(Phase::Iteration, ctx.iteration as u32);
-                    let result = Self::exec_with_snippets(body, kernels, ctx);
-                    ctx.stats
-                        .tracer
-                        .end(token, &[("emitted", ctx.stats.tuples_emitted)]);
-                    result?;
-                    ctx.iteration += 1;
-                    ctx.stats.iterations += 1;
-                    if ctx.storage.deltas_empty(relations)? {
-                        break;
-                    }
-                }
-                Ok(())
-            }
-            IROp::Stratum { children, .. } => {
-                let stratum = ctx.stats.strata_entered as u32;
-                ctx.stats.strata_entered += 1;
-                ctx.stats.current_stratum = stratum;
-                let token = ctx.stats.tracer.begin(Phase::Stratum, stratum);
-                let result: Result<(), ExecError> = (|| {
-                    for child in children {
-                        Self::exec_with_snippets(child, kernels, ctx)?;
-                    }
-                    Ok(())
-                })();
-                ctx.stats.tracer.end(token, &[]);
-                result
-            }
-            IROp::Program { children }
-            | IROp::Sequence { children }
-            | IROp::UnionAllRules { children, .. }
-            | IROp::UnionRule { children, .. } => {
-                for child in children {
-                    Self::exec_with_snippets(child, kernels, ctx)?;
-                }
-                Ok(())
-            }
+/// The JIT's walk: nodes at the compilation granularity go through their
+/// tier, everything else is walked like interpretation does.
+impl Walk for Tiers {
+    fn node(&mut self, node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
+        if node.kind() == self.config.granularity {
+            self.exec_compilable(node, ctx)
+        } else {
+            step(self, node, ctx)
         }
+    }
+
+    /// A leaf below the granularity runs on the engine's cold descriptor.
+    fn descriptor(
+        &mut self,
+        node: &IRNode,
+        query: &ConjunctiveQuery,
+        stats: &mut RunStats,
+    ) -> Result<&SpecializedQuery, ExecError> {
+        self.descriptors.descriptor(node, query, stats)
     }
 }
 
 impl Tiers {
-    fn exec_node(&mut self, node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
-        if node.kind() == self.config.granularity {
-            return self.exec_compilable(node, ctx);
-        }
-        match &node.op {
-            IROp::Program { children }
-            | IROp::Sequence { children }
-            | IROp::UnionAllRules { children, .. }
-            | IROp::UnionRule { children, .. } => {
-                for child in children {
-                    self.exec_node(child, ctx)?;
-                }
-                Ok(())
-            }
-            IROp::Stratum { children, .. } => {
-                let stratum = ctx.stats.strata_entered as u32;
-                ctx.stats.strata_entered += 1;
-                ctx.stats.current_stratum = stratum;
-                let token = ctx.stats.tracer.begin(Phase::Stratum, stratum);
-                let result: Result<(), ExecError> = (|| {
-                    for child in children {
-                        self.exec_node(child, ctx)?;
-                    }
-                    Ok(())
-                })();
-                ctx.stats.tracer.end(token, &[]);
-                result
-            }
-            IROp::SwapClear { relations } => {
-                ctx.storage.swap_and_clear(relations)?;
-                Ok(())
-            }
-            IROp::DoWhile { relations, body } => {
-                loop {
-                    let token = ctx
-                        .stats
-                        .tracer
-                        .begin(Phase::Iteration, ctx.iteration as u32);
-                    let result = self.exec_node(body, ctx);
-                    ctx.stats
-                        .tracer
-                        .end(token, &[("emitted", ctx.stats.tuples_emitted)]);
-                    result?;
-                    ctx.iteration += 1;
-                    ctx.stats.iterations += 1;
-                    if ctx.storage.deltas_empty(relations)? {
-                        break;
-                    }
-                }
-                Ok(())
-            }
-            IROp::Spj { query } => {
-                // Below the compilation granularity: plain interpretation.
-                execute_interpreted_with(query, &mut ctx.storage, &mut ctx.stats, ctx.parallelism)?;
-                Ok(())
-            }
-            IROp::Aggregate { spec } => {
-                crate::kernel::execute_aggregate(spec, &mut ctx.storage, &mut ctx.stats)
-            }
-        }
-    }
-
     /// Handles a node at the compilation granularity according to its tier:
-    /// cold nodes are interpreted until they have done enough work, hot
+    /// cold nodes are walked until they have done enough work, hot
     /// nodes run their artifact while it is fresh, and the transitions
     /// between the two (re)optimize and compile.
     fn exec_compilable(&mut self, node: &IRNode, ctx: &mut ExecContext) -> Result<(), ExecError> {
@@ -562,7 +461,7 @@ impl Tiers {
                 if *work_seen < self.config.tier_up_work {
                     ctx.stats.interpreted_fallbacks += 1;
                     let emitted_before = ctx.stats.tuples_emitted;
-                    interpret(node, ctx)?;
+                    self.descriptors.node(node, ctx)?;
                     *work_seen += ctx.stats.tuples_emitted - emitted_before;
                     return Ok(());
                 }
@@ -622,9 +521,12 @@ impl Tiers {
 
         if self.config.backend == BackendKind::IrGen {
             // The IRGenerator target needs no separate compilation phase:
-            // the reordered IR is the artifact and the interpreter runs it.
+            // the reordered IR is the artifact and the walker runs it, on
+            // descriptors built once, here.
+            let descriptors = compile_snippets(&subtree);
+            ctx.stats.descriptor_builds += descriptors.len() as u64;
             let result = CompileResult {
-                artifact: Artifact::Ir(subtree),
+                artifact: Artifact::Ir(subtree, descriptors),
                 event: CompileEvent {
                     node: node.id,
                     kind: node.kind(),
@@ -693,22 +595,22 @@ impl Tiers {
         ran
     }
 
-    /// Interprets `node` while its asynchronous compilation is in flight,
+    /// Walks `node` cold while its asynchronous compilation is in flight,
     /// polling before the node and between its children (the safe points)
     /// so the artifact is picked up as soon as it is ready.  When it becomes
     /// ready mid-node the whole artifact is executed; re-deriving tuples the
-    /// interpreter already produced is harmless under set semantics.
+    /// cold walk already produced is harmless under set semantics.
     fn run_pending(
         &mut self,
         node: &IRNode,
         transition: Transition,
         ctx: &mut ExecContext,
     ) -> Result<(), ExecError> {
-        let mut steps = node.children();
-        if steps.is_empty() {
-            steps.push(node);
+        let mut parts = node.children();
+        if parts.is_empty() {
+            parts.push(node);
         }
-        for (i, step) in steps.into_iter().enumerate() {
+        for (i, part) in parts.into_iter().enumerate() {
             if let Some(result) = self.manager.poll(node.id) {
                 // Cold again until `install` succeeds, so a failed
                 // compilation is retried instead of awaited forever.
@@ -723,7 +625,7 @@ impl Tiers {
             if i == 0 {
                 ctx.stats.interpreted_fallbacks += 1;
             }
-            interpret(step, ctx)?;
+            self.descriptors.node(part, ctx)?;
         }
         Ok(())
     }
@@ -738,6 +640,7 @@ impl Tiers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interpreter::interpret;
     use carac_datalog::parser::parse;
     use carac_datalog::Program;
     use carac_ir::{generate_plan, EvalStrategy};
@@ -990,6 +893,46 @@ mod tests {
         assert_eq!(ctx.stats.compiled_executions, 0);
         assert!(ctx.stats.interpreted_fallbacks > 0);
         assert_eq!(engine.cached_artifacts(), 0);
+    }
+
+    #[test]
+    fn a_cold_node_is_described_once_per_engine() {
+        let program = tc_program();
+        let plan = generate_plan(&program, EvalStrategy::SemiNaive);
+        let spj_nodes = plan.spj_queries().len() as u64;
+        let mut engine = JitEngine::new(plan, JitConfig::default());
+        let mut ctx = ExecContext::prepare(&program, true).unwrap();
+        engine.run(&mut ctx).unwrap();
+        // Every node stayed cold and was visited once per iteration, yet
+        // each σπ⋈ node was described once.
+        assert_eq!(ctx.stats.compilations(), 0);
+        assert!(ctx.stats.interpreted_fallbacks > 2);
+        assert_eq!(ctx.stats.descriptor_builds, spj_nodes);
+        // A second run of the same engine reuses them.
+        let mut again = ExecContext::prepare(&program, true).unwrap();
+        engine.run(&mut again).unwrap();
+        assert!(again.stats.interpreted_fallbacks > 2);
+        assert_eq!(again.stats.descriptor_builds, 0);
+        let path = program.relation_by_name("Path").unwrap();
+        assert_eq!(again.derived_count(path), ctx.derived_count(path));
+    }
+
+    #[test]
+    fn an_irgen_artifact_is_described_when_installed() {
+        let program = tc_program();
+        let plan = generate_plan(&program, EvalStrategy::SemiNaive);
+        let spj_nodes = plan.spj_queries().len() as u64;
+        let config = JitConfig {
+            backend: BackendKind::IrGen,
+            granularity: OpKind::Program,
+            ..eager()
+        };
+        let ctx = run_with(config, &program);
+        assert_eq!(ctx.stats.compilations(), 1);
+        assert_eq!(ctx.stats.interpreted_fallbacks, 0);
+        assert_eq!(ctx.stats.descriptor_builds, spj_nodes);
+        let path = program.relation_by_name("Path").unwrap();
+        assert_eq!(ctx.derived_count(path), 25);
     }
 
     #[test]

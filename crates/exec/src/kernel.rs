@@ -1,25 +1,24 @@
-//! Join kernels: how one `σπ⋈` subquery actually runs.
+//! The join kernel: how one `σπ⋈` subquery actually runs.
 //!
-//! Two kernels are provided, and the gap between them is the heart of what
-//! code generation buys (paper §III: "the fundamental performance benefit to
-//! code generation is specialization"):
+//! What code generation buys is specialization (paper §III: "the
+//! fundamental performance benefit to code generation is specialization").
+//! [`SpecializedQuery::compile`] resolves a join-ordered
+//! [`ConjunctiveQuery`] once into a *descriptor* of flat arrays — filters,
+//! loads, intra-atom equality checks, comparison checks, projection keys and
+//! the head projection — so the per-row inner loop touches no enums and no
+//! hash maps.  Every `σπ⋈` outside the bytecode VM runs on a descriptor:
+//! the plan walker ([`crate::interpreter`]) builds one per plan node for
+//! interpretation, the JIT's cold tier and IrGen artifacts; the closure and
+//! snippet backends build theirs when they compile; incremental maintenance
+//! builds its delta variants' and drivers' once per session.  The VM's
+//! cursor loop is the only other join loop.
 //!
-//! * [`execute_interpreted`] walks the [`ConjunctiveQuery`] structure for
-//!   every candidate row: terms are matched, variables are looked up in a
-//!   hash map, constants are re-discovered each time.  This is what the pure
-//!   interpreter does.
-//! * [`SpecializedQuery`] is produced once per (join-ordered) query by
-//!   [`SpecializedQuery::compile`]: filters, loads, intra-atom equality
-//!   checks and the head projection are all resolved into flat arrays so the
-//!   per-row inner loop touches no enums and no hash maps.  The lambda,
-//!   quotes and ahead-of-time backends all execute this form.
+//! The kernel is an index-nested-loop join over the atoms in their current
+//! order, followed by anti-join checks for the negated literals, projecting
+//! into the head relation's delta-new database.
 //!
-//! Both kernels implement the same semantics: an index-nested-loop join over
-//! the atoms in their current order, followed by anti-join checks for the
-//! negated literals, projecting into the head relation's delta-new database.
-//!
-//! **Each live projection is expanded once.**  Both kernels (and the VM's
-//! `Distinct` instruction) follow the query's projection plan
+//! **Each live projection is expanded once.**  The kernel (and the VM's
+//! `Distinct` instruction) follows the query's projection plan
 //! ([`ConjunctiveQuery::projection_plan`]): at a join level where some bound
 //! variable is read by nothing below it, a candidate row that passed its
 //! filters and checks is looked up by the *live* bound variables in the
@@ -53,9 +52,8 @@
 use std::cell::RefCell;
 use std::time::Instant;
 
-use carac_datalog::{AggregateSpec, HeadBinding, RuleId, Term, VarId};
-use carac_ir::{ConjunctiveQuery, ProjectionPlan, SeenKeys};
-use carac_storage::hasher::FxHashMap;
+use carac_datalog::{AggregateSpec, HeadBinding, RuleId, Term};
+use carac_ir::{ConjunctiveQuery, SeenKeys};
 use carac_storage::{CmpOp, DbKind, RelId, RelationView, RowId, StorageManager, Value};
 
 use crate::error::ExecError;
@@ -64,7 +62,7 @@ use crate::stats::RunStats;
 use crate::telemetry::trace::Phase;
 
 /// Minimum number of driving rows before a subquery is worth forking: below
-/// this, thread-spawn overhead dominates and the kernels stay serial.  The
+/// this, thread-spawn overhead dominates and the kernel stays serial.  The
 /// cutoff only affects scheduling — results are identical either way.
 pub const PARALLEL_ROW_THRESHOLD: usize = 64;
 
@@ -130,7 +128,7 @@ struct LevelScratch {
 }
 
 thread_local! {
-    /// The kernels' per-level scratch on this thread, reused from one
+    /// The kernel's per-level scratch on this thread, reused from one
     /// execution to the next so warm buffers and seen-sets allocate nothing
     /// (fork-join workers get their own).
     static SCRATCH: RefCell<Vec<LevelScratch>> = const { RefCell::new(Vec::new()) };
@@ -275,33 +273,30 @@ impl SpecializedQuery {
     /// Specializes `query` with respect to its current atom order.
     pub fn compile(query: &ConjunctiveQuery) -> SpecializedQuery {
         let plan = query.projection_plan();
-        let mut bound = vec![false; query.num_vars];
-        // Join level at which each variable is first bound.
+        // Join level at which each variable is first bound (`MAX`: not
+        // bound by an earlier atom).
         let mut bind_level = vec![usize::MAX; query.num_vars];
         let mut atoms = Vec::with_capacity(query.atoms.len());
         for (level, atom) in query.atoms.iter().enumerate() {
             let mut filters = Vec::new();
-            let mut loads = Vec::new();
+            let mut loads: Vec<(usize, usize)> = Vec::new();
             let mut intra_eq = Vec::new();
-            let mut first_col_of: FxHashMap<VarId, usize> = FxHashMap::default();
             for (col, term) in atom.terms.iter().enumerate() {
                 match term {
                     Term::Const(c) => filters.push((col, FilterVal::Const(*c))),
-                    Term::Var(v) => {
-                        if bound[v.index()] {
-                            filters.push((col, FilterVal::Var(v.index())));
-                        } else if let Some(&first) = first_col_of.get(v) {
-                            intra_eq.push((first, col));
-                        } else {
-                            first_col_of.insert(*v, col);
-                            loads.push((col, v.index()));
-                        }
+                    Term::Var(v) if bind_level[v.index()] != usize::MAX => {
+                        filters.push((col, FilterVal::Var(v.index())));
                     }
+                    // A variable repeated within the atom: its first column
+                    // loads it, every later one must equal that column.
+                    Term::Var(v) => match loads.iter().find(|&&(_, slot)| slot == v.index()) {
+                        Some(&(first, _)) => intra_eq.push((first, col)),
+                        None => loads.push((col, v.index())),
+                    },
                 }
             }
-            for (_, v) in atom.variable_columns() {
-                bound[v.index()] = true;
-                bind_level[v.index()] = bind_level[v.index()].min(level);
+            for &(_, slot) in &loads {
+                bind_level[slot] = level;
             }
             let key = plan
                 .keys
@@ -834,7 +829,7 @@ fn probe_exists(
 /// relation's delta-new database.  A stratified spec runs the one-shot
 /// stratum-boundary fold; a lattice spec runs the in-recursion fold that
 /// retracts a group's previous optimum and emits only strictly improved
-/// groups.  Shared by the interpreter, the compiled-closure backends and
+/// groups.  Shared by the plan walker, the compiled-closure backends and
 /// the JIT (the bytecode VM has its own `Aggregate` instruction calling the
 /// same storage primitives).
 pub fn execute_aggregate(
@@ -874,417 +869,6 @@ fn delta_rows_in(storage: &StorageManager, atoms: impl Iterator<Item = (DbKind, 
     total
 }
 
-/// Fully interpreted execution of a conjunctive query: every candidate row
-/// re-examines the query structure (terms, variable map) instead of running
-/// against a specialized plan.
-pub fn execute_interpreted(
-    query: &ConjunctiveQuery,
-    storage: &mut StorageManager,
-    stats: &mut RunStats,
-) -> Result<u64, ExecError> {
-    execute_interpreted_with(query, storage, stats, 1)
-}
-
-/// Interpreted execution with up to `parallelism` worker threads, following
-/// the same partition-and-merge discipline as
-/// [`SpecializedQuery::execute_with`]: the driving atom's candidate rows are
-/// split (hash shards for full scans, contiguous chunks otherwise), each
-/// partition is interpreted independently against the read-only storage, and
-/// results merge in partition order before the serial deduplicating insert.
-pub fn execute_interpreted_with(
-    query: &ConjunctiveQuery,
-    storage: &mut StorageManager,
-    stats: &mut RunStats,
-    parallelism: usize,
-) -> Result<u64, ExecError> {
-    let out = interp_collect(query, storage, stats, parallelism)?;
-    let head_arity = query.head_bindings.len();
-    let mut inserted = 0;
-    for i in 0..out.rows as usize {
-        let row = &out.values[i * head_arity..(i + 1) * head_arity];
-        if storage.insert_derived_row(query.head_rel, row)? {
-            inserted += 1;
-        }
-    }
-    stats.tuples_inserted += inserted;
-    stats.rule_profiles.record_inserted(query.rule, inserted);
-    Ok(inserted)
-}
-
-/// Collect-mode interpreted execution: runs the interpreted join pipeline
-/// and returns the emitted head rows (flat row-major buffer, head arity as
-/// stride, duplicates preserved) without inserting them — the interpreted
-/// counterpart of [`SpecializedQuery::collect_rows`], used by the
-/// incremental maintenance subsystem.
-pub fn collect_interpreted_rows(
-    query: &ConjunctiveQuery,
-    storage: &StorageManager,
-    stats: &mut RunStats,
-    parallelism: usize,
-) -> Result<(Vec<Value>, u64), ExecError> {
-    let out = interp_collect(query, storage, stats, parallelism)?;
-    Ok((out.values, out.rows))
-}
-
-/// The shared emission phase of the interpreted kernel.
-fn interp_collect(
-    query: &ConjunctiveQuery,
-    storage: &StorageManager,
-    stats: &mut RunStats,
-    parallelism: usize,
-) -> Result<EmitBuffer, ExecError> {
-    let started = Instant::now();
-    let token = stats.tracer.begin(Phase::Subquery, query.rule.0);
-    stats.subqueries += 1;
-    let delta_in = delta_rows_in(storage, query.atoms.iter().map(|a| (a.db, a.rel)));
-    // Interpretation re-derives the projection plan at every execution, as
-    // it does the access paths.
-    let plan = query.projection_plan();
-    let out = if parallelism > 1 && !query.atoms.is_empty() {
-        interp_parallel(query, &plan, storage, stats, parallelism)?
-    } else {
-        let mut bindings: FxHashMap<VarId, Value> = FxHashMap::default();
-        let mut trail = Vec::new();
-        let mut out = EmitBuffer::default();
-        with_scratch(interp_scratch_levels(query), |scratch| {
-            interp_level(
-                query,
-                &plan,
-                0,
-                &mut bindings,
-                storage,
-                scratch,
-                &mut trail,
-                &mut out,
-            )
-        })?;
-        out
-    };
-    stats.tuples_emitted += out.rows;
-    stats.probe_scan_rows += out.scan_rows;
-    stats.projection_skips += out.skips;
-    stats.rule_profiles.record_execution(
-        query.rule,
-        stats.current_stratum,
-        delta_in,
-        out.rows,
-        started.elapsed(),
-    );
-    stats
-        .tracer
-        .end(token, &[("emitted", out.rows), ("delta_in", delta_in)]);
-    Ok(out)
-}
-
-/// One scratch level per atom (the interpreter checks negation by scanning,
-/// so no spare level is needed — but keep one for symmetry and safety).
-fn interp_scratch_levels(query: &ConjunctiveQuery) -> usize {
-    query.atoms.len() + 1
-}
-
-/// Partitioned interpretation of the driving atom (level 0).
-fn interp_parallel(
-    query: &ConjunctiveQuery,
-    plan: &ProjectionPlan,
-    storage: &StorageManager,
-    stats: &mut RunStats,
-    parallelism: usize,
-) -> Result<EmitBuffer, ExecError> {
-    let atom = &query.atoms[0];
-    let relation = storage.relation(atom.db, atom.rel)?;
-    // At level 0 no variable is bound yet, so only constants constrain.
-    let constrained: Option<(usize, Value)> =
-        atom.terms
-            .iter()
-            .enumerate()
-            .find_map(|(col, term)| match term {
-                Term::Const(c) => Some((col, *c)),
-                Term::Var(_) => None,
-            });
-    let use_shards = constrained.is_none() && relation.is_sharded();
-    let scan_rows: Vec<RowId>;
-    let partitions: Vec<&[RowId]> = if use_shards {
-        (0..relation.shard_count())
-            .map(|s| relation.shard_rows(s))
-            .filter(|rows| !rows.is_empty())
-            .collect()
-    } else {
-        let filters: Vec<(usize, Value)> = constrained.into_iter().collect();
-        let mut probe_scratch = Vec::new();
-        let probe = relation.probe_rows(&filters, &mut probe_scratch);
-        stats.probe_scan_rows += probe.scanned_rows() as u64;
-        scan_rows = probe.iter().collect();
-        chunk_rows(&scan_rows, parallelism)
-    };
-    let total_rows: usize = partitions.iter().map(|p| p.len()).sum();
-    if total_rows < PARALLEL_ROW_THRESHOLD || partitions.len() <= 1 {
-        let mut bindings: FxHashMap<VarId, Value> = FxHashMap::default();
-        let mut trail = Vec::new();
-        let mut out = EmitBuffer::default();
-        with_scratch(interp_scratch_levels(query), |scratch| {
-            let (cur, rest) = split_level(scratch)?;
-            for rows in &partitions {
-                interp_rows(
-                    query,
-                    plan,
-                    0,
-                    relation,
-                    rows.iter().copied(),
-                    &mut bindings,
-                    storage,
-                    &mut cur.seen,
-                    rest,
-                    &mut trail,
-                    &mut out,
-                )?;
-            }
-            Ok::<_, ExecError>(())
-        })?;
-        return Ok(out);
-    }
-    stats.parallel_subqueries += 1;
-    stats.parallel_tasks += partitions.len() as u64;
-    // Per-partition seen-sets, as in `join_parallel`.
-    let results = parallel_map(parallelism, &partitions, |rows| {
-        let worker_started = Instant::now();
-        let mut bindings: FxHashMap<VarId, Value> = FxHashMap::default();
-        let mut trail = Vec::new();
-        let mut out = EmitBuffer::default();
-        with_scratch(interp_scratch_levels(query), |scratch| {
-            let (cur, rest) = split_level(scratch)?;
-            interp_rows(
-                query,
-                plan,
-                0,
-                relation,
-                rows.iter().copied(),
-                &mut bindings,
-                storage,
-                &mut cur.seen,
-                rest,
-                &mut trail,
-                &mut out,
-            )
-        })?;
-        Ok::<_, ExecError>((out, worker_started.elapsed()))
-    })?;
-    let mut merged = EmitBuffer::default();
-    // Post-join, partition-order span merge: see `join_parallel`.
-    for (index, result) in results.into_iter().enumerate() {
-        let (out, elapsed) = result?;
-        stats.tracer.record_complete(
-            Phase::Partition,
-            index as u32,
-            &[
-                ("rows", out.rows),
-                ("duration_ns", elapsed.as_nanos() as u64),
-            ],
-        );
-        merged.append(out);
-    }
-    Ok(merged)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn interp_level(
-    query: &ConjunctiveQuery,
-    plan: &ProjectionPlan,
-    level: usize,
-    bindings: &mut FxHashMap<VarId, Value>,
-    storage: &StorageManager,
-    scratch: &mut [LevelScratch],
-    trail: &mut Vec<(VarId, Value)>,
-    out: &mut EmitBuffer,
-) -> Result<(), ExecError> {
-    if level == query.atoms.len() {
-        // Body-less (constant) rules never pass through `interp_rows`, so
-        // their constant-only constraints are decided here; for every other
-        // query the constraints were checked as their operands were bound.
-        if query.atoms.is_empty()
-            && !query
-                .constraints
-                .iter()
-                .all(|c| c.eval_const().unwrap_or(true))
-        {
-            return Ok(());
-        }
-        for neg in &query.negated {
-            let relation = storage.relation(neg.db, neg.rel)?;
-            let exists = relation.iter_rows().any(|row| {
-                neg.terms.iter().enumerate().all(|(col, term)| match term {
-                    Term::Const(c) => row.get(col) == Some(c),
-                    Term::Var(v) => bindings.get(v).is_some_and(|b| row.get(col) == Some(b)),
-                })
-            });
-            if exists {
-                return Ok(());
-            }
-        }
-        for binding in &query.head_bindings {
-            out.values.push(match binding {
-                HeadBinding::Const(c) => *c,
-                HeadBinding::Var(v) => *bindings
-                    .get(v)
-                    .expect("head variable unbound; validation guarantees safety"),
-            });
-        }
-        out.rows += 1;
-        return Ok(());
-    }
-    let atom = &query.atoms[level];
-    let relation = storage.relation(atom.db, atom.rel)?;
-    // Interpretation re-derives the access path every time: resolve every
-    // constrained column into the level's reusable filter buffer and let the
-    // storage layer pick the path (composite index, single-column index,
-    // filtered scan into the level's row buffer, or full scan).
-    let (cur, rest) = split_level(scratch)?;
-    cur.resolved.clear();
-    for (col, term) in atom.terms.iter().enumerate() {
-        match term {
-            Term::Const(c) => cur.resolved.push((col, *c)),
-            Term::Var(v) => {
-                if let Some(&val) = bindings.get(v) {
-                    cur.resolved.push((col, val));
-                }
-            }
-        }
-    }
-    let probe = relation.probe_rows(&cur.resolved, &mut cur.rows);
-    out.scan_rows += probe.scanned_rows() as u64;
-    interp_rows(
-        query,
-        plan,
-        level,
-        relation,
-        probe.iter(),
-        bindings,
-        storage,
-        &mut cur.seen,
-        rest,
-        trail,
-        out,
-    )
-}
-
-/// Interprets one level over an explicit candidate-row iterator (the shared
-/// tail of the serial and partitioned paths).  `seen` is this level's set
-/// of expanded projection keys; `scratch` holds the levels *below* this
-/// one; `trail` is the shared locally-bound-variable stack — each row
-/// pushes its fresh bindings onto the trail and truncates back to its frame
-/// on unwind, so no level allocates a binding list per row.
-#[allow(clippy::too_many_arguments)]
-fn interp_rows(
-    query: &ConjunctiveQuery,
-    plan: &ProjectionPlan,
-    level: usize,
-    relation: RelationView<'_>,
-    rows: impl Iterator<Item = RowId>,
-    bindings: &mut FxHashMap<VarId, Value>,
-    storage: &StorageManager,
-    seen: &mut SeenKeys,
-    scratch: &mut [LevelScratch],
-    trail: &mut Vec<(VarId, Value)>,
-    out: &mut EmitBuffer,
-) -> Result<(), ExecError> {
-    let atom = &query.atoms[level];
-    let key = plan.keys.get(level).ok_or_else(|| {
-        ExecError::Internal(format!(
-            "projection plan has no entry for join level {level}"
-        ))
-    })?;
-    let frame = trail.len();
-    'rows: for row in rows {
-        let values = relation.row(row);
-        // Check every column against the current bindings.
-        trail.truncate(frame);
-        for (col, term) in atom.terms.iter().enumerate() {
-            let value = *values
-                .get(col)
-                .ok_or_else(|| ExecError::Internal("row narrower than atom".into()))?;
-            match term {
-                Term::Const(c) => {
-                    if *c != value {
-                        continue 'rows;
-                    }
-                }
-                Term::Var(v) => {
-                    if let Some(&existing) = bindings.get(v) {
-                        if existing != value {
-                            continue 'rows;
-                        }
-                    } else if let Some(&(_, prev)) = trail[frame..].iter().find(|(lv, _)| lv == v) {
-                        if prev != value {
-                            continue 'rows;
-                        }
-                    } else {
-                        trail.push((*v, value));
-                    }
-                }
-            }
-        }
-        for &(v, value) in &trail[frame..] {
-            bindings.insert(v, value);
-        }
-        // Evaluate each comparison constraint at the earliest level where
-        // all its operands are bound: constraints touching a variable bound
-        // by this row (or constant-only ones, once per driving row at level
-        // 0) are decided now; earlier-bound constraints were already
-        // checked further up the pipeline.
-        let constraints_ok = query.constraints.iter().all(|c| {
-            let decided_here = level == 0
-                || c.variables()
-                    .any(|v| trail[frame..].iter().any(|&(lv, _)| lv == v));
-            if !decided_here {
-                return true;
-            }
-            let resolve = |t: &Term| match t {
-                Term::Const(value) => Some(*value),
-                Term::Var(v) => bindings.get(v).copied(),
-            };
-            match (resolve(&c.lhs), resolve(&c.rhs)) {
-                (Some(a), Some(b)) => c.op.eval(a, b),
-                _ => true, // not yet fully bound; a later level decides
-            }
-        });
-        // A row whose projection key was expanded before would emit the
-        // same rows again (see `SpecializedQuery::join_rows`).
-        let expand = constraints_ok
-            && match key {
-                Some(key) => {
-                    let first = seen.insert(key.iter().map(|v| {
-                        bindings.get(v).copied().ok_or_else(|| {
-                            ExecError::Internal(format!("projection key variable {v:?} unbound"))
-                        })
-                    }))?;
-                    out.skips += u64::from(!first);
-                    first
-                }
-                None => true,
-            };
-        if !expand {
-            for &(v, _) in &trail[frame..] {
-                bindings.remove(&v);
-            }
-            continue 'rows;
-        }
-        interp_level(
-            query,
-            plan,
-            level + 1,
-            bindings,
-            storage,
-            scratch,
-            trail,
-            out,
-        )?;
-        for &(v, _) in &trail[frame..] {
-            bindings.remove(&v);
-        }
-    }
-    trail.truncate(frame);
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1292,6 +876,9 @@ mod tests {
     use carac_datalog::Program;
     use carac_ir::{generate_plan, EvalStrategy};
     use carac_storage::Tuple;
+
+    /// The thread counts every kernel test runs at.
+    const THREADS: [usize; 3] = [1, 2, 8];
 
     fn prep(program: &Program, indexes: bool) -> StorageManager {
         let mut sm = StorageManager::new(indexes);
@@ -1314,105 +901,113 @@ mod tests {
         plan.spj_queries()[0].1.clone()
     }
 
+    type TestResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
+
+    /// Runs `q` once with `parallelism` workers — over hash-sharded storage
+    /// when indexed and parallel (shard partitions), over plain storage
+    /// otherwise (contiguous chunks) — and returns the sorted delta-new
+    /// rows of its head, the count `execute_with` reported and the stats.
+    fn run_kernel(
+        p: &Program,
+        q: &ConjunctiveQuery,
+        indexes: bool,
+        parallelism: usize,
+    ) -> TestResult<(Vec<Tuple>, u64, RunStats)> {
+        let mut s = prep(p, indexes);
+        if indexes && parallelism > 1 {
+            s.set_sharding(parallelism)?;
+        }
+        let mut stats = RunStats::default();
+        let inserted =
+            SpecializedQuery::compile(q).execute_with(&mut s, &mut stats, parallelism)?;
+        let mut tuples = s.relation(DbKind::DeltaNew, q.head_rel)?.to_tuples();
+        tuples.sort();
+        Ok((tuples, inserted, stats))
+    }
+
+    /// Sorted binary tuples.
+    fn pairs(rows: impl IntoIterator<Item = (u32, u32)>) -> Vec<Tuple> {
+        let mut tuples: Vec<Tuple> = rows.into_iter().map(|(a, b)| Tuple::pair(a, b)).collect();
+        tuples.sort();
+        tuples.dedup();
+        tuples
+    }
+
+    /// Sorted unary tuples.
+    fn singles(rows: &[u32]) -> Vec<Tuple> {
+        let mut tuples: Vec<Tuple> = rows.iter().map(|&v| Tuple::from_ints(&[v])).collect();
+        tuples.sort();
+        tuples
+    }
+
     #[test]
-    fn specialized_and_interpreted_agree_on_simple_join() {
+    fn simple_join_matches_the_hand_computed_answer() -> TestResult {
         let p = parse(
             "Gp(x, z) :- Parent(x, y), Parent(y, z).\n\
              Parent(1, 2). Parent(2, 3). Parent(2, 4). Parent(3, 5).",
-        )
-        .unwrap();
+        )?;
         let q = first_query(&p);
-        let gp = p.relation_by_name("Gp").unwrap();
-
-        let mut s1 = prep(&p, true);
-        let mut stats1 = RunStats::default();
-        let n1 = SpecializedQuery::compile(&q)
-            .execute(&mut s1, &mut stats1)
-            .unwrap();
-
-        let mut s2 = prep(&p, false);
-        let mut stats2 = RunStats::default();
-        let n2 = execute_interpreted(&q, &mut s2, &mut stats2).unwrap();
-
-        assert_eq!(n1, n2);
-        assert_eq!(n1, 3); // (1,3), (1,4), (2,5)
-        let mut a = s1.relation(DbKind::DeltaNew, gp).unwrap().to_tuples();
-        let mut b = s2.relation(DbKind::DeltaNew, gp).unwrap().to_tuples();
-        a.sort();
-        b.sort();
-        assert_eq!(a, b);
+        for indexes in [false, true] {
+            for threads in THREADS {
+                let (rows, inserted, stats) = run_kernel(&p, &q, indexes, threads)?;
+                let label = format!("indexes={indexes} x{threads}");
+                assert_eq!(rows, pairs([(1, 3), (1, 4), (2, 5)]), "{label}");
+                assert_eq!(inserted, 3, "{label}");
+                assert_eq!(stats.tuples_emitted, 3, "{label}");
+            }
+        }
+        Ok(())
     }
 
     #[test]
-    fn constants_filter_in_both_kernels() {
+    fn constants_filter() -> TestResult {
         let p = parse(
             "CallsSeven(x) :- Call(x, 7).\n\
              Call(1, 7). Call(2, 8). Call(3, 7).",
-        )
-        .unwrap();
+        )?;
         let q = first_query(&p);
-        let rel = p.relation_by_name("CallsSeven").unwrap();
         for indexes in [false, true] {
-            let mut s = prep(&p, indexes);
-            let mut stats = RunStats::default();
-            SpecializedQuery::compile(&q)
-                .execute(&mut s, &mut stats)
-                .unwrap();
-            assert_eq!(s.relation(DbKind::DeltaNew, rel).unwrap().len(), 2);
-
-            let mut s = prep(&p, indexes);
-            let mut stats = RunStats::default();
-            execute_interpreted(&q, &mut s, &mut stats).unwrap();
-            assert_eq!(s.relation(DbKind::DeltaNew, rel).unwrap().len(), 2);
+            for threads in THREADS {
+                let (rows, _, _) = run_kernel(&p, &q, indexes, threads)?;
+                assert_eq!(rows, singles(&[1, 3]), "indexes={indexes} x{threads}");
+            }
         }
+        Ok(())
     }
 
     #[test]
-    fn repeated_variable_within_atom_filters() {
+    fn repeated_variable_within_atom_filters() -> TestResult {
         let p = parse(
             "Loop(x) :- Edge(x, x).\n\
              Edge(1, 1). Edge(1, 2). Edge(3, 3).",
-        )
-        .unwrap();
+        )?;
         let q = first_query(&p);
-        let rel = p.relation_by_name("Loop").unwrap();
-        let mut s = prep(&p, false);
-        let mut stats = RunStats::default();
-        SpecializedQuery::compile(&q)
-            .execute(&mut s, &mut stats)
-            .unwrap();
-        assert_eq!(s.relation(DbKind::DeltaNew, rel).unwrap().len(), 2);
-
-        let mut s = prep(&p, false);
-        let mut stats = RunStats::default();
-        execute_interpreted(&q, &mut s, &mut stats).unwrap();
-        assert_eq!(s.relation(DbKind::DeltaNew, rel).unwrap().len(), 2);
+        for threads in THREADS {
+            let (rows, _, _) = run_kernel(&p, &q, false, threads)?;
+            assert_eq!(rows, singles(&[1, 3]), "x{threads}");
+        }
+        Ok(())
     }
 
     #[test]
-    fn negation_filters_candidates() {
+    fn negation_filters_candidates() -> TestResult {
         let p = parse(
             "Ok(x) :- Node(x), !Blocked(x).\n\
              Node(1). Node(2). Node(3). Blocked(2).",
-        )
-        .unwrap();
+        )?;
         let q = first_query(&p);
-        let rel = p.relation_by_name("Ok").unwrap();
-        for specialized in [true, false] {
-            let mut s = prep(&p, false);
-            let mut stats = RunStats::default();
-            if specialized {
-                SpecializedQuery::compile(&q)
-                    .execute(&mut s, &mut stats)
-                    .unwrap();
-            } else {
-                execute_interpreted(&q, &mut s, &mut stats).unwrap();
+        for indexes in [false, true] {
+            for threads in THREADS {
+                let (rows, _, stats) = run_kernel(&p, &q, indexes, threads)?;
+                let label = format!("indexes={indexes} x{threads}");
+                assert_eq!(rows, singles(&[1, 3]), "{label}");
+                // Unindexed, each of the three negation probes scans the
+                // one `Blocked` row.
+                let scanned = if indexes { 0 } else { 3 };
+                assert_eq!(stats.probe_scan_rows, scanned, "{label}");
             }
-            let delta = s.relation(DbKind::DeltaNew, rel).unwrap();
-            assert_eq!(delta.len(), 2);
-            assert!(delta.contains(&Tuple::from_ints(&[1])));
-            assert!(delta.contains(&Tuple::from_ints(&[3])));
         }
+        Ok(())
     }
 
     #[test]
@@ -1444,84 +1039,41 @@ mod tests {
     }
 
     #[test]
-    fn parallel_execution_matches_serial_for_both_kernels() {
-        // A join big enough to clear PARALLEL_ROW_THRESHOLD, over a sharded
-        // store: every worker count must produce the same delta set.
+    fn parallel_execution_matches_the_hand_computed_join() -> TestResult {
+        // A join big enough to clear PARALLEL_ROW_THRESHOLD: every worker
+        // count, over sharded and plain storage, derives the grandparents
+        // of the function i ↦ (7i + 1) mod 120.
+        let parent = |i: u32| (i * 7 + 1) % 120;
         let mut source = String::from("Gp(x, z) :- Parent(x, y), Parent(y, z).\n");
         for i in 0..120u32 {
-            source.push_str(&format!("Parent({}, {}).\n", i, (i * 7 + 1) % 120));
+            source.push_str(&format!("Parent({i}, {}).\n", parent(i)));
         }
-        let p = parse(&source).unwrap();
+        let p = parse(&source)?;
         let q = first_query(&p);
-        let gp = p.relation_by_name("Gp").unwrap();
-
-        let reference = {
-            let mut s = prep(&p, true);
-            let mut stats = RunStats::default();
-            SpecializedQuery::compile(&q)
-                .execute(&mut s, &mut stats)
-                .unwrap();
-            let mut tuples = s.relation(DbKind::DeltaNew, gp).unwrap().to_tuples();
-            tuples.sort();
-            tuples
-        };
-        assert!(reference.len() > 10);
-
-        for parallelism in [2usize, 4, 8] {
-            // Specialized kernel, sharded storage.
-            let mut s = prep(&p, true);
-            s.set_sharding(parallelism).unwrap();
-            let mut stats = RunStats::default();
-            SpecializedQuery::compile(&q)
-                .execute_with(&mut s, &mut stats, parallelism)
-                .unwrap();
-            let mut tuples = s.relation(DbKind::DeltaNew, gp).unwrap().to_tuples();
-            tuples.sort();
-            assert_eq!(tuples, reference, "specialized x{parallelism} diverged");
-            assert!(stats.parallel_subqueries > 0, "parallel path not exercised");
-            assert!(stats.parallel_tasks >= 2);
-
-            // Interpreted kernel, unsharded storage (chunked partitioning).
-            let mut s = prep(&p, false);
-            let mut stats = RunStats::default();
-            execute_interpreted_with(&q, &mut s, &mut stats, parallelism).unwrap();
-            let mut tuples = s.relation(DbKind::DeltaNew, gp).unwrap().to_tuples();
-            tuples.sort();
-            assert_eq!(tuples, reference, "interpreted x{parallelism} diverged");
-        }
-    }
-
-    type TestResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
-
-    /// Runs `q` through the specialized kernel (over sharded storage when
-    /// `parallelism > 1`) or the interpreter; returns the sorted delta-new
-    /// rows of its head and the run's stats.
-    fn run_kernel(
-        p: &Program,
-        q: &ConjunctiveQuery,
-        specialized: bool,
-        parallelism: usize,
-    ) -> TestResult<(Vec<Tuple>, RunStats)> {
-        let mut s = prep(p, true);
-        let mut stats = RunStats::default();
-        if specialized {
-            if parallelism > 1 {
-                s.set_sharding(parallelism)?;
+        let expected = pairs((0..120u32).map(|i| (i, parent(parent(i)))));
+        assert_eq!(expected.len(), 120);
+        for indexes in [false, true] {
+            for threads in THREADS {
+                let (rows, _, stats) = run_kernel(&p, &q, indexes, threads)?;
+                let label = format!("indexes={indexes} x{threads}");
+                assert_eq!(rows, expected, "{label}");
+                assert_eq!(stats.tuples_emitted, 120, "{label}");
+                if threads > 1 {
+                    assert!(stats.parallel_subqueries > 0, "{label}: serial");
+                    assert!(stats.parallel_tasks >= 2, "{label}");
+                }
             }
-            SpecializedQuery::compile(q).execute_with(&mut s, &mut stats, parallelism)?;
-        } else {
-            execute_interpreted_with(q, &mut s, &mut stats, parallelism)?;
         }
-        let mut tuples = s.relation(DbKind::DeltaNew, q.head_rel)?.to_tuples();
-        tuples.sort();
-        Ok((tuples, stats))
+        Ok(())
     }
 
     #[test]
     fn projection_skips_change_emissions_not_results() -> TestResult {
         // v3 is dead once VaFlow(v3, v1) has probed on it: every v3 sharing
-        // (v0, v1) with an earlier one would expand the same VaFlow(v0, _)
-        // subtree again.
+        // (v0, v1) = (v3 mod 5, v3 mod 7) with an earlier one would expand
+        // the same VaFlow(v0, _) subtree again.  0..150 covers all 35 such
+        // keys, so 35 rows are expanded and 115 skipped, and since
+        // VaFlow(v0, v2) has v2 = v0 for v0 < 5 every head is (v1, v0).
         let mut source =
             String::from("VAlias(v1, v2) :- MAlias(v3, v0), VaFlow(v3, v1), VaFlow(v0, v2).\n");
         for i in 0..150u32 {
@@ -1534,22 +1086,25 @@ mod tests {
         let p = parse(&source)?;
         let q = first_query(&p);
         assert!(!q.projection_plan().is_empty());
+        let expected = pairs((0..7u32).flat_map(|v1| (0..5u32).map(move |v0| (v1, v0))));
 
-        let (reference, spec) = run_kernel(&p, &q, true, 1)?;
-        let (interp_rows, interp) = run_kernel(&p, &q, false, 1)?;
-        assert_eq!(interp_rows, reference);
-        assert!(reference.len() > 10);
-        assert!(spec.projection_skips > 0);
-        // One atom order, one plan: both kernels skip and emit alike.
-        assert_eq!(spec.projection_skips, interp.projection_skips);
-        assert_eq!(spec.tuples_emitted, interp.tuples_emitted);
-        assert_eq!(spec.tuples_emitted, reference.len() as u64);
+        let (rows, _, serial) = run_kernel(&p, &q, true, 1)?;
+        assert_eq!(rows, expected);
+        assert_eq!(serial.tuples_emitted, 35);
+        assert_eq!(serial.projection_skips, 115);
 
-        for specialized in [true, false] {
-            let (rows, stats) = run_kernel(&p, &q, specialized, 4)?;
-            assert_eq!(rows, reference, "specialized={specialized} x4");
+        for threads in [2, 8] {
+            let (rows, _, stats) = run_kernel(&p, &q, true, threads)?;
+            assert_eq!(rows, expected, "x{threads}");
             assert!(stats.parallel_subqueries > 0, "parallel path not exercised");
-            assert!(stats.projection_skips > 0, "specialized={specialized} x4");
+            // Each partition keeps its own seen-sets: fewer skips, the
+            // same heads.
+            assert!(stats.projection_skips > 0, "x{threads}");
+            assert_eq!(
+                stats.tuples_emitted + stats.projection_skips,
+                150,
+                "x{threads}"
+            );
         }
         Ok(())
     }
@@ -1563,11 +1118,11 @@ mod tests {
              A(1). A(2). A(3). A(4). A(5). B(1). B(2). B(3). C(1). C(2). C(3).",
         )?;
         let q = first_query(&p);
-        for specialized in [true, false] {
-            let (rows, stats) = run_kernel(&p, &q, specialized, 1)?;
-            assert_eq!(rows.len(), 3, "specialized={specialized}");
-            assert_eq!(stats.tuples_emitted, 3, "specialized={specialized}");
-            assert_eq!(stats.projection_skips, 4, "specialized={specialized}");
+        for threads in THREADS {
+            let (rows, _, stats) = run_kernel(&p, &q, true, threads)?;
+            assert_eq!(rows, singles(&[1, 2, 3]), "x{threads}");
+            assert_eq!(stats.tuples_emitted, 3, "x{threads}");
+            assert_eq!(stats.projection_skips, 4, "x{threads}");
         }
         Ok(())
     }
@@ -1582,20 +1137,24 @@ mod tests {
              B(0). B(1). B(2). B(3). C(1).",
         )?;
         let q = first_query(&p);
-        for specialized in [true, false] {
-            let (rows, stats) = run_kernel(&p, &q, specialized, 1)?;
-            assert_eq!(rows.len(), 2, "specialized={specialized}");
-            assert_eq!(stats.tuples_emitted, 2, "specialized={specialized}");
-            assert_eq!(stats.projection_skips, 3, "specialized={specialized}");
+        let expected = {
+            let mut t = vec![Tuple::from_ints(&[1, 2, 3]), Tuple::from_ints(&[1, 2, 4])];
+            t.sort();
+            t
+        };
+        for threads in THREADS {
+            let (rows, _, stats) = run_kernel(&p, &q, true, threads)?;
+            assert_eq!(rows, expected, "x{threads}");
+            assert_eq!(stats.tuples_emitted, 2, "x{threads}");
+            assert_eq!(stats.projection_skips, 3, "x{threads}");
         }
         Ok(())
     }
 
     #[test]
     fn composite_index_path_matches_scan_path() {
-        // Sg probed on both columns: with a composite index the specialized
-        // kernel answers through one probe; results must equal the
-        // index-free run.
+        // Sg probed on both columns: with a composite index the kernel
+        // answers through one probe; results must equal the index-free run.
         let p = parse(
             "Out(x, y) :- Left(x, y), Sg(x, y).\n\
              Left(1, 2). Left(2, 3). Left(3, 4). Left(9, 9).\n\
@@ -1626,129 +1185,78 @@ mod tests {
     }
 
     #[test]
-    fn comparison_constraints_filter_in_both_kernels() {
+    fn comparison_constraints_filter() -> TestResult {
         let p = parse(
             "Less(x, y) :- Pair(x, y), x < y.\n\
              Pair(1, 2). Pair(2, 2). Pair(3, 2). Pair(0, 9).",
-        )
-        .unwrap();
+        )?;
         let q = first_query(&p);
-        let rel = p.relation_by_name("Less").unwrap();
         for indexes in [false, true] {
-            let mut s = prep(&p, indexes);
-            let mut stats = RunStats::default();
-            SpecializedQuery::compile(&q)
-                .execute(&mut s, &mut stats)
-                .unwrap();
-            let mut spec = s.relation(DbKind::DeltaNew, rel).unwrap().to_tuples();
-            spec.sort();
-
-            let mut s = prep(&p, indexes);
-            let mut stats = RunStats::default();
-            execute_interpreted(&q, &mut s, &mut stats).unwrap();
-            let mut interp = s.relation(DbKind::DeltaNew, rel).unwrap().to_tuples();
-            interp.sort();
-
-            assert_eq!(spec, interp);
-            assert_eq!(
-                spec,
-                vec![Tuple::pair(0, 9), Tuple::pair(1, 2)],
-                "indexes={indexes}"
-            );
+            for threads in THREADS {
+                let (rows, _, _) = run_kernel(&p, &q, indexes, threads)?;
+                assert_eq!(
+                    rows,
+                    pairs([(0, 9), (1, 2)]),
+                    "indexes={indexes} x{threads}"
+                );
+            }
         }
+        Ok(())
     }
 
     #[test]
-    fn cross_atom_constraint_checks_at_the_binding_level() {
-        // `d2 < d1` binds its operands in different atoms; both kernels must
-        // evaluate it only once both are bound, in every atom order.
+    fn cross_atom_constraint_checks_at_the_binding_level() -> TestResult {
+        // `d2 < d1` binds its operands in different atoms; the kernel must
+        // evaluate it only once both are bound, in every atom order.  Only
+        // 1→2→3 shrinks (9 then 4).
         let p = parse(
             "Shrinks(x, z) :- Hop(x, y, d1), Hop(y, z, d2), d2 < d1.\n\
              Hop(1, 2, 9). Hop(2, 3, 4). Hop(3, 4, 7). Hop(2, 5, 9).",
-        )
-        .unwrap();
+        )?;
         let q = first_query(&p);
-        let rel = p.relation_by_name("Shrinks").unwrap();
-        let mut reference: Option<Vec<Tuple>> = None;
         for order in [vec![0, 1], vec![1, 0]] {
             let reordered = q.with_order(&order);
-            let mut s = prep(&p, true);
-            let mut stats = RunStats::default();
-            SpecializedQuery::compile(&reordered)
-                .execute(&mut s, &mut stats)
-                .unwrap();
-            let mut tuples = s.relation(DbKind::DeltaNew, rel).unwrap().to_tuples();
-            tuples.sort();
-            let mut s = prep(&p, false);
-            let mut stats = RunStats::default();
-            execute_interpreted(&reordered, &mut s, &mut stats).unwrap();
-            let mut interp = s.relation(DbKind::DeltaNew, rel).unwrap().to_tuples();
-            interp.sort();
-            assert_eq!(tuples, interp, "order {order:?}");
-            match &reference {
-                Some(r) => assert_eq!(r, &tuples, "order {order:?}"),
-                None => reference = Some(tuples),
+            for indexes in [false, true] {
+                let (rows, _, _) = run_kernel(&p, &reordered, indexes, 1)?;
+                assert_eq!(rows, pairs([(1, 3)]), "order {order:?} indexes={indexes}");
             }
         }
-        // Only 1→2→3 shrinks (9 then 4).
-        assert_eq!(reference.unwrap(), vec![Tuple::pair(1, 3)]);
+        Ok(())
     }
 
     #[test]
-    fn statically_false_constraint_short_circuits() {
-        let p = parse("Out(x) :- Node(x), 2 < 1.\nNode(5).").unwrap();
+    fn statically_false_constraint_short_circuits() -> TestResult {
+        let p = parse("Out(x) :- Node(x), 2 < 1.\nNode(5).")?;
         let q = first_query(&p);
-        let rel = p.relation_by_name("Out").unwrap();
-        let mut s = prep(&p, false);
-        let mut stats = RunStats::default();
-        let inserted = SpecializedQuery::compile(&q)
-            .execute(&mut s, &mut stats)
-            .unwrap();
-        assert_eq!(inserted, 0);
-        let mut s = prep(&p, false);
-        let mut stats = RunStats::default();
-        execute_interpreted(&q, &mut s, &mut stats).unwrap();
-        assert!(s.relation(DbKind::DeltaNew, rel).unwrap().is_empty());
+        for threads in THREADS {
+            let (rows, inserted, stats) = run_kernel(&p, &q, false, threads)?;
+            assert!(rows.is_empty(), "x{threads}");
+            assert_eq!(inserted, 0);
+            // Decided when the descriptor was built: nothing is probed.
+            assert_eq!(stats.subqueries, 1);
+            assert_eq!(stats.probe_scan_rows, 0);
+        }
+        Ok(())
     }
 
     #[test]
-    fn constraints_survive_parallel_execution() {
+    fn constraints_survive_parallel_execution() -> TestResult {
+        let partner = |i: u32| (i * 13 + 5) % 120;
         let mut source = String::from("Less(x, y) :- Pair(x, y), x < y.\n");
         for i in 0..120u32 {
-            source.push_str(&format!("Pair({}, {}).\n", i, (i * 13 + 5) % 120));
+            source.push_str(&format!("Pair({i}, {}).\n", partner(i)));
         }
-        let p = parse(&source).unwrap();
+        let p = parse(&source)?;
         let q = first_query(&p);
-        let rel = p.relation_by_name("Less").unwrap();
-        let reference = {
-            let mut s = prep(&p, true);
-            let mut stats = RunStats::default();
-            SpecializedQuery::compile(&q)
-                .execute(&mut s, &mut stats)
-                .unwrap();
-            let mut t = s.relation(DbKind::DeltaNew, rel).unwrap().to_tuples();
-            t.sort();
-            t
-        };
-        assert!(!reference.is_empty());
-        for parallelism in [2usize, 8] {
-            let mut s = prep(&p, true);
-            s.set_sharding(parallelism).unwrap();
-            let mut stats = RunStats::default();
-            SpecializedQuery::compile(&q)
-                .execute_with(&mut s, &mut stats, parallelism)
-                .unwrap();
-            let mut t = s.relation(DbKind::DeltaNew, rel).unwrap().to_tuples();
-            t.sort();
-            assert_eq!(t, reference, "specialized x{parallelism}");
-
-            let mut s = prep(&p, false);
-            let mut stats = RunStats::default();
-            execute_interpreted_with(&q, &mut s, &mut stats, parallelism).unwrap();
-            let mut t = s.relation(DbKind::DeltaNew, rel).unwrap().to_tuples();
-            t.sort();
-            assert_eq!(t, reference, "interpreted x{parallelism}");
+        let expected = pairs((0..120u32).map(|i| (i, partner(i))).filter(|&(x, y)| x < y));
+        assert!(!expected.is_empty());
+        for indexes in [false, true] {
+            for threads in THREADS {
+                let (rows, _, _) = run_kernel(&p, &q, indexes, threads)?;
+                assert_eq!(rows, expected, "indexes={indexes} x{threads}");
+            }
         }
+        Ok(())
     }
 
     #[test]

@@ -1,18 +1,21 @@
 //! # carac-exec
 //!
-//! The execution engine of Carac-rs: a plan interpreter, four runtime
+//! The execution engine of Carac-rs: a plan walker, four runtime
 //! compilation backends, an asynchronous compilation manager, and the JIT
 //! controller that ties them together with the adaptive join-order
 //! optimizer (paper §V-B, §V-C).
 //!
-//! The engine executes the IROp plans produced by `carac-ir`.  In pure
-//! interpretation mode ([`interpreter::interpret`]) the tree is walked
-//! directly.  In JIT mode ([`JitEngine`]) every subtree at the configured
-//! granularity starts interpreted and tiers up once it has been seen doing
-//! enough work ([`JitConfig::tier_up_work`]): it is re-optimized against
-//! live cardinalities and compiled with one of the [`backends`] —
-//! synchronously on the caller's thread, or on a background thread (started
-//! by the first such request) while interpretation continues.  Compiled
+//! The engine executes the IROp plans produced by `carac-ir`.  Every
+//! `σπ⋈` runs on a [`SpecializedQuery`] descriptor or in the bytecode VM.
+//! In pure interpretation mode ([`interpreter::interpret`]) the tree is
+//! walked directly, each `σπ⋈` node on a descriptor built at its first
+//! visit.  In JIT mode ([`JitEngine`]) every subtree at the configured
+//! granularity starts cold (walked the same way) and tiers up once it has
+//! been seen doing enough work ([`JitConfig::tier_up_work`]): it is
+//! re-optimized against live cardinalities and compiled with one of the
+//! [`backends`] — synchronously on the caller's thread, or on a background
+//! thread (started by the first such request) while the cold walk
+//! continues.  Compiled
 //! artifacts are discarded again (deoptimization) when the freshness test
 //! detects that the cardinalities they were specialized for have drifted.
 

@@ -136,9 +136,20 @@ pub struct RunStats {
     pub deopts: u64,
     /// Times a ready compiled artifact was used instead of interpreting.
     pub compiled_executions: u64,
-    /// Times execution fell back to interpretation because an asynchronous
-    /// compilation was not ready yet.
+    /// Cold visits: times the JIT walked a node at its compilation
+    /// granularity instead of running an artifact — the node had not yet
+    /// done enough work to tier up, or its asynchronous compilation was not
+    /// ready yet.
     pub interpreted_fallbacks: u64,
+    /// `σπ⋈` descriptors ([`SpecializedQuery`](crate::SpecializedQuery))
+    /// the plan walker built: one per plan node at its first walked visit
+    /// (interpretation, the JIT's cold tier and the nodes below its
+    /// granularity) plus one per node of each IrGen artifact, built when
+    /// the artifact is installed.  The closure, snippet and bytecode
+    /// backends build theirs inside a compilation and are counted there.
+    /// Deterministic: it depends on the plan and the tiering decisions
+    /// only, never on the number of iterations.
+    pub descriptor_builds: u64,
     /// Subqueries whose driving rows were evaluated by the parallel
     /// fork-join kernels (subqueries below the row threshold stay serial and
     /// are not counted).
@@ -148,14 +159,14 @@ pub struct RunStats {
     pub parallel_tasks: u64,
     /// Rows visited by join probes that no index answered — filtered scans
     /// of a relation (or of a delta) on a bound column without an index,
-    /// summed over the specialized kernel, the interpreter and the bytecode
-    /// VM.  Deterministic: it depends on the data and the join orders only.
+    /// summed over the specialized kernel and the bytecode VM.
+    /// Deterministic: it depends on the data and the join orders only.
     pub probe_scan_rows: u64,
     /// Candidate rows a join level skipped because its projection key —
     /// the bound variables still live below it
     /// (`ConjunctiveQuery::projection_plan`) — had already been expanded
-    /// in the same execution, summed over the specialized kernel, the
-    /// interpreter and the bytecode VM.  Deterministic like
+    /// in the same execution, summed over the specialized kernel and the
+    /// bytecode VM.  Deterministic like
     /// `probe_scan_rows`.
     pub projection_skips: u64,
     /// Compilation log: a bounded ring (oldest events evicted first) so
@@ -203,6 +214,7 @@ impl Default for RunStats {
             deopts: 0,
             compiled_executions: 0,
             interpreted_fallbacks: 0,
+            descriptor_builds: 0,
             parallel_subqueries: 0,
             parallel_tasks: 0,
             probe_scan_rows: 0,
@@ -254,6 +266,7 @@ impl RunStats {
         self.deopts += other.deopts;
         self.compiled_executions += other.compiled_executions;
         self.interpreted_fallbacks += other.interpreted_fallbacks;
+        self.descriptor_builds += other.descriptor_builds;
         self.parallel_subqueries += other.parallel_subqueries;
         self.parallel_tasks += other.parallel_tasks;
         self.probe_scan_rows += other.probe_scan_rows;

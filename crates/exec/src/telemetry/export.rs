@@ -157,6 +157,12 @@ pub fn metrics_json(stats: &RunStats) -> String {
     push_field(
         &mut out,
         &mut first,
+        "descriptor_builds",
+        stats.descriptor_builds,
+    );
+    push_field(
+        &mut out,
+        &mut first,
         "parallel_subqueries",
         stats.parallel_subqueries,
     );

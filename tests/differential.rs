@@ -665,8 +665,8 @@ fn stream_shapes(
 
 /// Transitive closure (recursive stratum, pure counted/DRed path): live
 /// maintenance equals scratch for insert-only, delete-only and mixed
-/// streams, across the interpreted and specialized update kernels and
-/// 1/2/8 worker threads.
+/// streams, across interpreted and JIT Lambda sessions (both maintain
+/// through the specialized kernel) and 1/2/8 worker threads.
 #[test]
 fn incremental_tc_matches_scratch_across_kernels_and_threads() {
     for seed in [0u64, 5, 9] {
@@ -1099,7 +1099,7 @@ fn stream_seeds() -> u64 {
         .unwrap_or(3)
 }
 
-/// Both update kernels at 1, 2 and 8 threads.
+/// Interpreted and JIT Lambda sessions at 1, 2 and 8 threads.
 fn update_configs() -> Vec<EngineConfig> {
     let mut configs = Vec::new();
     for threads in [1usize, 2, 8] {

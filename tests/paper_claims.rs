@@ -217,6 +217,57 @@ fn every_join_probe_is_answered_by_an_index() {
     }
 }
 
+/// Every evaluator checks a negated literal with the same probe and counts
+/// the rows it scans: without indexes, a run's `probe_scan_rows` is the same
+/// under interpretation, the closure kernels and the bytecode VM.
+#[test]
+fn negation_probes_scan_alike_in_every_evaluator() {
+    // Node 0 reaches the even nodes below 100; the other nodes are
+    // unreached and each negation probe scans the whole of `Reach`.
+    let mut source = String::from(
+        "Reach(x) :- Source(x).\n\
+         Reach(y) :- Reach(x), Edge(x, y).\n\
+         Unreached(x) :- Node(x), !Reach(x).\n\
+         Source(0).\n",
+    );
+    for i in 0..199u32 {
+        source.push_str(&format!("Node({i}).\n"));
+        if i % 2 == 0 && i + 2 < 100 {
+            source.push_str(&format!("Edge({i}, {}).\n", i + 2));
+        }
+    }
+    let program = parse(&source).unwrap();
+    let scans: Vec<(&str, u64, usize)> = [
+        ("interpreted", EngineConfig::interpreted_unindexed()),
+        (
+            "lambda",
+            EngineConfig::eager_jit(BackendKind::Lambda, false).without_indexes(),
+        ),
+        (
+            "bytecode",
+            EngineConfig::eager_jit(BackendKind::Bytecode, false).without_indexes(),
+        ),
+    ]
+    .into_iter()
+    .map(|(mode, config)| {
+        let result = Carac::new(program.clone())
+            .with_config(config)
+            .run()
+            .unwrap();
+        let unreached = result.count("Unreached").unwrap();
+        (mode, result.stats().probe_scan_rows, unreached)
+    })
+    .collect();
+    assert_eq!(scans[0].2, 199 - 50, "{scans:?}");
+    assert!(scans[0].1 > 0, "{scans:?}");
+    assert!(
+        scans
+            .iter()
+            .all(|&(_, rows, unreached)| (rows, unreached) == (scans[0].1, scans[0].2)),
+        "{scans:?}"
+    );
+}
+
 /// Index selection follows §IV: one index per join/filter column, so every
 /// indexed column of the prepared storage corresponds to a shared-variable
 /// or constant position of some rule.

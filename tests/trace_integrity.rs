@@ -13,8 +13,8 @@
 //!   `RunStats::tuples_inserted` (the invariant promised by the
 //!   `carac_exec::telemetry::profile` module docs);
 //! * **bit-identical answers** to the untraced run, and identical
-//!   evaluation counters (`probe_scan_rows` and `projection_skips`
-//!   included).
+//!   evaluation counters (`descriptor_builds`, `probe_scan_rows` and
+//!   `projection_skips` included).
 //!
 //! A live update-stream session is held to the same standard, with one
 //! `update-batch` span per applied batch and the witness check's decisions
@@ -278,6 +278,7 @@ fn traced_and_untraced_runs_are_bit_identical() {
                     stats.deopts,
                     stats.compiled_executions,
                     stats.interpreted_fallbacks,
+                    stats.descriptor_builds,
                     stats.probe_scan_rows,
                     stats.projection_skips,
                 )

@@ -1,14 +1,14 @@
 //! Criterion bench for Figure 5: code-generation time per backend.
 //!
 //! Benchmarks the cost of generating an executable artifact for the CSPA
-//! plan with each backend (warm compiler, full compilation).  The
-//! table-printing binary `fig5_codegen` produces the full granularity ×
-//! warm/cold × full/snippet matrix; this bench tracks the backend ordering
-//! (Quotes ≫ Bytecode ≈ Lambda ≈ IRGen) over time.
+//! plan with each backend (warm compiler).  The table-printing binary
+//! `fig5_codegen` produces the granularity × warm/cold matrix; this bench
+//! tracks the backend ordering (Quotes ≫ Bytecode ≈ Lambda ≈ IRGen) over
+//! time.
 
 use std::time::Duration;
 
-use carac::exec::backends::{compile_artifact, BackendKind, CompileMode, StagingCostModel};
+use carac::exec::backends::{compile_artifact, BackendKind, StagingCostModel};
 use carac::ir::{generate_plan, EvalStrategy};
 use carac_analysis::Formulation;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -27,20 +27,9 @@ fn bench_codegen(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(2));
     for backend in BackendKind::ALL {
         group.bench_function(format!("{backend:?}_full_warm"), |b| {
-            b.iter(|| compile_artifact(&plan, backend, CompileMode::Full, &staging, true));
+            b.iter(|| compile_artifact(&plan, backend, &staging, true));
         });
     }
-    group.bench_function("Quotes_snippet_warm", |b| {
-        b.iter(|| {
-            compile_artifact(
-                &plan,
-                BackendKind::Quotes,
-                CompileMode::Snippet,
-                &staging,
-                true,
-            )
-        });
-    });
     group.finish();
 }
 

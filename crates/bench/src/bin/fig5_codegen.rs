@@ -2,32 +2,26 @@
 //!
 //! Measures how long each backend takes to generate code for subtrees
 //! rooted at every IROp granularity of the CSPA plan, for a cold and a warm
-//! compiler and for full vs. snippet compilation.  The paper's shape: the
-//! quote (staged) backend is the most expensive by a wide margin —
-//! especially cold — the bytecode and lambda backends are cheap, snippet
-//! compilation is cheaper than full, and cost grows with the size of the
-//! compiled subtree (higher granularities sit higher).
+//! compiler.  The paper's shape: the quote (staged) backend is the most
+//! expensive by a wide margin — especially cold — the bytecode and lambda
+//! backends are cheap, and cost grows with the size of the compiled subtree
+//! (higher granularities sit higher).  Lambda, Quotes and IRGen build the
+//! same descriptor artifact; Quotes adds the modeled staging cost.
 
 use std::time::Duration;
 
-use carac::exec::backends::{compile_artifact, BackendKind, CompileMode, StagingCostModel};
+use carac::exec::backends::{compile_artifact, BackendKind, StagingCostModel};
 use carac::ir::{generate_plan, EvalStrategy, IRNode, OpKind};
 use carac_analysis::Formulation;
 use carac_bench::{fmt_secs, render_table, DEFAULT_CSPA_SCALE, HARNESS_SEED};
 
 /// Average code-generation time over `repeats` compilations of `node`.
-fn codegen_time(
-    node: &IRNode,
-    backend: BackendKind,
-    mode: CompileMode,
-    warm: bool,
-    repeats: u32,
-) -> Duration {
+fn codegen_time(node: &IRNode, backend: BackendKind, warm: bool, repeats: u32) -> Duration {
     let staging = StagingCostModel::default();
     let mut total = Duration::ZERO;
     for _ in 0..repeats {
-        let (_, elapsed) = compile_artifact(node, backend, mode, &staging, warm)
-            .expect("backend compilation succeeds");
+        let (_, elapsed) =
+            compile_artifact(node, backend, &staging, warm).expect("backend compilation succeeds");
         total += elapsed;
     }
     total / repeats
@@ -51,12 +45,10 @@ fn main() {
     let headers = vec![
         "Granularity".to_string(),
         "Subtree nodes".to_string(),
-        "Quotes cold full".to_string(),
-        "Quotes warm full".to_string(),
-        "Quotes warm snippet".to_string(),
-        "Bytecode full".to_string(),
-        "Lambda full".to_string(),
-        "Lambda snippet".to_string(),
+        "Quotes cold".to_string(),
+        "Quotes warm".to_string(),
+        "Bytecode".to_string(),
+        "Lambda".to_string(),
         "IRGen".to_string(),
     ];
 
@@ -69,55 +61,11 @@ fn main() {
         let row = vec![
             format!("{kind:?}"),
             node.node_count().to_string(),
-            fmt_secs(codegen_time(
-                &node,
-                BackendKind::Quotes,
-                CompileMode::Full,
-                false,
-                3,
-            )),
-            fmt_secs(codegen_time(
-                &node,
-                BackendKind::Quotes,
-                CompileMode::Full,
-                true,
-                5,
-            )),
-            fmt_secs(codegen_time(
-                &node,
-                BackendKind::Quotes,
-                CompileMode::Snippet,
-                true,
-                5,
-            )),
-            fmt_secs(codegen_time(
-                &node,
-                BackendKind::Bytecode,
-                CompileMode::Full,
-                true,
-                20,
-            )),
-            fmt_secs(codegen_time(
-                &node,
-                BackendKind::Lambda,
-                CompileMode::Full,
-                true,
-                20,
-            )),
-            fmt_secs(codegen_time(
-                &node,
-                BackendKind::Lambda,
-                CompileMode::Snippet,
-                true,
-                20,
-            )),
-            fmt_secs(codegen_time(
-                &node,
-                BackendKind::IrGen,
-                CompileMode::Full,
-                true,
-                20,
-            )),
+            fmt_secs(codegen_time(&node, BackendKind::Quotes, false, 3)),
+            fmt_secs(codegen_time(&node, BackendKind::Quotes, true, 5)),
+            fmt_secs(codegen_time(&node, BackendKind::Bytecode, true, 20)),
+            fmt_secs(codegen_time(&node, BackendKind::Lambda, true, 20)),
+            fmt_secs(codegen_time(&node, BackendKind::IrGen, true, 20)),
         ];
         eprintln!("[fig5] granularity {kind:?} done");
         rows.push(row);

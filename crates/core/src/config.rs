@@ -6,7 +6,7 @@
 //! compilation granularity, indexed vs. unindexed storage, and the
 //! semi-naive vs. naive evaluation strategy.
 
-use carac_exec::{BackendKind, CompileMode, JitConfig, TraceConfig};
+use carac_exec::{BackendKind, JitConfig, TraceConfig};
 use carac_ir::EvalStrategy;
 use carac_optimizer::OptimizerConfig;
 
@@ -252,14 +252,10 @@ impl EngineConfig {
                 } else {
                     "Blocking"
                 };
-                let mode = match jit.mode {
-                    CompileMode::Full => "",
-                    CompileMode::Snippet => " Snippet",
-                };
                 if jit.backend == BackendKind::IrGen {
                     format!("JIT {backend}")
                 } else {
-                    format!("JIT {backend} {sync}{mode}")
+                    format!("JIT {backend} {sync}")
                 }
             }
             ExecutionMode::AheadOfTime(aot) => {
@@ -277,7 +273,7 @@ impl EngineConfig {
 
 /// Re-exported knobs so downstream crates only need `carac` for common use.
 pub mod knobs {
-    pub use carac_exec::{BackendKind, CompileMode, StagingCostModel, TraceConfig};
+    pub use carac_exec::{BackendKind, StagingCostModel, TraceConfig};
     pub use carac_ir::{EvalStrategy, OpKind};
     pub use carac_optimizer::{OptimizerConfig, ReorderAlgorithm};
 }

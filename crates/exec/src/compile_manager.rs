@@ -22,7 +22,7 @@ use std::time::Duration;
 use carac_ir::{IRNode, NodeId, OpKind};
 use carac_storage::hasher::{FxHashMap, FxHashSet};
 
-use crate::backends::{compile_artifact, Artifact, BackendKind, CompileMode, StagingCostModel};
+use crate::backends::{compile_artifact, Artifact, BackendKind, StagingCostModel};
 use crate::error::ExecError;
 use crate::stats::CompileEvent;
 
@@ -32,7 +32,6 @@ struct CompileRequest {
     kind: OpKind,
     subtree: IRNode,
     backend: BackendKind,
-    mode: CompileMode,
     staging: StagingCostModel,
     warm: bool,
 }
@@ -93,7 +92,6 @@ fn compile_requests(rx: &Receiver<CompileRequest>, results: &ResultMap) {
         let result = compile_artifact(
             &request.subtree,
             request.backend,
-            request.mode,
             &request.staging,
             request.warm,
         )
@@ -103,7 +101,6 @@ fn compile_requests(rx: &Receiver<CompileRequest>, results: &ResultMap) {
                 node: request.node_id,
                 kind: request.kind,
                 backend: request.backend.tag(),
-                full: request.mode == CompileMode::Full,
                 warm: request.warm,
                 duration,
             },
@@ -196,11 +193,10 @@ impl CompilationManager {
         kind: OpKind,
         subtree: &IRNode,
         backend: BackendKind,
-        mode: CompileMode,
         staging: &StagingCostModel,
     ) -> Result<CompileResult, ExecError> {
         let warm = self.is_warm();
-        let (artifact, duration) = compile_artifact(subtree, backend, mode, staging, warm)?;
+        let (artifact, duration) = compile_artifact(subtree, backend, staging, warm)?;
         self.completed_compilations += 1;
         Ok(CompileResult {
             artifact,
@@ -208,7 +204,6 @@ impl CompilationManager {
                 node: node_id,
                 kind,
                 backend: backend.tag(),
-                full: mode == CompileMode::Full,
                 warm,
                 duration,
             },
@@ -223,7 +218,6 @@ impl CompilationManager {
         kind: OpKind,
         subtree: IRNode,
         backend: BackendKind,
-        mode: CompileMode,
         staging: StagingCostModel,
     ) -> Result<(), ExecError> {
         if self.pending.contains(&node_id) {
@@ -236,7 +230,6 @@ impl CompilationManager {
                 kind,
                 subtree,
                 backend,
-                mode,
                 staging,
                 warm,
             })
@@ -324,11 +317,10 @@ mod tests {
                 plan.kind(),
                 &plan,
                 BackendKind::Lambda,
-                CompileMode::Full,
                 &StagingCostModel::free(),
             )
             .unwrap();
-        assert!(matches!(result.artifact, Artifact::FullClosure(_)));
+        assert!(matches!(result.artifact, Artifact::Plan(_)));
         assert!(!result.event.warm);
         assert!(manager.is_warm());
         // A second compilation is warm.
@@ -338,7 +330,6 @@ mod tests {
                 plan.kind(),
                 &plan,
                 BackendKind::Lambda,
-                CompileMode::Full,
                 &StagingCostModel::free(),
             )
             .unwrap();
@@ -355,7 +346,6 @@ mod tests {
                 plan.kind(),
                 plan.clone(),
                 BackendKind::Bytecode,
-                CompileMode::Full,
                 StagingCostModel::free(),
             )
             .unwrap();
@@ -379,7 +369,6 @@ mod tests {
                 plan.kind(),
                 &plan,
                 BackendKind::Bytecode,
-                CompileMode::Full,
                 &StagingCostModel::free(),
             )
             .unwrap();
@@ -393,7 +382,6 @@ mod tests {
                 plan.kind(),
                 plan.clone(),
                 BackendKind::Bytecode,
-                CompileMode::Full,
                 StagingCostModel::free(),
             )
             .unwrap();
@@ -411,7 +399,6 @@ mod tests {
                 plan.kind(),
                 plan.clone(),
                 BackendKind::Lambda,
-                CompileMode::Full,
                 StagingCostModel::free(),
             )
             .unwrap_err();
@@ -425,7 +412,6 @@ mod tests {
                 plan.kind(),
                 &plan,
                 BackendKind::Lambda,
-                CompileMode::Full,
                 &StagingCostModel::free(),
             )
             .unwrap();
@@ -442,7 +428,6 @@ mod tests {
                     plan.kind(),
                     plan.clone(),
                     BackendKind::Lambda,
-                    CompileMode::Full,
                     StagingCostModel::free(),
                 )
                 .unwrap();

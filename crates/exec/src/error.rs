@@ -12,8 +12,8 @@ pub enum ExecError {
     /// The compilation manager failed (worker thread gone, poisoned state).
     Compilation(String),
     /// A compilation backend returned an artifact of a shape it is not
-    /// specified to produce (e.g. the bytecode backend handing back a
-    /// closure).  Surfaced as an error so a misbehaving backend degrades the
+    /// specified to produce (e.g. the bytecode backend handing back
+    /// descriptors).  Surfaced as an error so a misbehaving backend degrades the
     /// query instead of aborting the process.
     UnexpectedArtifact {
         /// The backend that produced the artifact.

@@ -74,9 +74,10 @@ use carac_storage::{
     DbKind, DeltaSign, RelId, Relation, RelationSchema, RowId, StorageManager, Tuple, Value,
 };
 
-use crate::backends::{compile_closure, ClosureFn, UpdateKernel};
+use crate::backends::{describe, UpdateKernel};
 use crate::context::ExecContext;
 use crate::error::ExecError;
+use crate::interpreter::{Descriptors, Prebuilt, Walk};
 use crate::kernel::SpecializedQuery;
 use crate::stats::UpdateStats;
 
@@ -314,9 +315,10 @@ struct StratumPlan {
     negated_rels: Vec<RelId>,
     /// Whether any relation of the stratum is produced by an aggregation.
     aggregate: bool,
-    /// Fused closure of the stratum's plan subtree, re-run wholesale on the
-    /// recompute path.
-    closure: ClosureFn,
+    /// The stratum's plan subtree, walked wholesale on the recompute path,
+    /// and the descriptors of its `σπ⋈` leaves, built once per session.
+    node: IRNode,
+    descriptors: Descriptors,
 }
 
 /// Net signed delta sets accumulated while strata are processed, one pair
@@ -535,7 +537,8 @@ impl Incremental {
                 body_rels,
                 negated_rels,
                 aggregate,
-                closure: compile_closure(&node),
+                descriptors: describe(&node),
+                node,
             });
         }
         let mut base_facts: Vec<Option<Relation>> =
@@ -1155,7 +1158,7 @@ impl Incremental {
                 }
             }
         }
-        (plan.closure)(ctx)?;
+        Prebuilt(&plan.descriptors).node(&plan.node, ctx)?;
         for (rel, old_rel) in old {
             let removed: Vec<Vec<Value>> = {
                 let new_rel = ctx.storage.derived(rel)?;

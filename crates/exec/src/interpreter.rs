@@ -13,9 +13,11 @@
 //! in interpretation mode, there is no further partial evaluation and the
 //! interpreter visits this IROp tree"): it builds each leaf's descriptor at
 //! the leaf's first visit and reuses it for every later iteration.  The JIT
-//! walks the same way through `Walk`: below the compilation granularity,
-//! on cold and pending visits (one map per engine), and over an IrGen or
-//! snippet artifact (a map built once, when the artifact was).
+//! walks the same way through `Walk`: below the compilation granularity
+//! and on cold and pending visits (one map per engine), and over a
+//! descriptor artifact (a map built once, when the artifact was, from the
+//! re-ordered queries).  Incremental maintenance walks a stratum it
+//! recomputes over a map built once per session.
 
 use carac_ir::{ConjunctiveQuery, IRNode, IROp, NodeId};
 use carac_storage::hasher::FxHashMap;

@@ -19,6 +19,17 @@
 //! optimized before its first join; a node that never does enough work to
 //! repay a compilation never pays for one.
 //!
+//! Every backend but `Bytecode` compiles to the same artifact: the
+//! descriptors of the re-ordered `σπ⋈` leaves ([`Artifact::Plan`]), which
+//! the walker runs over the node itself — a hot node swaps in re-planned
+//! leaves and keeps its control flow.  `Bytecode` compiles the re-ordered
+//! subtree to a VM program.  With `ExecContext::verify` set, the re-ordered
+//! subtree is verified before any backend compiles it.
+//!
+//! While an asynchronous compilation is in flight the node is **pending**:
+//! each visit polls the compiler once, at the node boundary, and is
+//! otherwise a cold visit of the whole node.
+//!
 //! Because all state lives in the storage layer, every node boundary is a
 //! safe point: switching from a cold walk to a compiled artifact (or back)
 //! requires no stack capture.
@@ -32,9 +43,7 @@ use carac_storage::hasher::FxHashMap;
 use carac_storage::{DbKind, RelId, StorageManager};
 use carac_vm::{Machine, MarkKind};
 
-use crate::backends::{
-    compile_snippets, verify_artifact, Artifact, BackendKind, CompileMode, StagingCostModel,
-};
+use crate::backends::{verify_artifact, Artifact, BackendKind, StagingCostModel};
 use crate::compile_manager::{CompilationManager, CompileResult};
 use crate::context::ExecContext;
 use crate::error::ExecError;
@@ -117,8 +126,6 @@ pub struct JitConfig {
     pub backend: BackendKind,
     /// Node kind at which compilation (and re-optimization) is triggered.
     pub granularity: OpKind,
-    /// Full-subtree or snippet compilation.
-    pub mode: CompileMode,
     /// Compile on the background thread (`true`) or block (`false`).
     pub async_compile: bool,
     /// Whether the join-order optimization is applied at all.  Disabling it
@@ -144,7 +151,6 @@ impl Default for JitConfig {
         JitConfig {
             backend: BackendKind::Lambda,
             granularity: OpKind::UnionAllRules,
-            mode: CompileMode::Full,
             async_compile: false,
             enable_reorder: true,
             reorder_algorithm: ReorderAlgorithm::Greedy,
@@ -319,8 +325,9 @@ impl JitEngine {
         ctx: &mut ExecContext,
     ) -> Result<(), ExecError> {
         match artifact {
-            Artifact::FullClosure(closure) => closure(ctx),
-            Artifact::Ir(subtree, descriptors) => Prebuilt(descriptors).node(subtree, ctx),
+            // The walker runs the node's control flow; the descriptors were
+            // built from the re-ordered copy, whose node ids are the node's.
+            Artifact::Plan(descriptors) => Prebuilt(descriptors).node(node, ctx),
             Artifact::Vm(program) => {
                 let mut machine = Machine::for_program(program);
                 machine.set_collect_marks(ctx.stats.tracer.is_enabled());
@@ -332,8 +339,6 @@ impl JitEngine {
                 Self::merge_vm_telemetry(&machine, ctx);
                 Ok(())
             }
-            // Control flow walks the node; only the leaves are compiled.
-            Artifact::Snippet(kernels) => Prebuilt(kernels).node(node, ctx),
         }
     }
 
@@ -495,16 +500,16 @@ impl Tiers {
         self.specialize(node, transition, ctx)
     }
 
-    /// (Re)optimizes the subtree of `node` against the live statistics and
-    /// compiles it — the only place a subtree is cloned and the optimizer's
-    /// full view of the run is assembled.
+    /// (Re)optimizes the subtree of `node` against the live statistics,
+    /// verifies it when `ctx.verify` is set, and compiles it — blocking, or
+    /// on the compiler thread — the only place a subtree is cloned and the
+    /// optimizer's full view of the run is assembled.
     fn specialize(
         &mut self,
         node: &IRNode,
         transition: Transition,
         ctx: &mut ExecContext,
     ) -> Result<(), ExecError> {
-        let reorder_started = Instant::now();
         let mut subtree = node.clone();
         if self.config.enable_reorder {
             let oc = self.frame.get_or_insert_with(|| ctx.optimize_frame());
@@ -519,24 +524,11 @@ impl Tiers {
             record_delta_estimates(&subtree, oc, &mut ctx.stats);
         }
 
-        if self.config.backend == BackendKind::IrGen {
-            // The IRGenerator target needs no separate compilation phase:
-            // the reordered IR is the artifact and the walker runs it, on
-            // descriptors built once, here.
-            let descriptors = compile_snippets(&subtree);
-            ctx.stats.descriptor_builds += descriptors.len() as u64;
-            let result = CompileResult {
-                artifact: Artifact::Ir(subtree, descriptors),
-                event: CompileEvent {
-                    node: node.id,
-                    kind: node.kind(),
-                    backend: BackendKind::IrGen.tag(),
-                    full: true,
-                    warm: true,
-                    duration: reorder_started.elapsed(),
-                },
-            };
-            return self.install(node, result, transition, ctx);
+        if ctx.verify {
+            carac_ir::verify_subtree(&subtree, &ctx.arities).map_err(|err| ExecError::Verify {
+                backend: format!("{:?}", self.config.backend),
+                reason: err.to_string(),
+            })?;
         }
 
         if self.config.async_compile {
@@ -545,7 +537,6 @@ impl Tiers {
                 node.kind(),
                 subtree,
                 self.config.backend,
-                self.config.mode,
                 self.config.staging,
             )?;
             self.set_tier(node.id, Tier::Pending(transition));
@@ -557,7 +548,6 @@ impl Tiers {
             node.kind(),
             &subtree,
             self.config.backend,
-            self.config.mode,
             &self.config.staging,
         )?;
         self.install(node, result, transition, ctx)
@@ -575,11 +565,13 @@ impl Tiers {
     ) -> Result<(), ExecError> {
         verify_artifact(
             self.config.backend,
-            self.config.mode,
             &result.artifact,
             &ctx.arities,
             ctx.verify,
         )?;
+        if let Artifact::Plan(descriptors) = &result.artifact {
+            ctx.stats.descriptor_builds += descriptors.len() as u64;
+        }
         note_compile(&mut ctx.stats, result.event, transition);
         let state = self
             .nodes
@@ -595,39 +587,29 @@ impl Tiers {
         ran
     }
 
-    /// Walks `node` cold while its asynchronous compilation is in flight,
-    /// polling before the node and between its children (the safe points)
-    /// so the artifact is picked up as soon as it is ready.  When it becomes
-    /// ready mid-node the whole artifact is executed; re-deriving tuples the
-    /// cold walk already produced is harmless under set semantics.
+    /// A visit of `node` while its asynchronous compilation is in flight:
+    /// polls the compiler once, at the node boundary (the safe point), and
+    /// installs and runs the artifact if it is ready.  Otherwise the whole
+    /// node is walked cold, exactly like a [`Tier::Cold`] visit.
     fn run_pending(
         &mut self,
         node: &IRNode,
         transition: Transition,
         ctx: &mut ExecContext,
     ) -> Result<(), ExecError> {
-        let mut parts = node.children();
-        if parts.is_empty() {
-            parts.push(node);
+        if let Some(result) = self.manager.poll(node.id) {
+            // Cold again until `install` succeeds, so a failed compilation
+            // is retried instead of awaited forever.
+            self.set_tier(
+                node.id,
+                Tier::Cold {
+                    work_seen: transition.work_seen,
+                },
+            );
+            return self.install(node, result?, transition, ctx);
         }
-        for (i, part) in parts.into_iter().enumerate() {
-            if let Some(result) = self.manager.poll(node.id) {
-                // Cold again until `install` succeeds, so a failed
-                // compilation is retried instead of awaited forever.
-                self.set_tier(
-                    node.id,
-                    Tier::Cold {
-                        work_seen: transition.work_seen,
-                    },
-                );
-                return self.install(node, result?, transition, ctx);
-            }
-            if i == 0 {
-                ctx.stats.interpreted_fallbacks += 1;
-            }
-            self.descriptors.node(part, ctx)?;
-        }
-        Ok(())
+        ctx.stats.interpreted_fallbacks += 1;
+        self.descriptors.node(node, ctx)
     }
 
     fn set_tier(&mut self, id: NodeId, tier: Tier) {
@@ -734,7 +716,6 @@ mod tests {
                 cold_extra: Duration::from_millis(5),
                 warm_base: Duration::from_millis(1),
                 per_node: Duration::ZERO,
-                snippet_factor: 1.0,
             },
             ..eager()
         };
@@ -743,20 +724,6 @@ mod tests {
         assert_eq!(ctx.derived_count(path), 25);
         // While the quote was compiling the engine kept interpreting.
         assert!(ctx.stats.interpreted_fallbacks > 0 || ctx.stats.compiled_executions > 0);
-    }
-
-    #[test]
-    fn snippet_mode_produces_correct_results() {
-        let program = tc_program();
-        let config = JitConfig {
-            backend: BackendKind::Quotes,
-            mode: CompileMode::Snippet,
-            staging: StagingCostModel::free(),
-            ..eager()
-        };
-        let ctx = run_with(config, &program);
-        let path = program.relation_by_name("Path").unwrap();
-        assert_eq!(ctx.derived_count(path), 25);
     }
 
     #[test]
@@ -918,21 +885,79 @@ mod tests {
     }
 
     #[test]
-    fn an_irgen_artifact_is_described_when_installed() {
+    fn a_descriptor_artifact_is_described_when_installed() {
         let program = tc_program();
         let plan = generate_plan(&program, EvalStrategy::SemiNaive);
         let spj_nodes = plan.spj_queries().len() as u64;
-        let config = JitConfig {
-            backend: BackendKind::IrGen,
-            granularity: OpKind::Program,
-            ..eager()
-        };
-        let ctx = run_with(config, &program);
-        assert_eq!(ctx.stats.compilations(), 1);
-        assert_eq!(ctx.stats.interpreted_fallbacks, 0);
-        assert_eq!(ctx.stats.descriptor_builds, spj_nodes);
+        for backend in [BackendKind::Lambda, BackendKind::Quotes, BackendKind::IrGen] {
+            let config = JitConfig {
+                backend,
+                granularity: OpKind::Program,
+                staging: StagingCostModel::free(),
+                ..eager()
+            };
+            let ctx = run_with(config, &program);
+            assert_eq!(ctx.stats.compilations(), 1, "{backend:?}");
+            assert_eq!(ctx.stats.interpreted_fallbacks, 0, "{backend:?}");
+            assert_eq!(ctx.stats.descriptor_builds, spj_nodes, "{backend:?}");
+            assert!(ctx
+                .stats
+                .compile_events
+                .iter()
+                .all(|e| e.backend == backend.tag()));
+            let path = program.relation_by_name("Path").unwrap();
+            assert_eq!(ctx.derived_count(path), 25, "{backend:?}");
+        }
+    }
+
+    /// A 30-edge chain derives 465 `Path` facts in 30 iterations at every
+    /// granularity, whether the compilations block or run on the compiler
+    /// thread.  The first compilation's staging cost outlasts the run, so
+    /// asynchronous visits are pending ones: each must run the node's own
+    /// operator (loop, stratum bookkeeping), not only its children.
+    #[test]
+    fn every_granularity_computes_the_fixpoint_blocking_and_async() {
+        let program = chain_program(30);
         let path = program.relation_by_name("Path").unwrap();
-        assert_eq!(ctx.derived_count(path), 25);
+        let staging = StagingCostModel {
+            cold_extra: Duration::from_millis(30),
+            warm_base: Duration::from_millis(5),
+            per_node: Duration::ZERO,
+        };
+        for granularity in [
+            OpKind::Program,
+            OpKind::Stratum,
+            OpKind::DoWhile,
+            OpKind::Sequence,
+            OpKind::SwapClear,
+            OpKind::UnionAllRules,
+            OpKind::UnionRule,
+            OpKind::Spj,
+            OpKind::Aggregate,
+        ] {
+            let run = |async_compile| {
+                run_with(
+                    JitConfig {
+                        backend: BackendKind::Quotes,
+                        granularity,
+                        async_compile,
+                        staging,
+                        ..eager()
+                    },
+                    &program,
+                )
+            };
+            let blocking = run(false);
+            let pending = run(true);
+            for (ctx, mode) in [(&blocking, "blocking"), (&pending, "async")] {
+                assert_eq!(ctx.derived_count(path), 465, "{granularity:?} {mode}");
+                assert_eq!(ctx.stats.iterations, 30, "{granularity:?} {mode}");
+            }
+            assert_eq!(
+                pending.stats.strata_entered, blocking.stats.strata_entered,
+                "{granularity:?}"
+            );
+        }
     }
 
     #[test]

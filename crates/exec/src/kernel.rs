@@ -8,9 +8,10 @@
 //! the head projection — so the per-row inner loop touches no enums and no
 //! hash maps.  Every `σπ⋈` outside the bytecode VM runs on a descriptor:
 //! the plan walker ([`crate::interpreter`]) builds one per plan node for
-//! interpretation, the JIT's cold tier and IrGen artifacts; the closure and
-//! snippet backends build theirs when they compile; incremental maintenance
-//! builds its delta variants' and drivers' once per session.  The VM's
+//! interpretation and the JIT's cold tier; a descriptor artifact is a map
+//! of them built from the re-ordered queries when it compiles; incremental
+//! maintenance builds its delta variants', drivers' and stratum
+//! recomputes' once per session.  The VM's
 //! cursor loop is the only other join loop.
 //!
 //! The kernel is an index-nested-loop join over the atoms in their current
@@ -829,9 +830,8 @@ fn probe_exists(
 /// relation's delta-new database.  A stratified spec runs the one-shot
 /// stratum-boundary fold; a lattice spec runs the in-recursion fold that
 /// retracts a group's previous optimum and emits only strictly improved
-/// groups.  Shared by the plan walker, the compiled-closure backends and
-/// the JIT (the bytecode VM has its own `Aggregate` instruction calling the
-/// same storage primitives).
+/// groups.  Run by the plan walker (the bytecode VM has its own
+/// `Aggregate` instruction calling the same storage primitives).
 pub fn execute_aggregate(
     spec: &AggregateSpec,
     storage: &mut StorageManager,

@@ -34,8 +34,7 @@ pub mod stats;
 pub mod telemetry;
 
 pub use backends::{
-    update_kernel, verify_artifact, Artifact, BackendKind, CompileMode, StagingCostModel,
-    UpdateKernel,
+    update_kernel, verify_artifact, Artifact, BackendKind, StagingCostModel, UpdateKernel,
 };
 pub use compile_manager::CompilationManager;
 pub use context::ExecContext;

@@ -21,7 +21,7 @@ use crate::telemetry::trace::{Tracer, DEFAULT_COMPILE_EVENT_CAPACITY};
 /// here to keep `stats` dependency-free of the backend module).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum BackendTag {
-    /// Staged-closure ("quotes & splices") backend.
+    /// Staged ("quotes & splices") backend.
     Quotes,
     /// Relational bytecode VM backend.
     Bytecode,
@@ -40,9 +40,6 @@ pub struct CompileEvent {
     pub kind: OpKind,
     /// Backend used.
     pub backend: BackendTag,
-    /// Whether the whole subtree ("full") or only the node body ("snippet")
-    /// was compiled.
-    pub full: bool,
     /// Whether the compiler was warm (had compiled at least once before).
     pub warm: bool,
     /// Wall-clock time spent generating the artifact (including any modeled
@@ -144,9 +141,9 @@ pub struct RunStats {
     /// `σπ⋈` descriptors ([`SpecializedQuery`](crate::SpecializedQuery))
     /// the plan walker built: one per plan node at its first walked visit
     /// (interpretation, the JIT's cold tier and the nodes below its
-    /// granularity) plus one per node of each IrGen artifact, built when
-    /// the artifact is installed.  The closure, snippet and bytecode
-    /// backends build theirs inside a compilation and are counted there.
+    /// granularity) plus one per `σπ⋈` node of each descriptor artifact
+    /// (`Lambda`, `Quotes`, `IrGen`), counted when the artifact is
+    /// installed.  Bytecode artifacts build none.
     /// Deterministic: it depends on the plan and the tiering decisions
     /// only, never on the number of iterations.
     pub descriptor_builds: u64,
@@ -355,7 +352,6 @@ mod tests {
             node: NodeId(0),
             kind: OpKind::Spj,
             backend: BackendTag::Lambda,
-            full: true,
             warm: false,
             duration: Duration::from_millis(ms),
         }

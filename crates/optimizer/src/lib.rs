@@ -14,8 +14,7 @@
 //!   selectivity factors per bound constraint, and index availability.
 //! * [`reorder`] — the greedy (runtime) and stable-sort (ahead-of-time)
 //!   ordering algorithms.
-//! * [`plan_rewrite`] — applying either algorithm across a whole plan or a
-//!   single subtree.
+//! * [`plan_rewrite`] — applying either algorithm across a plan or subtree.
 //! * [`freshness`] — the freshness test that gates expensive recompilation.
 
 #![forbid(unsafe_code)]
@@ -33,5 +32,5 @@ pub use cost::{
     atom_score_with_constraints, constraint_factor, constraint_factor_refined, parallel_speedup,
 };
 pub use freshness::drifted;
-pub use plan_rewrite::{optimize_plan, optimize_subtree};
+pub use plan_rewrite::optimize_plan;
 pub use reorder::{greedy_order, reorder_query, sort_order, ReorderAlgorithm};

@@ -4,9 +4,8 @@
 //! query's life (paper §IV): ahead of time over the generated plan, at query
 //! start once the EDB cardinalities are known, and repeatedly at runtime at
 //! whichever granularity the JIT compiles.  This module provides the
-//! plan-level entry points; the per-node entry point
-//! ([`reorder_query`]) is used directly by the
-//! execution backends.
+//! plan-level entry point, which the JIT applies to a copy of the subtree
+//! it compiles; [`reorder_query`] re-orders one query.
 
 use carac_ir::{IRNode, IROp};
 
@@ -35,48 +34,11 @@ pub fn optimize_plan(
     changed
 }
 
-/// Rewrites only the SPJ nodes underneath the node with id `root` (used when
-/// the JIT recompiles a single subtree).
-pub fn optimize_subtree(
-    plan: &mut IRNode,
-    root: carac_ir::NodeId,
-    ctx: &OptimizeContext,
-    config: &OptimizerConfig,
-    algorithm: ReorderAlgorithm,
-) -> usize {
-    let mut changed = 0;
-    plan.visit_mut(&mut |node| {
-        if node.id == root {
-            changed += optimize_plan_node(node, ctx, config, algorithm);
-        }
-    });
-    changed
-}
-
-fn optimize_plan_node(
-    node: &mut IRNode,
-    ctx: &OptimizeContext,
-    config: &OptimizerConfig,
-    algorithm: ReorderAlgorithm,
-) -> usize {
-    let mut changed = 0;
-    node.visit_mut(&mut |n| {
-        if let IROp::Spj { query } = &mut n.op {
-            let reordered = reorder_query(query, ctx, config, algorithm);
-            if reordered.atoms != query.atoms {
-                changed += 1;
-                *query = reordered;
-            }
-        }
-    });
-    changed
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use carac_datalog::parser::parse;
-    use carac_ir::{generate_plan, EvalStrategy, OpKind};
+    use carac_ir::{generate_plan, EvalStrategy};
     use carac_storage::{RelationStats, StatsSnapshot};
 
     fn cspa_like() -> (carac_datalog::Program, IRNode) {
@@ -119,46 +81,6 @@ mod tests {
         for (_, q) in plan.spj_queries() {
             if q.width() == 3 {
                 assert!(!q.has_cartesian_product());
-            }
-        }
-    }
-
-    #[test]
-    fn optimize_subtree_only_touches_the_target() {
-        let (p, mut plan) = cspa_like();
-        let ctx = ctx_for(&p, &[("VaFlow", 100_000), ("MAlias", 10), ("Assign", 50)]);
-        // Pick one UnionRule node inside the loop and optimize only it.
-        let targets = plan.nodes_of_kind(OpKind::UnionRule);
-        let target = *targets.last().unwrap();
-        let before: Vec<_> = plan
-            .spj_queries()
-            .iter()
-            .map(|(id, q)| (*id, q.atoms.clone()))
-            .collect();
-        let _ = optimize_subtree(
-            &mut plan,
-            target,
-            &ctx,
-            &OptimizerConfig::default(),
-            ReorderAlgorithm::Greedy,
-        );
-        let target_node = plan.find(target).unwrap();
-        let target_spjs: Vec<_> = target_node
-            .spj_queries()
-            .iter()
-            .map(|(id, _)| *id)
-            .collect();
-        for (id, atoms) in before {
-            let now = plan
-                .spj_queries()
-                .into_iter()
-                .find(|(i, _)| *i == id)
-                .unwrap()
-                .1
-                .atoms
-                .clone();
-            if !target_spjs.contains(&id) {
-                assert_eq!(atoms, now, "untouched node {id:?} must keep its order");
             }
         }
     }

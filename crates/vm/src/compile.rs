@@ -3,7 +3,7 @@
 //! The compiler is intentionally simple and fast: generating a program is a
 //! single pass over the (already join-ordered) IR subtree, which is what
 //! makes the bytecode backend cheap to invoke at runtime compared with the
-//! staged-closure backend (paper Fig. 5 shows the same relationship between
+//! staged `Quotes` backend (paper Fig. 5 shows the same relationship between
 //! the JVM-bytecode and quote backends).
 
 use carac_datalog::{HeadBinding, Term, VarId};

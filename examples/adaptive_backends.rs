@@ -1,6 +1,11 @@
 //! Exercise every compilation backend on the same query and compare what
-//! each one does: compilations performed, artifacts reused, re-orderings
-//! applied, deoptimizations, and wall-clock time.
+//! each one does: compilations performed, re-orderings applied,
+//! deoptimizations, descriptors built, and wall-clock time.
+//!
+//! `IrGen`, `Lambda` and `Quotes` compile a hot node to the same artifact —
+//! the descriptors of its re-ordered joins, which the plan walker runs — so
+//! they differ only in their label and in `Quotes`' modeled staging cost.
+//! `Bytecode` compiles to a VM program and builds no descriptors.
 //!
 //! Run with:
 //! ```text
@@ -25,8 +30,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     println!(
-        "{:<24} {:>10} {:>8} {:>9} {:>7} {:>12}",
-        "configuration", "time", "reorder", "compiles", "deopts", "result"
+        "{:<24} {:>10} {:>8} {:>9} {:>7} {:>11} {:>12}",
+        "configuration", "time", "reorder", "compiles", "deopts", "descriptors", "result"
     );
     let mut expected = None;
     for config in configs {
@@ -40,12 +45,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
         let stats = result.stats();
         println!(
-            "{:<24} {:>10.4?} {:>8} {:>9} {:>7} {:>12}",
+            "{:<24} {:>10.4?} {:>8} {:>9} {:>7} {:>11} {:>12}",
             label,
             stats.total_time,
             stats.reorders,
             stats.compilations(),
             stats.deopts,
+            stats.descriptor_builds,
             count
         );
     }

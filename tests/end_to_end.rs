@@ -1,7 +1,8 @@
 //! Cross-crate integration tests: frontend → plan → every execution
 //! configuration → identical fixpoints, including the baseline engines.
 
-use carac::knobs::BackendKind;
+use carac::exec::JitConfig;
+use carac::knobs::{BackendKind, OpKind};
 use carac::{Carac, EngineConfig};
 use carac_analysis::{
     ackermann, andersen, csda, cspa, fibonacci, inverse_functions, primes, Formulation,
@@ -10,8 +11,8 @@ use carac_baselines::{DlxConfig, DlxLike, SouffleConfig, SouffleLike, SouffleMod
 use carac_datalog::parser::parse;
 use std::time::Duration;
 
-/// Every engine configuration the facade exposes.
-fn all_configs() -> Vec<EngineConfig> {
+/// Every engine configuration the facade exposes, with its label.
+fn all_configs() -> Vec<(String, EngineConfig)> {
     let mut configs = vec![
         EngineConfig::interpreted(),
         EngineConfig::interpreted_unindexed(),
@@ -32,7 +33,32 @@ fn all_configs() -> Vec<EngineConfig> {
     }
     // The default: the same JIT under the adaptive tier-up policy.
     configs.push(EngineConfig::default());
-    configs
+    let mut labelled: Vec<(String, EngineConfig)> =
+        configs.into_iter().map(|c| (c.label(), c)).collect();
+    // Every compilation granularity, blocking and async: a node at the
+    // granularity is compiled (or pending) as a whole, so the loop and
+    // stratum operators must run whichever tier it is in.
+    for granularity in [
+        OpKind::Program,
+        OpKind::Stratum,
+        OpKind::DoWhile,
+        OpKind::Sequence,
+        OpKind::SwapClear,
+        OpKind::UnionAllRules,
+        OpKind::UnionRule,
+        OpKind::Spj,
+        OpKind::Aggregate,
+    ] {
+        for async_compile in [false, true] {
+            let config = EngineConfig::jit_with(JitConfig {
+                granularity,
+                tier_up_work: 0,
+                ..JitConfig::labelled(BackendKind::Lambda, async_compile)
+            });
+            labelled.push((format!("{} @ {granularity:?}", config.label()), config));
+        }
+    }
+    labelled
 }
 
 #[test]
@@ -55,8 +81,7 @@ fn every_configuration_agrees_on_every_workload() {
     for (workload, must_be_nonempty) in workloads {
         for formulation in Formulation::BOTH {
             let mut expected: Option<usize> = None;
-            for config in all_configs() {
-                let label = config.label();
+            for (label, config) in all_configs() {
                 let (count, _) = workload
                     .measure(formulation, config)
                     .unwrap_or_else(|e| panic!("{} / {label}: {e}", workload.name));

@@ -16,19 +16,21 @@
 //!   self-contained dump (program source + mutation + rendered artifact).
 //! * **Accepted mutants change nothing** — when the verifier accepts a
 //!   mutant (telemetry payloads, join-order permutations, dead loads), its
-//!   derived fact set is bit-identical to the original across the
-//!   interpreter (at 1, 2 and 8 worker threads), the specialized closure
-//!   kernels and the bytecode VM.
+//!   derived fact set is bit-identical to the original across the plan
+//!   walker (at 1, 2 and 8 worker threads; it runs the same descriptors as
+//!   every compiled artifact outside the VM) and the bytecode VM.
 //!
 //! The default sweep covers seeds `0..200`; `CARAC_FUZZ_SEEDS=N` widens it.
 
 use std::collections::BTreeMap;
 
-use carac::{knobs::BackendKind, Carac, EngineConfig, QueryBinding};
+use carac::exec::JitConfig;
+use carac::knobs::{BackendKind, StagingCostModel};
+use carac::{Carac, EngineConfig, QueryBinding};
 use carac_analysis::{fuzz_program, mutate_plan, mutate_vm, Expectation, FuzzCase, Workload};
 use carac_datalog::parser::parse;
 use carac_datalog::Program;
-use carac_exec::{backends, interpreter, ExecContext};
+use carac_exec::{interpreter, ExecContext};
 use carac_ir::{generate_plan, verify_plan, EvalStrategy, IRNode};
 use carac_storage::{Tuple, Value};
 use carac_vm::{compile_node, verify_program, Instr, Machine, VerifyError, VmProgram};
@@ -78,18 +80,6 @@ fn run_interpreted(
     let mut ctx = context(program, facts);
     ctx.set_parallelism(threads).expect("sharding");
     interpreter::interpret(plan, &mut ctx).expect("interpretation succeeds");
-    collect(program, &ctx)
-}
-
-/// Runs `plan` through the specialized full-closure kernels.
-fn run_closure(
-    program: &Program,
-    facts: &[(String, Vec<u32>)],
-    plan: &IRNode,
-) -> BTreeMap<String, Vec<Tuple>> {
-    let mut ctx = context(program, facts);
-    let closure = backends::compile_closure(plan);
-    closure(&mut ctx).expect("closure run succeeds");
     collect(program, &ctx)
 }
 
@@ -185,16 +175,6 @@ fn semantics_breaking_mutants_are_rejected_and_accepted_mutants_change_nothing()
                             case.reproducer()
                         );
                     }
-                    let closure = run_closure(&program, &case.facts, &mutant);
-                    assert_eq!(
-                        closure,
-                        expected,
-                        "seed {seed}: accepted plan mutant diverged (specialized closures)\n\
-                         mutation: {} — {}\n{}",
-                        mutation.kind,
-                        mutation.description,
-                        case.reproducer()
-                    );
                     let mutant_vm = compile_node(&mutant).unwrap_or_else(|e| {
                         panic!("seed {seed}: accepted mutant failed to compile: {e}")
                     });
@@ -308,15 +288,27 @@ fn all_figure_workloads_verify_clean_at_both_layers() {
 
 #[test]
 fn engine_paths_verify_clean_with_verification_forced_on() {
-    // End-to-end: the JIT install paths (blocking and async) and the
-    // magic-rewritten query path all run their artifacts through the
-    // verifier when `with_verify(true)` is set, and nothing is rejected.
+    // End-to-end: the JIT install paths (blocking and async, every backend)
+    // and the magic-rewritten query path all run their artifacts through
+    // the verifier when `with_verify(true)` is set, and nothing is
+    // rejected.
     let workload = carac_analysis::cspa(4, 1);
     let program = workload.program(carac_analysis::Formulation::HandOptimized);
     // `cspa(4)` is far below the default tier-up threshold: pinned to
     // compile-at-first-visit the install paths run; the default adaptive
     // policy is one more column.
+    let descriptors = |backend, async_compile| {
+        EngineConfig::jit_with(JitConfig {
+            tier_up_work: 0,
+            staging: StagingCostModel::free(),
+            ..JitConfig::labelled(backend, async_compile)
+        })
+    };
     for config in [
+        descriptors(BackendKind::Lambda, false),
+        descriptors(BackendKind::Lambda, true),
+        descriptors(BackendKind::Quotes, false),
+        descriptors(BackendKind::Quotes, true),
         EngineConfig::eager_jit(BackendKind::Bytecode, false),
         EngineConfig::eager_jit(BackendKind::Bytecode, true),
         EngineConfig::eager_jit(BackendKind::IrGen, false),

@@ -38,7 +38,7 @@ pub fn prepare_plan(
             scratch.register(&decl.name, decl.arity, decl.is_edb);
         }
         for (rel, tuple) in program.facts().iter().chain(extra_facts.iter()) {
-            scratch.insert_fact(*rel, tuple.clone())?;
+            scratch.insert_fact_row(*rel, tuple.values())?;
         }
         scratch.stats()
     } else {

@@ -1,5 +1,6 @@
 //! The Carac engine facade.
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use carac_datalog::hasher::{FxHashMap, FxHashSet};
@@ -88,7 +89,9 @@ pub(crate) struct LiveSession {
 /// ```
 #[derive(Debug)]
 pub struct Carac {
-    program: Program,
+    /// Shared with every [`QueryResult`] this engine returns, so a run
+    /// never copies the program.
+    program: Arc<Program>,
     config: EngineConfig,
     pub(crate) extra_facts: Vec<(RelId, Tuple)>,
     pub(crate) live: Option<LiveSession>,
@@ -104,7 +107,7 @@ impl Carac {
     /// the lambda backend, indexes enabled).
     pub fn new(program: Program) -> Self {
         Carac {
-            program,
+            program: Arc::new(program),
             config: EngineConfig::default(),
             extra_facts: Vec::new(),
             live: None,
@@ -194,7 +197,7 @@ impl Carac {
     /// ```
     pub fn run(&self) -> Result<QueryResult, CaracError> {
         let ctx = self.run_context()?;
-        Ok(QueryResult::new(self.program.clone(), ctx))
+        Ok(QueryResult::new(Arc::clone(&self.program), ctx))
     }
 
     /// Evaluates a single **goal-directed query** against the program: each
@@ -250,7 +253,7 @@ impl Carac {
         if decl.is_edb {
             let mut ctx = ExecContext::prepare(&self.program, self.config.use_indexes)?;
             for (r, tuple) in &self.extra_facts {
-                ctx.insert_fact(*r, tuple.clone())?;
+                ctx.storage.insert_fact_row(*r, tuple.values())?;
             }
             let tuples = filter_pattern(ctx.derived_tuples(rel), pattern);
             let derived_facts = ctx.storage.total_derived();
@@ -468,7 +471,7 @@ impl Carac {
         ctx.set_parallelism(self.config.parallelism)?;
         ctx.set_verify(self.config.verify);
         for (rel, tuple) in &self.extra_facts {
-            ctx.insert_fact(*rel, tuple.clone())?;
+            ctx.storage.insert_fact_row(*rel, tuple.values())?;
         }
         if let Some(trace) = self.config.tracing {
             ctx.stats.tracer = Tracer::new(trace);

@@ -1,5 +1,7 @@
 //! Query results.
 
+use std::sync::Arc;
+
 use carac_datalog::Program;
 use carac_exec::{ExecContext, RunStats};
 use carac_storage::{PoolStats, RelId, Tuple};
@@ -10,12 +12,12 @@ use crate::error::CaracError;
 /// the run statistics.
 #[derive(Debug)]
 pub struct QueryResult {
-    program: Program,
+    program: Arc<Program>,
     context: ExecContext,
 }
 
 impl QueryResult {
-    pub(crate) fn new(program: Program, context: ExecContext) -> Self {
+    pub(crate) fn new(program: Arc<Program>, context: ExecContext) -> Self {
         QueryResult { program, context }
     }
 

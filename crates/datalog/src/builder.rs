@@ -21,6 +21,17 @@
 //! let program = b.build().unwrap();
 //! assert_eq!(program.rules().len(), 2);
 //! ```
+//!
+//! [`ProgramBuilder::build`] runs in two steps.  It first resolves the names
+//! it was given: relations into declarations (first declaration wins, a
+//! conflicting arity is an error), variables into dense per-rule
+//! [`VarId`]s in first-use order (head, body atoms, constraints) through a
+//! small per-rule list, string constants into symbols in rule order and
+//! then fact order.  The resolved program then goes through the tail the
+//! parser enters directly with pieces it resolved while reading: aggregate
+//! rules are retargeted at hidden `<head>__agg_input` relations declared
+//! last, relations are classified, aggregations checked, the program
+//! validated and stratified.
 
 use carac_storage::{AggFunc, CmpOp, RelId, SymbolTable, Tuple, Value};
 
@@ -296,17 +307,120 @@ impl ProgramBuilder {
 
     /// Resolves names, validates the program, computes the stratification
     /// and returns the immutable [`Program`].
-    pub fn build(mut self) -> Result<Program, DatalogError> {
-        // 0. Rewrite aggregate rules: `Dist(y, min d) :- Body` becomes an
-        //    ordinary rule `Dist__agg_input(y, d) :- Body` plus an
-        //    aggregation registration from the hidden input to `Dist`.
-        self.rewrite_aggregate_rules()?;
+    pub fn build(self) -> Result<Program, DatalogError> {
+        ProgramBuilder::build_resolved(self.resolve()?)
+    }
 
-        // 1. Deduplicate relation declarations, checking arities.
+    /// Builds a program whose names are already resolved: the parser's
+    /// entry point, and the tail of [`ProgramBuilder::build`].  Rewrites
+    /// aggregate rules, classifies relations, checks aggregations,
+    /// validates and stratifies.
+    pub(crate) fn build_resolved(mut r: Resolved) -> Result<Program, DatalogError> {
+        // Aggregate rules: `Dist(y, min d) :- Body` becomes an ordinary
+        // rule `Dist__agg_input(y, d) :- Body` plus an aggregation from the
+        // hidden input to `Dist`.
+        r.rewrite_aggregate_rules()?;
+        let Resolved {
+            mut decls,
+            rules,
+            facts,
+            aggregates: raw_aggregates,
+            symbols,
+            ..
+        } = r;
+
+        // Anything appearing in a rule head — or receiving an aggregation —
+        // is IDB.
+        let mut has_rule = vec![false; decls.len()];
+        for rule in &rules {
+            has_rule[rule.head.rel.index()] = true;
+            decls[rule.head.rel.index()].is_edb = false;
+        }
+        for (output, _, _) in &raw_aggregates {
+            decls[output.index()].is_edb = false;
+        }
+
+        // Check each aggregation's shape: the output must be defined by the
+        // aggregation alone (no rules, no facts, exactly one spec) and share
+        // the input's arity.
+        let mut aggregates: Vec<AggregateSpec> = Vec::with_capacity(raw_aggregates.len());
+        if !raw_aggregates.is_empty() {
+            let mut has_fact = vec![false; decls.len()];
+            for (rel, _) in &facts {
+                has_fact[rel.index()] = true;
+            }
+            for (output, input, aggs) in raw_aggregates {
+                let output_name = || decls[output.index()].name.clone();
+                if has_rule[output.index()]
+                    || has_fact[output.index()]
+                    || aggregates.iter().any(|a| a.output == output)
+                {
+                    return Err(DatalogError::AggregateConflict {
+                        relation: output_name(),
+                    });
+                }
+                let (out_arity, in_arity) =
+                    (decls[output.index()].arity, decls[input.index()].arity);
+                if out_arity != in_arity {
+                    return Err(DatalogError::ArityMismatch {
+                        relation: output_name(),
+                        expected: out_arity,
+                        actual: in_arity,
+                    });
+                }
+                if let Some(&(col, _)) = aggs.iter().find(|&&(col, _)| col >= out_arity) {
+                    return Err(DatalogError::ArityMismatch {
+                        relation: output_name(),
+                        expected: out_arity,
+                        actual: col + 1,
+                    });
+                }
+                aggregates.push(AggregateSpec {
+                    output,
+                    input,
+                    aggs,
+                    // Refined during stratification: set when input and
+                    // output share a recursive stratum.
+                    lattice: false,
+                });
+            }
+        }
+
+        // Validate arities, safety (including constraint safety) and fact
+        // shapes.
+        validate::validate(&decls, &rules, &facts, &symbols)?;
+
+        // Stratify (rejects negation through recursion and classifies each
+        // aggregate as stratified or monotone-lattice).
+        let stratification = Stratification::compute(&decls, &rules, &mut aggregates)?;
+
+        Ok(Program::new(
+            decls,
+            rules,
+            facts,
+            aggregates,
+            symbols,
+            stratification,
+        ))
+    }
+
+    /// Resolves the builder's names and terms: relations deduplicate into
+    /// declarations in first-declared order, variables into dense per-rule
+    /// [`VarId`]s in first-use order, string constants intern in rule order
+    /// and then fact order.
+    fn resolve(self) -> Result<Resolved, DatalogError> {
+        let ProgramBuilder {
+            relations,
+            raw_rules,
+            raw_facts,
+            raw_aggregates,
+            mut symbols,
+        } = self;
+
         let mut decls: Vec<RelationDecl> = Vec::new();
-        let mut by_name: FxHashMap<String, RelId> = FxHashMap::default();
-        for (name, arity) in &self.relations {
-            if let Some(&existing) = by_name.get(name) {
+        let mut by_name: FxHashMap<&str, RelId> = FxHashMap::default();
+        for (name, arity) in &relations {
+            if let Some(&existing) = by_name.get(name.as_str()) {
                 let prev = &decls[existing.index()];
                 if prev.arity != *arity {
                     return Err(DatalogError::ConflictingDeclaration {
@@ -318,82 +432,47 @@ impl ProgramBuilder {
                 continue;
             }
             let id = RelId(decls.len() as u32);
-            by_name.insert(name.clone(), id);
+            by_name.insert(name, id);
             decls.push(RelationDecl {
                 id,
                 name: name.clone(),
                 arity: *arity,
-                is_edb: true, // refined below once rules are known
+                is_edb: true, // refined once rules are known
             });
         }
+        let lookup = |name: &str| -> Result<RelId, DatalogError> {
+            by_name
+                .get(name)
+                .copied()
+                .ok_or_else(|| DatalogError::UnknownRelation(name.to_string()))
+        };
 
-        let lookup =
-            |name: &str, by_name: &FxHashMap<String, RelId>| -> Result<RelId, DatalogError> {
-                by_name
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| DatalogError::UnknownRelation(name.to_string()))
-            };
-
-        // 2. Resolve rules: map names to RelIds and variable names to dense
-        //    per-rule VarIds.
-        let mut rules: Vec<Rule> = Vec::new();
-        for (rule_idx, raw) in self.raw_rules.iter().enumerate() {
-            let mut var_names: Vec<String> = Vec::new();
-            let mut var_ids: FxHashMap<String, VarId> = FxHashMap::default();
-            // The user-facing name of the rule's head: aggregate heads were
-            // rewritten to the hidden input relation, so diagnostics strip
-            // the reserved suffix back off.
-            let display_head = raw
-                .head_rel
-                .strip_suffix(AGG_INPUT_SUFFIX)
-                .unwrap_or(&raw.head_rel);
-            // `where_` names the relation (or, for constraints, the rule
-            // head) an aggregate term was illegally found in.
-            let mut resolve_term = |spec: &TermSpec,
-                                    symbols: &mut SymbolTable,
-                                    where_: &str|
-             -> Result<Term, DatalogError> {
-                match spec {
-                    TermSpec::Var(name) => {
-                        let id = *var_ids.entry(name.clone()).or_insert_with(|| {
-                            let id = VarId(var_names.len() as u32);
-                            var_names.push(name.clone());
-                            id
-                        });
-                        Ok(Term::Var(id))
+        let mut rules: Vec<Rule> = Vec::with_capacity(raw_rules.len());
+        let mut agg_rules = Vec::new();
+        let mut vars: Vec<&str> = Vec::new();
+        for (rule_idx, raw) in raw_rules.iter().enumerate() {
+            vars.clear();
+            let head_rel = lookup(&raw.head_rel)?;
+            let mut head_terms = Vec::with_capacity(raw.head_terms.len());
+            let mut agg_cols = Vec::new();
+            for (col, spec) in raw.head_terms.iter().enumerate() {
+                head_terms.push(match spec {
+                    TermSpec::Agg(func, name) => {
+                        agg_cols.push((col, *func));
+                        Term::Var(var_id(&mut vars, name))
                     }
-                    TermSpec::Int(n) => {
-                        if *n >= Value::SYMBOL_BASE {
-                            return Err(DatalogError::IntegerOutOfRange { value: *n });
-                        }
-                        Ok(Term::Const(Value::int(*n)))
-                    }
-                    TermSpec::Str(text) => Ok(Term::Const(symbols.intern(text))),
-                    TermSpec::Value(value) => Ok(Term::Const(*value)),
-                    TermSpec::Agg(..) => Err(DatalogError::AggregateMisplaced {
-                        relation: where_.to_string(),
-                    }),
-                }
-            };
-            let mut resolve_terms = |specs: &[TermSpec],
-                                     symbols: &mut SymbolTable,
-                                     where_: &str|
-             -> Result<Vec<Term>, DatalogError> {
-                specs
-                    .iter()
-                    .map(|s| resolve_term(s, symbols, where_))
-                    .collect()
-            };
-
-            let head_rel = lookup(&raw.head_rel, &by_name)?;
-            let head_terms = resolve_terms(&raw.head_terms, &mut self.symbols, display_head)?;
+                    _ => resolve_term(spec, &mut vars, &mut symbols, &raw.head_rel)?,
+                });
+            }
             let mut body = Vec::with_capacity(raw.body.len());
             for (rel_name, terms, negated) in &raw.body {
-                let rel = lookup(rel_name, &by_name)?;
-                let atom = Atom::new(rel, resolve_terms(terms, &mut self.symbols, rel_name)?);
+                let rel = lookup(rel_name)?;
+                let terms = terms
+                    .iter()
+                    .map(|t| resolve_term(t, &mut vars, &mut symbols, rel_name))
+                    .collect::<Result<_, _>>()?;
                 body.push(Literal {
-                    atom,
+                    atom: Atom::new(rel, terms),
                     negated: *negated,
                 });
             }
@@ -401,208 +480,176 @@ impl ProgramBuilder {
             for (lhs, op, rhs) in &raw.constraints {
                 constraints.push(Constraint {
                     op: *op,
-                    lhs: resolve_term(lhs, &mut self.symbols, display_head)?,
-                    rhs: resolve_term(rhs, &mut self.symbols, display_head)?,
+                    lhs: resolve_term(lhs, &mut vars, &mut symbols, &raw.head_rel)?,
+                    rhs: resolve_term(rhs, &mut vars, &mut symbols, &raw.head_rel)?,
                 });
+            }
+            if !agg_cols.is_empty() {
+                agg_rules.push((rule_idx, agg_cols));
             }
             rules.push(Rule {
                 id: RuleId(rule_idx as u32),
                 head: Atom::new(head_rel, head_terms),
                 body,
                 constraints,
-                var_names,
+                var_names: vars.iter().map(|name| (*name).to_string()).collect(),
                 origin: raw.origin.clone(),
             });
         }
 
-        // 3. Classify relations: anything appearing in a rule head — or
-        //    receiving an aggregation — is IDB.
-        for rule in &rules {
-            decls[rule.head.rel.index()].is_edb = false;
-        }
-        for (output, _, _) in &self.raw_aggregates {
-            let rel = lookup(output, &by_name)?;
-            decls[rel.index()].is_edb = false;
-        }
-
-        // 4. Resolve facts.
-        let mut facts: Vec<(RelId, Tuple)> = Vec::new();
-        for (rel_name, terms) in &self.raw_facts {
-            let rel = lookup(rel_name, &by_name)?;
+        let mut facts: Vec<(RelId, Tuple)> = Vec::with_capacity(raw_facts.len());
+        for (rel_name, terms) in &raw_facts {
+            let rel = lookup(rel_name)?;
             let mut values = Vec::with_capacity(terms.len());
             for term in terms {
-                match term {
-                    TermSpec::Int(n) => {
-                        if *n >= Value::SYMBOL_BASE {
-                            return Err(DatalogError::IntegerOutOfRange { value: *n });
-                        }
-                        values.push(Value::int(*n));
-                    }
-                    TermSpec::Str(text) => values.push(self.symbols.intern(text)),
-                    TermSpec::Value(value) => values.push(*value),
+                values.push(match term {
+                    TermSpec::Int(n) => int_value(*n)?,
+                    TermSpec::Str(text) => symbols.intern(text),
+                    TermSpec::Value(value) => *value,
                     TermSpec::Var(_) => return Err(DatalogError::NonGroundFact(rel_name.clone())),
                     TermSpec::Agg(..) => {
                         return Err(DatalogError::AggregateMisplaced {
                             relation: rel_name.clone(),
                         })
                     }
-                }
+                });
             }
             facts.push((rel, Tuple::new(values)));
         }
 
-        // 4b. Resolve aggregations and check their shape: the output must be
-        //     defined by the aggregation alone (no rules, no facts, exactly
-        //     one spec) and share the input's arity.
-        let mut aggregates: Vec<AggregateSpec> = Vec::new();
-        for (output_name, input_name, aggs) in &self.raw_aggregates {
-            let output = lookup(output_name, &by_name)?;
-            let input = lookup(input_name, &by_name)?;
-            if rules.iter().any(|r| r.head.rel == output)
-                || facts.iter().any(|(rel, _)| *rel == output)
-                || aggregates.iter().any(|a| a.output == output)
-            {
-                return Err(DatalogError::AggregateConflict {
-                    relation: output_name.clone(),
-                });
-            }
-            let (out_arity, in_arity) = (decls[output.index()].arity, decls[input.index()].arity);
-            if out_arity != in_arity {
-                return Err(DatalogError::ArityMismatch {
-                    relation: output_name.clone(),
-                    expected: out_arity,
-                    actual: in_arity,
-                });
-            }
-            for &(col, _) in aggs {
-                if col >= out_arity {
-                    return Err(DatalogError::ArityMismatch {
-                        relation: output_name.clone(),
-                        expected: out_arity,
-                        actual: col + 1,
-                    });
-                }
-            }
-            aggregates.push(AggregateSpec {
-                output,
-                input,
-                aggs: aggs.clone(),
-                // Refined during stratification: set when input and output
-                // share a recursive stratum.
-                lattice: false,
-            });
-        }
+        let aggregates = raw_aggregates
+            .iter()
+            .map(|(output, input, aggs)| Ok((lookup(output)?, lookup(input)?, aggs.clone())))
+            .collect::<Result<_, DatalogError>>()?;
 
-        // 5. Validate arities, safety (including constraint safety) and fact
-        //    shapes.
-        validate::validate(&decls, &rules, &facts, &self.symbols)?;
-
-        // 6. Stratify (rejects negation through recursion and classifies
-        //    each aggregate as stratified or monotone-lattice).
-        let stratification = Stratification::compute(&decls, &rules, &mut aggregates)?;
-
-        Ok(Program::new(
+        Ok(Resolved {
             decls,
             rules,
+            agg_rules,
             facts,
             aggregates,
-            self.symbols,
-            stratification,
-        ))
+            symbols,
+        })
     }
+}
 
-    /// Rewrites every rule whose head contains aggregate terms into an
-    /// ordinary rule deriving a hidden `<head>__agg_input` relation, plus a
-    /// raw aggregation registration from the hidden input to the original
-    /// head.
+/// Resolves one rule term.  `where_` names the relation (or, for
+/// constraints, the rule head) an aggregate term was illegally found in.
+fn resolve_term<'s>(
+    spec: &'s TermSpec,
+    vars: &mut Vec<&'s str>,
+    symbols: &mut SymbolTable,
+    where_: &str,
+) -> Result<Term, DatalogError> {
+    Ok(match spec {
+        TermSpec::Var(name) => Term::Var(var_id(vars, name)),
+        TermSpec::Int(n) => Term::Const(int_value(*n)?),
+        TermSpec::Str(text) => Term::Const(symbols.intern(text)),
+        TermSpec::Value(value) => Term::Const(*value),
+        TermSpec::Agg(..) => {
+            return Err(DatalogError::AggregateMisplaced {
+                relation: where_.to_string(),
+            })
+        }
+    })
+}
+
+/// The dense id of variable `name` within one rule, assigned in first-use
+/// order.  Rules have a handful of variables, so a linear scan beats a map.
+pub(crate) fn var_id<'s>(vars: &mut Vec<&'s str>, name: &'s str) -> VarId {
+    let index = vars.iter().position(|v| *v == name).unwrap_or_else(|| {
+        vars.push(name);
+        vars.len() - 1
+    });
+    VarId(index as u32)
+}
+
+/// A plain integer constant, rejected when it would collide with the
+/// interned-symbol range.
+fn int_value(n: u32) -> Result<Value, DatalogError> {
+    if n >= Value::SYMBOL_BASE {
+        return Err(DatalogError::IntegerOutOfRange { value: n });
+    }
+    Ok(Value::int(n))
+}
+
+/// The aggregated columns of an aggregation, with their functions.
+pub(crate) type AggSignature = Vec<(usize, AggFunc)>;
+
+/// A program with every name resolved, before aggregate rules are
+/// rewritten: relation declarations (all EDB until classified), rules with
+/// dense ids, ground facts, aggregations and the symbol table.  The parser
+/// produces it directly; [`ProgramBuilder::build`] produces it from the
+/// names it was given.
+pub(crate) struct Resolved {
+    pub(crate) decls: Vec<RelationDecl>,
+    pub(crate) rules: Vec<Rule>,
+    /// `(rule index, aggregated head columns)` of every rule written with
+    /// aggregate head terms, in rule order.  Those head terms are already
+    /// plain variables in the rule.
+    pub(crate) agg_rules: Vec<(usize, AggSignature)>,
+    pub(crate) facts: Vec<(RelId, Tuple)>,
+    /// Registered aggregations: output, input, `(column, function)` pairs.
+    pub(crate) aggregates: Vec<(RelId, RelId, AggSignature)>,
+    pub(crate) symbols: SymbolTable,
+}
+
+impl Resolved {
+    /// Retargets every aggregate rule at a hidden `<head>__agg_input`
+    /// relation, declared after every other relation, and registers one
+    /// aggregation from it to the original head.
     ///
     /// Several rules may aggregate into the same output — e.g. the base and
     /// recursive rules of a lattice fold like single-rule shortest path —
     /// as long as every rule deriving that head aggregates the same columns
     /// with the same functions; they all feed one shared hidden input and
     /// register one aggregation.  Mixing aggregate and plain rules on one
-    /// head stays rejected.
+    /// head stays rejected, and so does any declaration of the reserved
+    /// hidden name: it would silently contaminate the aggregate's input.
     fn rewrite_aggregate_rules(&mut self) -> Result<(), DatalogError> {
-        // Count rules per head so aggregate heads can insist that every
-        // sibling rule is also an aggregate rule.
-        let mut head_counts: FxHashMap<String, usize> = FxHashMap::default();
-        for raw in &self.raw_rules {
-            *head_counts.entry(raw.head_rel.clone()).or_insert(0) += 1;
+        if self.agg_rules.is_empty() {
+            return Ok(());
         }
-        // Phase 1: group the aggregate rules by output, checking signature
-        // agreement, and check that each hidden name is genuinely fresh —
-        // `<head>__agg_input` is reserved, so any user declaration, rule or
-        // fact touching it would silently contaminate the aggregate's input
-        // and is rejected instead.
-        // Rule indices sharing the head, plus the agreed (column, function)
-        // aggregate signature.
-        type AggGroup = (Vec<usize>, Vec<(usize, AggFunc)>);
-        let mut outputs: Vec<String> = Vec::new();
-        let mut grouped: FxHashMap<String, AggGroup> = FxHashMap::default();
-        for (idx, raw) in self.raw_rules.iter().enumerate() {
-            let agg_cols: Vec<(usize, AggFunc)> = raw
-                .head_terms
-                .iter()
-                .enumerate()
-                .filter_map(|(i, t)| match t {
-                    TermSpec::Agg(func, _) => Some((i, *func)),
-                    _ => None,
-                })
-                .collect();
-            if agg_cols.is_empty() {
-                continue;
-            }
-            let output = raw.head_rel.clone();
-            match grouped.get_mut(&output) {
-                Some((idxs, cols)) => {
-                    if *cols != agg_cols {
-                        return Err(DatalogError::AggregateConflict { relation: output });
-                    }
-                    idxs.push(idx);
-                }
-                None => {
-                    outputs.push(output.clone());
-                    grouped.insert(output, (vec![idx], agg_cols));
-                }
+        let conflict = |decls: &[RelationDecl], rel: RelId| DatalogError::AggregateConflict {
+            relation: decls[rel.index()].name.clone(),
+        };
+        // Group the aggregate rules by output in first-seen order, checking
+        // that their signatures agree: (output, member rules, signature).
+        type AggGroup = (RelId, Vec<usize>, AggSignature);
+        let mut groups: Vec<AggGroup> = Vec::new();
+        for (idx, cols) in std::mem::take(&mut self.agg_rules) {
+            let output = self.rules[idx].head.rel;
+            match groups.iter_mut().find(|g| g.0 == output) {
+                Some(group) if group.2 != cols => return Err(conflict(&self.decls, output)),
+                Some(group) => group.1.push(idx),
+                None => groups.push((output, vec![idx], cols)),
             }
         }
-        for output in &outputs {
-            let (idxs, _) = &grouped[output];
-            // Every rule deriving this head must be one of the aggregate
-            // rules; a plain sibling rule would bypass the fold.
-            if head_counts.get(output).copied().unwrap_or(0) != idxs.len() {
-                return Err(DatalogError::AggregateConflict {
-                    relation: output.clone(),
-                });
-            }
-            let hidden = format!("{output}{AGG_INPUT_SUFFIX}");
-            let mentioned = self.relations.iter().any(|(n, _)| n == &hidden)
-                || self.raw_facts.iter().any(|(n, _)| n == &hidden)
-                || self
-                    .raw_rules
-                    .iter()
-                    .any(|r| r.head_rel == hidden || r.body.iter().any(|(n, _, _)| n == &hidden));
-            if mentioned {
-                return Err(DatalogError::AggregateConflict { relation: hidden });
-            }
+        let mut head_counts = vec![0usize; self.decls.len()];
+        for rule in &self.rules {
+            head_counts[rule.head.rel.index()] += 1;
         }
-        // Phase 2: apply — declare the hidden relation once per output,
-        // retarget every member rule's head at it, register the aggregation.
-        for output in outputs {
-            let (idxs, agg_cols) = grouped.remove(&output).expect("grouped by construction");
-            let hidden = format!("{output}{AGG_INPUT_SUFFIX}");
-            let arity = self.raw_rules[idxs[0]].head_terms.len();
-            self.relations.push((hidden.clone(), arity));
+        for (output, idxs, cols) in groups {
+            // Every rule deriving an aggregated head must be one of its
+            // aggregate rules; a plain sibling rule would bypass the fold.
+            if head_counts[output.index()] != idxs.len() {
+                return Err(conflict(&self.decls, output));
+            }
+            let name = format!("{}{AGG_INPUT_SUFFIX}", self.decls[output.index()].name);
+            if self.decls.iter().any(|d| d.name == name) {
+                return Err(DatalogError::AggregateConflict { relation: name });
+            }
+            let hidden = RelId(self.decls.len() as u32);
+            self.decls.push(RelationDecl {
+                id: hidden,
+                name,
+                arity: self.rules[idxs[0]].head.arity(),
+                is_edb: true,
+            });
             for idx in idxs {
-                let raw = &mut self.raw_rules[idx];
-                for term in &mut raw.head_terms {
-                    if let TermSpec::Agg(_, var) = term {
-                        *term = TermSpec::Var(std::mem::take(var));
-                    }
-                }
-                raw.head_rel = hidden.clone();
+                self.rules[idx].head.rel = hidden;
             }
-            self.raw_aggregates.push((output, hidden, agg_cols));
+            self.aggregates.push((output, hidden, cols));
         }
         Ok(())
     }

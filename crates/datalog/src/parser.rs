@@ -18,8 +18,10 @@
 //! * clauses end with `.`,
 //! * a clause without `:-` whose terms are all constants is a fact,
 //! * numbers are integer constants (at most `2^31 - 1`), double-quoted
-//!   strings are string constants, bare identifiers in term position are
-//!   variables,
+//!   strings are string constants (no escapes), bare identifiers in term
+//!   position are variables,
+//! * identifiers start with a letter or `_` and continue with letters,
+//!   digits or `_` (Unicode letters and digits included),
 //! * `!` negates a body literal,
 //! * body positions may hold comparison constraints between terms:
 //!   `Near(y) :- Dist(y, d), d < 10.` (operators `<`, `<=`, `>`, `>=`,
@@ -30,25 +32,47 @@
 //!   stratified like negation; an aggregate whose rules recurse through the
 //!   aggregated head (`Dist(y, min d2) :- Dist(x, d1), ...`) runs as a
 //!   monotone lattice fold inside the recursion,
-//! * `%`, `#` and `//` start line comments,
+//! * `%`, `#` and `//` start line comments; whitespace is any Unicode
+//!   whitespace,
 //! * relations are declared implicitly by use; arities must be consistent.
+//!
+//! **How text becomes a [`Program`].**  A byte-level lexer walks the source
+//! once and hands out tokens that borrow from it; only non-ASCII bytes fall
+//! back to `char` classification.  The parser pulls one token at a time and
+//! resolves as it reads: a relation name becomes its declaration index the
+//! first time it is seen (per clause, the head and then the body atoms), a
+//! variable its dense per-rule [`VarId`](crate::ast::VarId), a rule's string
+//! constant its interned symbol.  Facts' string constants are interned after
+//! every rule's, so symbols keep the builder's order: rule constants in rule
+//! order, then facts.  The finished pieces go to
+//! [`ProgramBuilder`]'s crate-private
+//! entry point, which rewrites aggregate rules, validates and stratifies.
+//! Line and column are computed only where they are reported — a rule's
+//! provenance and a parse error — as 1-based char positions; every parse
+//! error cites the first character of the token it could not use.
 
-use carac_storage::{AggFunc, CmpOp, Value};
+use carac_storage::hasher::FxHashMap;
+use carac_storage::{AggFunc, CmpOp, RelId, SymbolTable, Tuple, Value};
 
-use crate::builder::{ProgramBuilder, TermSpec};
+use crate::ast::{Atom, Constraint, Literal, RelationDecl, Rule, RuleId, RuleOrigin, Term};
+use crate::builder::{var_id, AggSignature, ProgramBuilder, Resolved};
 use crate::error::DatalogError;
 use crate::program::Program;
 
 /// Parses a Datalog program from text.
 pub fn parse(source: &str) -> Result<Program, DatalogError> {
-    Parser::new(source).parse_program()
+    let mut parser = Parser::new(source)?;
+    while parser.tok.is_some() {
+        parser.clause()?;
+    }
+    parser.finish()
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
     Int(u32),
-    Str(String),
+    Str(&'a str),
     LParen,
     RParen,
     Comma,
@@ -58,484 +82,519 @@ enum Token {
     Cmp(CmpOp),
 }
 
+/// The 1-based line and char column of byte `offset` in `src`.
+fn position(src: &str, offset: usize) -> (usize, usize) {
+    let before = &src[..offset];
+    let line_start = before.rfind('\n').map_or(0, |i| i + 1);
+    let line = 1 + before.bytes().filter(|&b| b == b'\n').count();
+    (line, 1 + before[line_start..].chars().count())
+}
+
+fn error_at(src: &str, offset: usize, message: impl Into<String>) -> DatalogError {
+    let (line, column) = position(src, offset);
+    DatalogError::Parse {
+        line,
+        column,
+        message: message.into(),
+    }
+}
+
+/// The char starting at byte `offset` (which must be a char boundary).
+fn char_at(src: &str, offset: usize) -> char {
+    src[offset..].chars().next().unwrap_or('\0')
+}
+
+fn is_ident_start(c: char) -> bool {
+    c.is_alphabetic() || c == '_'
+}
+
+fn is_ident_continue(c: char) -> bool {
+    c.is_alphanumeric() || c == '_'
+}
+
 struct Lexer<'a> {
-    chars: std::iter::Peekable<std::str::Chars<'a>>,
-    line: usize,
-    column: usize,
-}
-
-impl<'a> Lexer<'a> {
-    fn new(source: &'a str) -> Self {
-        Lexer {
-            chars: source.chars().peekable(),
-            line: 1,
-            column: 1,
-        }
-    }
-
-    fn error(&self, message: impl Into<String>) -> DatalogError {
-        DatalogError::Parse {
-            line: self.line,
-            column: self.column,
-            message: message.into(),
-        }
-    }
-
-    fn bump(&mut self) -> Option<char> {
-        let c = self.chars.next();
-        if let Some(c) = c {
-            if c == '\n' {
-                self.line += 1;
-                self.column = 1;
-            } else {
-                self.column += 1;
-            }
-        }
-        c
-    }
-
-    fn skip_trivia(&mut self) {
-        loop {
-            match self.chars.peek() {
-                Some(c) if c.is_whitespace() => {
-                    self.bump();
-                }
-                Some('%') | Some('#') => {
-                    while let Some(&c) = self.chars.peek() {
-                        if c == '\n' {
-                            break;
-                        }
-                        self.bump();
-                    }
-                }
-                Some('/') => {
-                    // Only treat as a comment if followed by another '/'.
-                    let mut clone = self.chars.clone();
-                    clone.next();
-                    if clone.peek() == Some(&'/') {
-                        while let Some(&c) = self.chars.peek() {
-                            if c == '\n' {
-                                break;
-                            }
-                            self.bump();
-                        }
-                    } else {
-                        break;
-                    }
-                }
-                _ => break,
-            }
-        }
-    }
-
-    fn next_token(&mut self) -> Result<Option<(Token, usize, usize)>, DatalogError> {
-        self.skip_trivia();
-        let (line, column) = (self.line, self.column);
-        let Some(&c) = self.chars.peek() else {
-            return Ok(None);
-        };
-        let token = match c {
-            '(' => {
-                self.bump();
-                Token::LParen
-            }
-            ')' => {
-                self.bump();
-                Token::RParen
-            }
-            ',' => {
-                self.bump();
-                Token::Comma
-            }
-            '.' => {
-                self.bump();
-                Token::Dot
-            }
-            '!' => {
-                self.bump();
-                match self.chars.peek() {
-                    Some('=') => {
-                        self.bump();
-                        Token::Cmp(CmpOp::Ne)
-                    }
-                    _ => Token::Bang,
-                }
-            }
-            '<' => {
-                self.bump();
-                match self.chars.peek() {
-                    Some('=') => {
-                        self.bump();
-                        Token::Cmp(CmpOp::Le)
-                    }
-                    _ => Token::Cmp(CmpOp::Lt),
-                }
-            }
-            '>' => {
-                self.bump();
-                match self.chars.peek() {
-                    Some('=') => {
-                        self.bump();
-                        Token::Cmp(CmpOp::Ge)
-                    }
-                    _ => Token::Cmp(CmpOp::Gt),
-                }
-            }
-            '=' => {
-                self.bump();
-                Token::Cmp(CmpOp::Eq)
-            }
-            ':' => {
-                self.bump();
-                match self.chars.peek() {
-                    Some('-') => {
-                        self.bump();
-                        Token::Turnstile
-                    }
-                    _ => return Err(self.error("expected `-` after `:`")),
-                }
-            }
-            '"' => {
-                self.bump();
-                let mut text = String::new();
-                loop {
-                    match self.bump() {
-                        Some('"') => break,
-                        Some(ch) => text.push(ch),
-                        None => return Err(self.error("unterminated string literal")),
-                    }
-                }
-                Token::Str(text)
-            }
-            c if c.is_ascii_digit() => {
-                // Plain integers share the 32-bit value space with interned
-                // symbols, so literals must stay below `Value::SYMBOL_BASE`
-                // (2^31); larger literals would corrupt into symbol ids.
-                let mut n: u64 = 0;
-                while let Some(&d) = self.chars.peek() {
-                    if let Some(digit) = d.to_digit(10) {
-                        n = n * 10 + digit as u64;
-                        if n >= Value::SYMBOL_BASE as u64 {
-                            return Err(self.error(format!(
-                                "integer literal out of range (max {})",
-                                Value::SYMBOL_BASE - 1
-                            )));
-                        }
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                Token::Int(n as u32)
-            }
-            c if c.is_alphabetic() || c == '_' => {
-                let mut ident = String::new();
-                while let Some(&ch) = self.chars.peek() {
-                    if ch.is_alphanumeric() || ch == '_' {
-                        ident.push(ch);
-                        self.bump();
-                    } else {
-                        break;
-                    }
-                }
-                Token::Ident(ident)
-            }
-            other => return Err(self.error(format!("unexpected character `{other}`"))),
-        };
-        Ok(Some((token, line, column)))
-    }
-}
-
-struct Parser {
-    tokens: Vec<(Token, usize, usize)>,
+    src: &'a str,
     pos: usize,
 }
 
-/// A parsed atom before classification into fact/rule pieces.
-struct ParsedAtom {
-    rel: String,
-    terms: Vec<TermSpec>,
-    negated: bool,
+impl<'a> Lexer<'a> {
+    /// Skips whitespace and comments.
+    fn skip_trivia(&mut self) {
+        let bytes = self.src.as_bytes();
+        while let Some(&b) = bytes.get(self.pos) {
+            match b {
+                b' ' | b'\t' | b'\n' | b'\r' | 0x0B | 0x0C => self.pos += 1,
+                b'%' | b'#' => self.skip_line(),
+                b'/' if bytes.get(self.pos + 1) == Some(&b'/') => self.skip_line(),
+                0x80.. => {
+                    let c = char_at(self.src, self.pos);
+                    if !c.is_whitespace() {
+                        return;
+                    }
+                    self.pos += c.len_utf8();
+                }
+                _ => return,
+            }
+        }
+    }
+
+    /// Moves to the end of the line (the newline stays).
+    fn skip_line(&mut self) {
+        let rest = &self.src.as_bytes()[self.pos..];
+        self.pos += rest.iter().position(|&b| b == b'\n').unwrap_or(rest.len());
+    }
+
+    /// The next token and the byte offset it starts at, `None` at the end.
+    fn next_token(&mut self) -> Result<Option<(Token<'a>, usize)>, DatalogError> {
+        self.skip_trivia();
+        let bytes = self.src.as_bytes();
+        let start = self.pos;
+        let Some(&b) = bytes.get(start) else {
+            return Ok(None);
+        };
+        let next_is = |c: u8| bytes.get(start + 1) == Some(&c);
+        let (token, len) = match b {
+            b'(' => (Token::LParen, 1),
+            b')' => (Token::RParen, 1),
+            b',' => (Token::Comma, 1),
+            b'.' => (Token::Dot, 1),
+            b'!' if next_is(b'=') => (Token::Cmp(CmpOp::Ne), 2),
+            b'!' => (Token::Bang, 1),
+            b'<' if next_is(b'=') => (Token::Cmp(CmpOp::Le), 2),
+            b'<' => (Token::Cmp(CmpOp::Lt), 1),
+            b'>' if next_is(b'=') => (Token::Cmp(CmpOp::Ge), 2),
+            b'>' => (Token::Cmp(CmpOp::Gt), 1),
+            b'=' => (Token::Cmp(CmpOp::Eq), 1),
+            b':' if next_is(b'-') => (Token::Turnstile, 2),
+            b':' => return Err(error_at(self.src, start, "expected `-` after `:`")),
+            b'"' => match bytes[start + 1..].iter().position(|&c| c == b'"') {
+                Some(len) => (Token::Str(&self.src[start + 1..start + 1 + len]), len + 2),
+                None => return Err(error_at(self.src, start, "unterminated string literal")),
+            },
+            b'0'..=b'9' => {
+                // Plain integers share the 32-bit value space with interned
+                // symbols, so literals must stay below `Value::SYMBOL_BASE`
+                // (2^31); larger literals would corrupt into symbol ids.
+                let digits = bytes[start..].iter().take_while(|c| c.is_ascii_digit());
+                let mut n: u64 = 0;
+                let mut len = 0;
+                for &d in digits {
+                    n = n * 10 + u64::from(d - b'0');
+                    if n >= u64::from(Value::SYMBOL_BASE) {
+                        return Err(error_at(
+                            self.src,
+                            start,
+                            format!(
+                                "integer literal out of range (max {})",
+                                Value::SYMBOL_BASE - 1
+                            ),
+                        ));
+                    }
+                    len += 1;
+                }
+                (Token::Int(n as u32), len)
+            }
+            _ => {
+                let c = char_at(self.src, start);
+                if !is_ident_start(c) {
+                    return Err(error_at(
+                        self.src,
+                        start,
+                        format!("unexpected character `{c}`"),
+                    ));
+                }
+                let mut end = start + c.len_utf8();
+                while let Some(&b) = bytes.get(end) {
+                    if b.is_ascii_alphanumeric() || b == b'_' {
+                        end += 1;
+                    } else if b >= 0x80 && is_ident_continue(char_at(self.src, end)) {
+                        end += char_at(self.src, end).len_utf8();
+                    } else {
+                        break;
+                    }
+                }
+                (Token::Ident(&self.src[start..end]), end - start)
+            }
+        };
+        self.pos = start + len;
+        Ok(Some((token, start)))
+    }
 }
 
-/// A parsed comparison constraint in a rule body.
-struct ParsedConstraint {
-    lhs: TermSpec,
-    op: CmpOp,
-    rhs: TermSpec,
+/// A term as read, before the clause is known to be a rule or a fact.
+#[derive(Clone, Copy)]
+enum Spec<'a> {
+    Var(&'a str),
+    Int(u32),
+    Str(&'a str),
+    Agg(AggFunc, &'a str),
 }
 
-/// A parsed clause: head, body atoms, body constraints, plus the 1-based
-/// source position of the head token (threaded into [`Rule`] provenance so
-/// diagnostics can cite the offending line).
-///
-/// [`Rule`]: crate::ast::Rule
-struct ParsedClause {
-    head: ParsedAtom,
-    body: Vec<ParsedAtom>,
-    constraints: Vec<ParsedConstraint>,
-    pos: (usize, usize),
+/// Tracks the line of a forward-moving byte offset, so rule positions cost
+/// one pass over the source in total.
+#[derive(Default)]
+struct Lines {
+    offset: usize,
+    line: usize,
+    line_start: usize,
 }
 
-impl Parser {
-    fn new(source: &str) -> Self {
-        // Tokenize eagerly; errors surface during `parse_program`.
-        let mut lexer = Lexer::new(source);
-        let mut tokens = Vec::new();
+impl Lines {
+    /// The 1-based line and char column of `offset`, which must not lie
+    /// before the previous call's.
+    fn locate(&mut self, src: &str, offset: usize) -> (usize, usize) {
+        let skipped = &src.as_bytes()[self.offset..offset];
+        for (i, &b) in skipped.iter().enumerate() {
+            if b == b'\n' {
+                self.line += 1;
+                self.line_start = self.offset + i + 1;
+            }
+        }
+        self.offset = offset;
+        let line_text = &src[self.line_start..offset];
+        let column = if line_text.is_ascii() {
+            line_text.len()
+        } else {
+            line_text.chars().count()
+        };
+        (self.line + 1, column + 1)
+    }
+}
+
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The current token and the byte offset it starts at.
+    tok: Option<Token<'a>>,
+    start: usize,
+    /// Start of the last token consumed (cited by end-of-input errors).
+    prev: usize,
+    lines: Lines,
+    names: FxHashMap<&'a str, RelId>,
+    /// The relation resolved last: facts come in runs of one relation.
+    last: (&'a str, RelId),
+    decls: Vec<RelationDecl>,
+    rules: Vec<Rule>,
+    agg_rules: Vec<(usize, AggSignature)>,
+    facts: Vec<(RelId, Tuple)>,
+    /// `(fact index, column, text)` of facts' string constants, interned
+    /// once every rule has been read.
+    fact_strings: Vec<(usize, usize, &'a str)>,
+    symbols: SymbolTable,
+    // Scratch buffers reused across clauses.
+    specs: Vec<Spec<'a>>,
+    vars: Vec<&'a str>,
+    body: Vec<Literal>,
+    constraints: Vec<(Spec<'a>, CmpOp, Spec<'a>)>,
+}
+
+impl<'a> Parser<'a> {
+    fn new(src: &'a str) -> Result<Self, DatalogError> {
+        // Every clause ends with a dot: an upper bound to size the lists by
+        // (trimmed when the parse is done).
+        let clauses = src.bytes().filter(|&b| b == b'.').count();
+        let mut parser = Parser {
+            lexer: Lexer { src, pos: 0 },
+            tok: None,
+            start: 0,
+            prev: 0,
+            lines: Lines::default(),
+            names: FxHashMap::with_capacity_and_hasher(16, Default::default()),
+            last: ("", RelId(0)),
+            decls: Vec::new(),
+            rules: Vec::with_capacity(clauses),
+            agg_rules: Vec::new(),
+            facts: Vec::with_capacity(clauses),
+            fact_strings: Vec::new(),
+            symbols: SymbolTable::new(),
+            specs: Vec::new(),
+            vars: Vec::new(),
+            body: Vec::new(),
+            constraints: Vec::new(),
+        };
+        parser.advance()?;
+        Ok(parser)
+    }
+
+    /// Moves to the next token.
+    fn advance(&mut self) -> Result<(), DatalogError> {
+        self.prev = self.start;
+        match self.lexer.next_token()? {
+            Some((tok, start)) => {
+                self.tok = Some(tok);
+                self.start = start;
+            }
+            None => self.tok = None,
+        }
+        Ok(())
+    }
+
+    /// Consumes and returns the current token.
+    fn bump(&mut self) -> Result<Option<Token<'a>>, DatalogError> {
+        let tok = self.tok;
+        self.advance()?;
+        Ok(tok)
+    }
+
+    /// An error citing the token just consumed (or, past the end, the last
+    /// token of the source).
+    fn error(&self, message: String) -> DatalogError {
+        error_at(self.lexer.src, self.prev, message)
+    }
+
+    fn expect(&mut self, expected: Token<'a>, what: &str) -> Result<(), DatalogError> {
+        match self.bump()? {
+            Some(t) if t == expected => Ok(()),
+            Some(t) => Err(self.error(format!("expected {what}, found {t:?}"))),
+            None => Err(self.error(format!("expected {what}, found end of input"))),
+        }
+    }
+
+    fn relation_name(&mut self) -> Result<&'a str, DatalogError> {
+        match self.bump()? {
+            Some(Token::Ident(name)) => Ok(name),
+            other => Err(self.error(format!("expected relation name, found {other:?}"))),
+        }
+    }
+
+    /// The relation `name`, declared with `arity` on first use.
+    fn relation(&mut self, name: &'a str, arity: usize) -> RelId {
+        if self.last.0 == name {
+            return self.last.1;
+        }
+        let next = RelId(self.decls.len() as u32);
+        let id = *self.names.entry(name).or_insert(next);
+        self.last = (name, id);
+        if id != next {
+            return id;
+        }
+        self.decls.push(RelationDecl {
+            id,
+            name: name.to_string(),
+            arity,
+            is_edb: true, // classified by the builder
+        });
+        id
+    }
+
+    /// Parses `( term, ... )` into `self.specs`.  In a head, `count v` /
+    /// `sum v` / `min v` / `max v` is an aggregate term; a bare aggregate
+    /// keyword stays an ordinary variable.
+    fn terms(&mut self, is_head: bool) -> Result<(), DatalogError> {
+        self.expect(Token::LParen, "`(`")?;
+        self.specs.clear();
         loop {
-            match lexer.next_token() {
-                Ok(Some(t)) => tokens.push(t),
-                Ok(None) => break,
-                Err(err) => {
-                    // Store a poison marker by re-raising later: simplest is
-                    // to stash the error as a pseudo token; instead we keep
-                    // the error by storing it in the struct.
-                    tokens.push((Token::Ident(format!("\u{0}lex-error:{err}")), 0, 0));
-                    break;
-                }
-            }
-        }
-        Parser { tokens, pos: 0 }
-    }
-
-    fn error_at(&self, message: impl Into<String>) -> DatalogError {
-        let (line, column) = self
-            .tokens
-            .get(self.pos.min(self.tokens.len().saturating_sub(1)))
-            .map_or((0, 0), |&(_, l, c)| (l, c));
-        DatalogError::Parse {
-            line,
-            column,
-            message: message.into(),
-        }
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|(t, _, _)| t)
-    }
-
-    fn bump(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).map(|(t, _, _)| t.clone());
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn expect(&mut self, expected: &Token, what: &str) -> Result<(), DatalogError> {
-        match self.bump() {
-            Some(t) if &t == expected => Ok(()),
-            Some(t) => Err(self.error_at(format!("expected {what}, found {t:?}"))),
-            None => Err(self.error_at(format!("expected {what}, found end of input"))),
-        }
-    }
-
-    fn parse_program(mut self) -> Result<Program, DatalogError> {
-        // Surface lexer errors.
-        for (token, _, _) in &self.tokens {
-            if let Token::Ident(text) = token {
-                if let Some(rest) = text.strip_prefix('\u{0}') {
-                    let message = rest.trim_start_matches("lex-error:").to_string();
-                    return Err(DatalogError::Parse {
-                        line: 0,
-                        column: 0,
-                        message,
-                    });
-                }
-            }
-        }
-
-        let mut builder = ProgramBuilder::new();
-        // Relations are declared implicitly; remember first-seen arities and
-        // declare them all before building.
-        let mut clauses: Vec<ParsedClause> = Vec::new();
-        while self.peek().is_some() {
-            let clause = self.parse_clause()?;
-            clauses.push(clause);
-        }
-
-        // Declare relations with their first-seen arity; the builder's
-        // validation catches inconsistent later uses.
-        let mut declared: Vec<(String, usize)> = Vec::new();
-        {
-            let mut declare = |atom: &ParsedAtom| {
-                if !declared.iter().any(|(n, _)| n == &atom.rel) {
-                    declared.push((atom.rel.clone(), atom.terms.len()));
-                }
-            };
-            for clause in &clauses {
-                declare(&clause.head);
-                for atom in &clause.body {
-                    declare(atom);
-                }
-            }
-        }
-        for (name, arity) in &declared {
-            builder.relation(name, *arity);
-        }
-
-        for clause in clauses {
-            let ParsedClause {
-                head,
-                body,
-                constraints,
-                pos,
-            } = clause;
-            let is_fact = body.is_empty()
-                && constraints.is_empty()
-                && head
-                    .terms
-                    .iter()
-                    .all(|t| !matches!(t, TermSpec::Var(_) | TermSpec::Agg(..)));
-            if is_fact {
-                builder.fact(&head.rel, &head.terms);
-            } else {
-                let mut rb = builder.rule(&head.rel, &head.terms);
-                for atom in body {
-                    rb = if atom.negated {
-                        rb.when_not(&atom.rel, &atom.terms)
+            let spec = match self.bump()? {
+                Some(Token::Ident(name)) => {
+                    let agg = if is_head {
+                        AggFunc::from_name(name)
                     } else {
-                        rb.when(&atom.rel, &atom.terms)
+                        None
                     };
-                }
-                for c in constraints {
-                    rb = rb.constrain(c.lhs, c.op, c.rhs);
-                }
-                rb.at(pos.0, pos.1).end();
-            }
-        }
-        builder.build()
-    }
-
-    /// Peeks `offset` tokens ahead without consuming.
-    fn peek_at(&self, offset: usize) -> Option<&Token> {
-        self.tokens.get(self.pos + offset).map(|(t, _, _)| t)
-    }
-
-    fn parse_clause(&mut self) -> Result<ParsedClause, DatalogError> {
-        let pos = self
-            .tokens
-            .get(self.pos)
-            .map_or((0, 0), |&(_, line, col)| (line, col));
-        let head = self.parse_atom(false, true)?;
-        let mut body = Vec::new();
-        let mut constraints = Vec::new();
-        match self.peek() {
-            Some(Token::Dot) => {
-                self.bump();
-            }
-            Some(Token::Turnstile) => {
-                self.bump();
-                loop {
-                    let negated = if matches!(self.peek(), Some(Token::Bang)) {
-                        self.bump();
-                        true
-                    } else {
-                        false
-                    };
-                    // `Ident (` starts an atom; anything else in a (positive)
-                    // body position must be a comparison constraint.
-                    let is_atom = matches!(self.peek(), Some(Token::Ident(_)))
-                        && matches!(self.peek_at(1), Some(Token::LParen));
-                    if negated || is_atom {
-                        body.push(self.parse_atom(negated, false)?);
-                    } else {
-                        constraints.push(self.parse_constraint()?);
-                    }
-                    match self.bump() {
-                        Some(Token::Comma) => {}
-                        Some(Token::Dot) => break,
-                        other => {
-                            return Err(self.error_at(format!(
-                                "expected `,` or `.` after body literal, found {other:?}"
-                            )))
+                    match (agg, self.tok) {
+                        (Some(func), Some(Token::Ident(var))) => {
+                            self.advance()?;
+                            Spec::Agg(func, var)
                         }
+                        _ => Spec::Var(name),
                     }
                 }
-            }
-            other => {
-                return Err(self.error_at(format!(
-                    "expected `.` or `:-` after clause head, found {other:?}"
-                )))
+                Some(Token::Int(n)) => Spec::Int(n),
+                Some(Token::Str(text)) => Spec::Str(text),
+                other => return Err(self.error(format!("expected term, found {other:?}"))),
+            };
+            self.specs.push(spec);
+            match self.bump()? {
+                Some(Token::Comma) => {}
+                Some(Token::RParen) => return Ok(()),
+                other => return Err(self.error(format!("expected `,` or `)`, found {other:?}"))),
             }
         }
-        Ok(ParsedClause {
-            head,
-            body,
-            constraints,
-            pos,
-        })
     }
 
-    /// Parses one operand of a comparison constraint.
-    fn parse_cmp_operand(&mut self) -> Result<TermSpec, DatalogError> {
-        match self.bump() {
-            Some(Token::Ident(name)) => Ok(TermSpec::Var(name)),
-            Some(Token::Int(n)) => Ok(TermSpec::Int(n)),
-            Some(Token::Str(text)) => Ok(TermSpec::Str(text)),
-            other => Err(self.error_at(format!(
+    /// Resolves one rule term: variables to per-rule ids, strings to symbols.
+    fn rule_term(&mut self, spec: Spec<'a>) -> Term {
+        match spec {
+            Spec::Var(name) | Spec::Agg(_, name) => Term::Var(var_id(&mut self.vars, name)),
+            Spec::Int(n) => Term::Const(Value::int(n)),
+            Spec::Str(text) => Term::Const(self.symbols.intern(text)),
+        }
+    }
+
+    /// `self.specs` resolved as rule terms.
+    fn rule_terms(&mut self) -> Vec<Term> {
+        let mut terms = Vec::with_capacity(self.specs.len());
+        for i in 0..self.specs.len() {
+            terms.push(self.rule_term(self.specs[i]));
+        }
+        terms
+    }
+
+    /// The comparison-constraint operand `tok` (just consumed) stands for.
+    fn operand(&self, tok: Option<Token<'a>>) -> Result<Spec<'a>, DatalogError> {
+        match tok {
+            Some(Token::Ident(name)) => Ok(Spec::Var(name)),
+            Some(Token::Int(n)) => Ok(Spec::Int(n)),
+            Some(Token::Str(text)) => Ok(Spec::Str(text)),
+            other => Err(self.error(format!(
                 "expected a constraint operand (variable or constant), found {other:?}"
             ))),
         }
     }
 
-    /// Parses a comparison constraint `term op term`.
-    fn parse_constraint(&mut self) -> Result<ParsedConstraint, DatalogError> {
-        let lhs = self.parse_cmp_operand()?;
-        let op = match self.bump() {
+    /// Parses the rest of a constraint `lhs op rhs` whose left operand was
+    /// read.
+    fn constraint(&mut self, lhs: Spec<'a>) -> Result<(), DatalogError> {
+        let op = match self.bump()? {
             Some(Token::Cmp(op)) => op,
             other => {
-                return Err(self.error_at(format!(
+                return Err(self.error(format!(
                 "expected a comparison operator (`<`, `<=`, `>`, `>=`, `=`, `!=`), found {other:?}"
             )))
             }
         };
-        let rhs = self.parse_cmp_operand()?;
-        Ok(ParsedConstraint { lhs, op, rhs })
+        let rhs = self.bump()?;
+        let rhs = self.operand(rhs)?;
+        self.constraints.push((lhs, op, rhs));
+        Ok(())
     }
 
-    fn parse_atom(&mut self, negated: bool, is_head: bool) -> Result<ParsedAtom, DatalogError> {
-        let rel = match self.bump() {
-            Some(Token::Ident(name)) => name,
-            other => return Err(self.error_at(format!("expected relation name, found {other:?}"))),
+    /// Parses one body atom `Rel(terms)` whose name was read.
+    fn body_atom(&mut self, name: &'a str, negated: bool) -> Result<(), DatalogError> {
+        self.terms(false)?;
+        let rel = self.relation(name, self.specs.len());
+        let atom = Atom::new(rel, self.rule_terms());
+        self.body.push(Literal { atom, negated });
+        Ok(())
+    }
+
+    fn clause(&mut self) -> Result<(), DatalogError> {
+        let head_start = self.start;
+        let name = self.relation_name()?;
+        self.terms(true)?;
+        let head_rel = self.relation(name, self.specs.len());
+        let has_body = match self.bump()? {
+            Some(Token::Dot) => false,
+            Some(Token::Turnstile) => true,
+            other => {
+                return Err(self.error(format!(
+                    "expected `.` or `:-` after clause head, found {other:?}"
+                )))
+            }
         };
-        self.expect(&Token::LParen, "`(`")?;
-        let mut terms = Vec::new();
-        loop {
-            match self.bump() {
-                Some(Token::Ident(name)) => {
-                    // In head positions, `count v` / `sum v` / `min v` /
-                    // `max v` is an aggregate term; a bare agg keyword stays
-                    // an ordinary variable.
-                    let agg = if is_head {
-                        AggFunc::from_name(&name)
-                    } else {
-                        None
-                    };
-                    match (agg, self.peek()) {
-                        (Some(func), Some(Token::Ident(_))) => {
-                            let Some(Token::Ident(var)) = self.bump() else {
-                                unreachable!("peeked an identifier");
-                            };
-                            terms.push(TermSpec::Agg(func, var));
-                        }
-                        _ => terms.push(TermSpec::Var(name)),
+        let ground = self
+            .specs
+            .iter()
+            .all(|s| matches!(s, Spec::Int(_) | Spec::Str(_)));
+        if !has_body && ground {
+            self.fact(head_rel);
+            return Ok(());
+        }
+
+        self.vars.clear();
+        let head = Atom::new(head_rel, self.rule_terms());
+        let agg_cols: AggSignature = self
+            .specs
+            .iter()
+            .enumerate()
+            .filter_map(|(col, s)| match s {
+                Spec::Agg(func, _) => Some((col, *func)),
+                _ => None,
+            })
+            .collect();
+        if has_body {
+            loop {
+                match self.bump()? {
+                    Some(Token::Bang) => {
+                        let name = self.relation_name()?;
+                        self.body_atom(name, true)?;
+                    }
+                    // `Ident (` starts an atom; any other identifier is a
+                    // constraint's left operand.
+                    Some(Token::Ident(name)) if self.tok == Some(Token::LParen) => {
+                        self.body_atom(name, false)?;
+                    }
+                    other => {
+                        let lhs = self.operand(other)?;
+                        self.constraint(lhs)?;
                     }
                 }
-                Some(Token::Int(n)) => terms.push(TermSpec::Int(n)),
-                Some(Token::Str(text)) => terms.push(TermSpec::Str(text)),
-                other => return Err(self.error_at(format!("expected term, found {other:?}"))),
-            }
-            match self.bump() {
-                Some(Token::Comma) => {}
-                Some(Token::RParen) => break,
-                other => return Err(self.error_at(format!("expected `,` or `)`, found {other:?}"))),
+                match self.bump()? {
+                    Some(Token::Comma) => {}
+                    Some(Token::Dot) => break,
+                    other => {
+                        return Err(self.error(format!(
+                            "expected `,` or `.` after body literal, found {other:?}"
+                        )))
+                    }
+                }
             }
         }
-        Ok(ParsedAtom {
-            rel,
-            terms,
-            negated,
+        // Constraint terms resolve after every body atom's, as the builder
+        // resolves them.
+        let mut constraints = Vec::with_capacity(self.constraints.len());
+        for i in 0..self.constraints.len() {
+            let (lhs, op, rhs) = self.constraints[i];
+            let lhs = self.rule_term(lhs);
+            let rhs = self.rule_term(rhs);
+            constraints.push(Constraint { op, lhs, rhs });
+        }
+        self.constraints.clear();
+        let index = self.rules.len();
+        if !agg_cols.is_empty() {
+            self.agg_rules.push((index, agg_cols));
+        }
+        self.rules.push(Rule {
+            id: RuleId(index as u32),
+            head,
+            body: self.body.drain(..).collect(),
+            constraints,
+            var_names: self.vars.iter().map(|name| (*name).to_string()).collect(),
+            origin: RuleOrigin {
+                label: None,
+                position: Some(self.lines.locate(self.lexer.src, head_start)),
+            },
+        });
+        Ok(())
+    }
+
+    /// Records the ground clause in `self.specs` as a fact of `rel`.
+    fn fact(&mut self, rel: RelId) {
+        let index = self.facts.len();
+        let mut values = Vec::with_capacity(self.specs.len());
+        for (col, spec) in self.specs.iter().enumerate() {
+            values.push(match *spec {
+                Spec::Int(n) => Value::int(n),
+                Spec::Str(text) => {
+                    // Interned, and this placeholder replaced, in `finish`.
+                    self.fact_strings.push((index, col, text));
+                    Value::int(0)
+                }
+                // `clause` sends ground atoms only.
+                Spec::Var(_) | Spec::Agg(..) => Value::int(0),
+            });
+        }
+        self.facts.push((rel, Tuple::new(values)));
+    }
+
+    fn finish(mut self) -> Result<Program, DatalogError> {
+        // Facts' strings intern after every rule constant, in fact order.
+        let mut pending = self.fact_strings.iter().peekable();
+        while let Some(&&(index, _, _)) = pending.peek() {
+            let mut values = self.facts[index].1.values().to_vec();
+            while let Some(&(_, col, text)) = pending.next_if(|p| p.0 == index) {
+                values[col] = self.symbols.intern(text);
+            }
+            self.facts[index].1 = Tuple::new(values);
+        }
+        self.rules.shrink_to_fit();
+        self.facts.shrink_to_fit();
+        ProgramBuilder::build_resolved(Resolved {
+            decls: self.decls,
+            rules: self.rules,
+            agg_rules: self.agg_rules,
+            facts: self.facts,
+            aggregates: Vec::new(),
+            symbols: self.symbols,
         })
     }
 }
@@ -543,6 +602,126 @@ impl Parser {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_error(line: usize, column: usize, message: &str) -> Option<DatalogError> {
+        Some(DatalogError::Parse {
+            line,
+            column,
+            message: message.to_string(),
+        })
+    }
+
+    #[test]
+    fn lexer_errors_carry_their_position() {
+        // Every kind of lexer error cites the first char of the token it
+        // could not read, as a 1-based line and char column.
+        let at_sign = parse("Edge(1, 2).\nPath(x, y) :- Edge(x, y) @ z.").err();
+        assert_eq!(at_sign, parse_error(2, 26, "unexpected character `@`"));
+        assert_eq!(
+            at_sign.map(|e| e.to_string()).as_deref(),
+            Some("parse error at 2:26: unexpected character `@`")
+        );
+        assert_eq!(
+            parse("Edge(1, 2).\nName(\"abc).").err(),
+            parse_error(2, 6, "unterminated string literal")
+        );
+        let too_big = parse("Edge(1, 2).\n  Edge(3000000000, 1).").err();
+        assert_eq!(
+            too_big.map(|e| e.to_string()).as_deref(),
+            Some("parse error at 2:8: integer literal out of range (max 2147483647)")
+        );
+        assert_eq!(
+            parse("Path(x) : Edge(x).").err(),
+            parse_error(1, 9, "expected `-` after `:`")
+        );
+        // Columns count chars, not bytes.
+        assert_eq!(
+            parse("Über(x) :- Über(x), ½.").err(),
+            parse_error(1, 21, "unexpected character `½`")
+        );
+    }
+
+    #[test]
+    fn parse_errors_cite_the_offending_token() {
+        assert_eq!(
+            parse("Edge(1, 2).\nEdge(1 2).").err(),
+            parse_error(2, 8, "expected `,` or `)`, found Some(Int(2))")
+        );
+        assert_eq!(
+            parse("Edge(1, 2)").err(),
+            parse_error(1, 10, "expected `.` or `:-` after clause head, found None")
+        );
+    }
+
+    #[test]
+    fn unicode_identifiers_and_whitespace() {
+        let program = parse("Straße(x) :- Wëg(x).\u{a0}Wëg(1).\u{3000}\u{2028}Wëg(2).");
+        let names = program.map(|p| {
+            let names: Vec<String> = p.relations().iter().map(|r| r.name.clone()).collect();
+            (names, p.facts().len(), p.rules()[0].origin.position)
+        });
+        assert_eq!(
+            names,
+            Ok((
+                vec!["Straße".to_string(), "Wëg".to_string()],
+                2,
+                Some((1, 1))
+            ))
+        );
+    }
+
+    #[test]
+    fn comments_and_a_lone_slash() {
+        let program = parse("% a\n# b\n// c\nEdge(1, 2). // trailing\nEdge(2, 3). % more\n");
+        assert_eq!(program.map(|p| p.facts().len()), Ok(2));
+        assert_eq!(
+            parse("Edge(1, 2). / Edge(2, 3).").err(),
+            parse_error(1, 13, "unexpected character `/`")
+        );
+    }
+
+    #[test]
+    fn count_heads_and_count_as_a_variable() {
+        let heads = parse("Deg(x, count y) :- Edge(x, y).\nEdge(1, 2).").map(|p| {
+            p.aggregates()
+                .iter()
+                .map(|a| a.aggs.clone())
+                .collect::<Vec<_>>()
+        });
+        assert_eq!(heads, Ok(vec![vec![(1, AggFunc::Count)]]));
+        // A bare `count` (followed by `)` or `,`, or in a body) is a variable.
+        let bare = parse("Out(count, x) :- R(count, x).\nR(1, 2).")
+            .map(|p| (p.aggregates().len(), p.rules()[0].var_names.clone()));
+        assert_eq!(bare, Ok((0, vec!["count".to_string(), "x".to_string()])));
+    }
+
+    #[test]
+    fn strings_negation_and_every_comparison() {
+        let program = parse(
+            "Out(x) :- R(x, \"a b\"), !S(x), x < 9, x <= 9, x > 0, x >= 0, x = x, x != 3.\n\
+             R(1, \"a b\"). S(2).",
+        );
+        let shape = program.map(|p| {
+            let rule = &p.rules()[0];
+            let ops: Vec<CmpOp> = rule.constraints.iter().map(|c| c.op).collect();
+            (ops, rule.negative_body().count(), p.symbols().len())
+        });
+        use CmpOp::*;
+        assert_eq!(shape, Ok((vec![Lt, Le, Gt, Ge, Eq, Ne], 1, 1)));
+    }
+
+    #[test]
+    fn rule_constants_intern_before_fact_constants() {
+        let program = parse("F(\"late\").\nOut(x) :- R(x, \"early\").");
+        let indices = program.map(|p| {
+            let rule_const = match p.rules()[0].body[0].atom.terms[1] {
+                Term::Const(v) => v.symbol_index(),
+                Term::Var(_) => None,
+            };
+            (rule_const, p.facts()[0].1.values()[0].symbol_index())
+        });
+        assert_eq!(indices, Ok((Some(0), Some(1))));
+    }
 
     #[test]
     fn parses_transitive_closure() {

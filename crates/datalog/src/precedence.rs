@@ -13,7 +13,6 @@
 //! stays inside one SCC: `A :- ..., !B, ...` with `A` and `B` mutually
 //! recursive has no least fixpoint and is rejected.
 
-use carac_storage::hasher::FxHashSet;
 use carac_storage::RelId;
 
 use crate::ast::{AggregateSpec, RelationDecl, Rule, RuleId};
@@ -72,42 +71,33 @@ impl Stratification {
     ) -> Result<Self, DatalogError> {
         let n = decls.len();
 
-        // adjacency: dependencies[a] = set of relations a's rules read.
-        let mut deps: Vec<FxHashSet<usize>> = vec![FxHashSet::default(); n];
-        let mut negative_deps: Vec<FxHashSet<usize>> = vec![FxHashSet::default(); n];
-        for rule in rules {
-            let head = rule.head.rel.index();
-            for literal in &rule.body {
-                let body_rel = literal.atom.rel.index();
-                deps[head].insert(body_rel);
-                if literal.negated {
-                    negative_deps[head].insert(body_rel);
-                }
-            }
-        }
-        for spec in aggregates.iter() {
-            deps[spec.output.index()].insert(spec.input.index());
-        }
+        // Dependency edges head -> body (and aggregate output -> input),
+        // sorted and deduplicated into one flat adjacency.
+        let rule_edges = rules.iter().flat_map(|rule| {
+            let head = rule.head.rel.0;
+            rule.body.iter().map(move |l| (head, l.atom.rel.0))
+        });
+        let aggregate_edges = aggregates.iter().map(|a| (a.output.0, a.input.0));
+        let deps = Adjacency::new(n, rule_edges.chain(aggregate_edges).collect());
 
-        let sccs = tarjan_sccs(n, &deps);
+        let sccs = tarjan_sccs(&deps);
 
         // Map each relation to its SCC index.
-        let mut scc_of = vec![usize::MAX; n];
+        let mut scc_of = vec![0; n];
         for (scc_idx, members) in sccs.iter().enumerate() {
             for &m in members {
                 scc_of[m] = scc_idx;
             }
         }
+        let scc = |rel: RelId| scc_of[rel.index()];
 
         // Reject negation inside an SCC.
         for rule in rules {
-            let head = rule.head.rel.index();
             for literal in rule.negative_body() {
-                let body_rel = literal.atom.rel.index();
-                if scc_of[head] == scc_of[body_rel] {
+                if scc(rule.head.rel) == scc(literal.atom.rel) {
                     return Err(DatalogError::NotStratifiable {
-                        head: decls[head].name.clone(),
-                        negated: decls[body_rel].name.clone(),
+                        head: decls[rule.head.rel.index()].name.clone(),
+                        negated: decls[literal.atom.rel.index()].name.clone(),
                     });
                 }
             }
@@ -117,56 +107,109 @@ impl Stratification {
         // mode); otherwise it is an ordinary stratified aggregate whose
         // input is finalized before the fold runs once.
         for spec in aggregates.iter_mut() {
-            spec.lattice = scc_of[spec.output.index()] == scc_of[spec.input.index()];
+            spec.lattice = scc(spec.output) == scc(spec.input);
         }
 
-        // Tarjan emits SCCs in reverse topological order of the condensation
-        // when edges point from dependent to dependency... Our `deps` edges
-        // go head -> body (head depends on body), and Tarjan's algorithm
-        // emits an SCC only after all SCCs reachable from it have been
-        // emitted — i.e. dependencies are emitted first.  That is exactly
-        // evaluation order.
+        // Per SCC: how many rules it holds, and whether any of them reads
+        // its own SCC.
+        let mut rule_counts = vec![0usize; sccs.len()];
+        let mut recursive = vec![false; sccs.len()];
+        for rule in rules {
+            let home = scc(rule.head.rel);
+            rule_counts[home] += 1;
+            recursive[home] |= rule.body.iter().any(|l| scc(l.atom.rel) == home);
+        }
+
+        // Tarjan emits an SCC only after all SCCs reachable from it, and the
+        // edges point head -> body (head depends on body), so dependencies
+        // come first: exactly evaluation order.
         let mut strata = Vec::new();
-        for members in &sccs {
+        let mut stratum_of = vec![usize::MAX; sccs.len()];
+        for (scc_idx, members) in sccs.iter().enumerate() {
             // Only intensional relations form strata worth evaluating.
             let relations: Vec<RelId> = members
                 .iter()
-                .copied()
-                .filter(|&m| !decls[m].is_edb)
-                .map(|m| RelId(m as u32))
+                .filter(|&&m| !decls[m].is_edb)
+                .map(|&m| RelId(m as u32))
                 .collect();
             if relations.is_empty() {
                 continue;
             }
-            let member_set: FxHashSet<usize> = members.iter().copied().collect();
-            let stratum_rules: Vec<RuleId> = rules
-                .iter()
-                .filter(|r| member_set.contains(&r.head.rel.index()))
-                .map(|r| r.id)
-                .collect();
-            let recursive = rules.iter().any(|r| {
-                member_set.contains(&r.head.rel.index())
-                    && r.body
-                        .iter()
-                        .any(|l| member_set.contains(&l.atom.rel.index()))
-            });
+            stratum_of[scc_idx] = strata.len();
             strata.push(Stratum {
                 relations,
-                rules: stratum_rules,
-                recursive,
+                rules: Vec::with_capacity(rule_counts[scc_idx]),
+                recursive: recursive[scc_idx],
             });
+        }
+        for rule in rules {
+            strata[stratum_of[scc(rule.head.rel)]].rules.push(rule.id);
         }
 
         Ok(Stratification { strata })
     }
 }
 
-/// Iterative Tarjan SCC over a graph given as adjacency sets.
+/// A directed graph over `0..n` in compressed form: the successors of
+/// node `v` are `targets[offsets[v]..offsets[v + 1]]`, ascending.
+struct Adjacency {
+    offsets: Vec<usize>,
+    /// The `(from, to)` edges, sorted and deduplicated.
+    edges: Vec<(u32, u32)>,
+}
+
+impl Adjacency {
+    /// Builds the graph from `(from, to)` edges; duplicates collapse.
+    fn new(n: usize, mut edges: Vec<(u32, u32)>) -> Self {
+        edges.sort_unstable();
+        edges.dedup();
+        let mut offsets = vec![0; n + 1];
+        for &(from, _) in &edges {
+            offsets[from as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        Adjacency { offsets, edges }
+    }
+
+    fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    fn successor(&self, v: usize, i: usize) -> Option<usize> {
+        let at = self.offsets[v] + i;
+        (at < self.offsets[v + 1]).then(|| self.edges[at].1 as usize)
+    }
+}
+
+/// Strongly connected components, each one's members ascending, stored
+/// back to back.
+struct Sccs {
+    members: Vec<usize>,
+    /// End of each component in `members`.
+    ends: Vec<usize>,
+}
+
+impl Sccs {
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| &self.members[start..end])
+    }
+}
+
+/// Iterative Tarjan SCC.
 ///
 /// Returns the SCCs in an order where every SCC appears after all SCCs it
 /// has edges into (i.e. dependencies first, given edges point from dependent
 /// to dependency).
-fn tarjan_sccs(n: usize, adj: &[FxHashSet<usize>]) -> Vec<Vec<usize>> {
+fn tarjan_sccs(adj: &Adjacency) -> Sccs {
     #[derive(Clone, Copy)]
     struct NodeState {
         index: u32,
@@ -175,6 +218,7 @@ fn tarjan_sccs(n: usize, adj: &[FxHashSet<usize>]) -> Vec<Vec<usize>> {
         visited: bool,
     }
 
+    let n = adj.len();
     let mut state = vec![
         NodeState {
             index: 0,
@@ -185,40 +229,39 @@ fn tarjan_sccs(n: usize, adj: &[FxHashSet<usize>]) -> Vec<Vec<usize>> {
         n
     ];
     let mut next_index: u32 = 0;
-    let mut stack: Vec<usize> = Vec::new();
-    let mut sccs: Vec<Vec<usize>> = Vec::new();
+    let mut stack: Vec<usize> = Vec::with_capacity(n);
+    let mut sccs = Sccs {
+        members: Vec::with_capacity(n),
+        ends: Vec::with_capacity(n),
+    };
+    // Explicit DFS stack: (node, position in its successor list).
+    let mut call_stack: Vec<(usize, usize)> = Vec::with_capacity(n);
+    let mut enter = |v: usize, state: &mut [NodeState], stack: &mut Vec<usize>| {
+        state[v] = NodeState {
+            index: next_index,
+            lowlink: next_index,
+            on_stack: true,
+            visited: true,
+        };
+        next_index += 1;
+        stack.push(v);
+    };
 
-    // Explicit DFS stack: (node, iterator position over its deps).
     for start in 0..n {
         if state[start].visited {
             continue;
         }
-        let mut call_stack: Vec<(usize, Vec<usize>, usize)> = Vec::new();
-        let neighbors: Vec<usize> = adj[start].iter().copied().collect();
-        state[start].visited = true;
-        state[start].index = next_index;
-        state[start].lowlink = next_index;
-        next_index += 1;
-        stack.push(start);
-        state[start].on_stack = true;
-        call_stack.push((start, neighbors, 0));
+        enter(start, &mut state, &mut stack);
+        call_stack.push((start, 0));
 
-        while let Some((node, neighbors, mut pos)) = call_stack.pop() {
+        while let Some((node, mut pos)) = call_stack.pop() {
             let mut descended = false;
-            while pos < neighbors.len() {
-                let next = neighbors[pos];
+            while let Some(next) = adj.successor(node, pos) {
                 pos += 1;
                 if !state[next].visited {
-                    // Descend.
-                    state[next].visited = true;
-                    state[next].index = next_index;
-                    state[next].lowlink = next_index;
-                    next_index += 1;
-                    stack.push(next);
-                    state[next].on_stack = true;
-                    let next_neighbors: Vec<usize> = adj[next].iter().copied().collect();
-                    call_stack.push((node, neighbors, pos));
-                    call_stack.push((next, next_neighbors, 0));
+                    enter(next, &mut state, &mut stack);
+                    call_stack.push((node, pos));
+                    call_stack.push((next, 0));
                     descended = true;
                     break;
                 } else if state[next].on_stack {
@@ -230,21 +273,19 @@ fn tarjan_sccs(n: usize, adj: &[FxHashSet<usize>]) -> Vec<Vec<usize>> {
             }
             // Node finished.
             if state[node].lowlink == state[node].index {
-                let mut scc = Vec::new();
-                loop {
-                    let w = stack.pop().expect("tarjan stack underflow");
+                let start = sccs.members.len();
+                while let Some(w) = stack.pop() {
                     state[w].on_stack = false;
-                    scc.push(w);
+                    sccs.members.push(w);
                     if w == node {
                         break;
                     }
                 }
-                scc.sort_unstable();
-                sccs.push(scc);
+                sccs.members[start..].sort_unstable();
+                sccs.ends.push(sccs.members.len());
             }
             // Propagate lowlink to parent.
-            if let Some((parent, _, _)) = call_stack.last() {
-                let parent = *parent;
+            if let Some(&(parent, _)) = call_stack.last() {
                 state[parent].lowlink = state[parent].lowlink.min(state[node].lowlink);
             }
         }
@@ -349,12 +390,8 @@ mod tests {
     fn tarjan_on_diamond_graph() {
         // 0 -> 1, 0 -> 2, 1 -> 3, 2 -> 3 ; no cycles, 4 singleton SCCs, with
         // 3 (the sink / dependency) emitted before 0.
-        let mut adj = vec![FxHashSet::default(); 4];
-        adj[0].insert(1);
-        adj[0].insert(2);
-        adj[1].insert(3);
-        adj[2].insert(3);
-        let sccs = tarjan_sccs(4, &adj);
+        let adj = Adjacency::new(4, vec![(0, 1), (0, 2), (1, 3), (2, 3)]);
+        let sccs = tarjan_sccs(&adj);
         assert_eq!(sccs.len(), 4);
         let pos = |x: usize| sccs.iter().position(|s| s.contains(&x)).unwrap();
         assert!(pos(3) < pos(1));
@@ -365,13 +402,10 @@ mod tests {
     #[test]
     fn tarjan_detects_cycles() {
         // 0 <-> 1, 2 alone depending on the cycle.
-        let mut adj = vec![FxHashSet::default(); 3];
-        adj[0].insert(1);
-        adj[1].insert(0);
-        adj[2].insert(0);
-        let sccs = tarjan_sccs(3, &adj);
+        let adj = Adjacency::new(3, vec![(0, 1), (1, 0), (2, 0)]);
+        let sccs = tarjan_sccs(&adj);
         assert_eq!(sccs.len(), 2);
-        assert_eq!(sccs[0], vec![0, 1]);
-        assert_eq!(sccs[1], vec![2]);
+        let sccs: Vec<&[usize]> = sccs.iter().collect();
+        assert_eq!(sccs, [&[0, 1][..], &[2][..]]);
     }
 }

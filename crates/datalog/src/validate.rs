@@ -97,9 +97,11 @@ fn check_arities(
 }
 
 fn check_safety(decls: &[RelationDecl], rules: &[Rule], errors: &mut Vec<DatalogError>) {
+    let mut bound = Vec::new();
     for rule in rules {
         // Collect variables bound by positive literals.
-        let mut bound = vec![false; rule.num_vars()];
+        bound.clear();
+        bound.resize(rule.num_vars(), false);
         for literal in rule.positive_body() {
             for (_, var) in literal.atom.variables() {
                 bound[var.index()] = true;

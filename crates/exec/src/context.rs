@@ -75,7 +75,7 @@ impl ExecContext {
             }
         }
         for (rel, tuple) in program.facts() {
-            storage.insert_fact(*rel, tuple.clone())?;
+            storage.insert_fact_row(*rel, tuple.values())?;
         }
         let is_idb = program.relations().iter().map(|d| !d.is_edb).collect();
         let arities = program.relations().iter().map(|d| d.arity).collect();
